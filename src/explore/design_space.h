@@ -41,6 +41,26 @@ struct SweepSpec {
     Precision precision = Precision::FP16;
 };
 
+/** SweepSpec's wire keys, in order (see util/hash.h). */
+template <typename Visit>
+void
+fields(Visit &&visit, const SweepSpec *)
+{
+    visit("max_tensor", &SweepSpec::max_tensor);
+    visit("max_data", &SweepSpec::max_data);
+    visit("max_pipeline", &SweepSpec::max_pipeline);
+    visit("micro_batch_sizes", &SweepSpec::micro_batch_sizes);
+    visit("min_gpus", &SweepSpec::min_gpus);
+    visit("max_gpus", &SweepSpec::max_gpus);
+    visit("exact_gpus", &SweepSpec::exact_gpus);
+    visit("require_memory_fit", &SweepSpec::require_memory_fit);
+    visit("global_batch_size", &SweepSpec::global_batch_size);
+    visit("schedule", &SweepSpec::schedule);
+    visit("gradient_bucketing", &SweepSpec::gradient_bucketing);
+    visit("activation_recompute", &SweepSpec::activation_recompute);
+    visit("precision", &SweepSpec::precision);
+}
+
 /** @return all valid plans for the model under the sweep bounds. */
 std::vector<ParallelConfig> enumeratePlans(const ModelConfig &model,
                                            const ClusterSpec &cluster,

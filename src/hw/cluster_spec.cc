@@ -5,21 +5,10 @@
 
 namespace vtrain {
 
-void
-hashAppend(Hash64 &h, const ClusterSpec &cluster)
-{
-    hashAppend(h, cluster.node);
-    h.mix(cluster.num_nodes)
-        .mix(cluster.bandwidth_effectiveness)
-        .mix(cluster.hierarchical_allreduce);
-}
-
 uint64_t
 ClusterSpec::fingerprint() const
 {
-    Hash64 h;
-    hashAppend(h, *this);
-    return h.digest();
+    return hashValue(*this);
 }
 
 double

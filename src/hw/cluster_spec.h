@@ -54,8 +54,17 @@ struct ClusterSpec {
     uint64_t fingerprint() const;
 };
 
-/** Folds every ClusterSpec field into the request fingerprint stream. */
-void hashAppend(Hash64 &h, const ClusterSpec &cluster);
+/** ClusterSpec's wire keys and fingerprint order (see util/hash.h). */
+template <typename Visit>
+void
+fields(Visit &&visit, const ClusterSpec *)
+{
+    visit("node", &ClusterSpec::node);
+    visit("num_nodes", &ClusterSpec::num_nodes);
+    visit("bandwidth_effectiveness",
+          &ClusterSpec::bandwidth_effectiveness);
+    visit("hierarchical_allreduce", &ClusterSpec::hierarchical_allreduce);
+}
 
 /** Builds a cluster with exactly n_gpus GPUs (must divide evenly). */
 ClusterSpec makeCluster(int n_gpus, const NodeSpec &node = dgxA100Node());

@@ -1,20 +1,8 @@
 #include "hw/gpu_spec.h"
 
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace vtrain {
-
-void
-hashAppend(Hash64 &h, const GpuSpec &gpu)
-{
-    h.mix(std::string_view(gpu.name))
-        .mix(gpu.peak_fp16_flops)
-        .mix(gpu.peak_fp32_flops)
-        .mix(gpu.hbm_bandwidth)
-        .mix(gpu.memory_bytes)
-        .mix(gpu.kernel_launch_overhead);
-}
 
 std::string
 toString(Precision p)

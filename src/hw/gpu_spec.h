@@ -48,10 +48,18 @@ struct GpuSpec {
     bool operator==(const GpuSpec &) const = default;
 };
 
-class Hash64;
-
-/** Folds every GpuSpec field into the request fingerprint stream. */
-void hashAppend(Hash64 &h, const GpuSpec &gpu);
+/** GpuSpec's wire keys and fingerprint order (see util/hash.h). */
+template <typename Visit>
+void
+fields(Visit &&visit, const GpuSpec *)
+{
+    visit("name", &GpuSpec::name);
+    visit("peak_fp16_flops", &GpuSpec::peak_fp16_flops);
+    visit("peak_fp32_flops", &GpuSpec::peak_fp32_flops);
+    visit("hbm_bandwidth", &GpuSpec::hbm_bandwidth);
+    visit("memory_bytes", &GpuSpec::memory_bytes);
+    visit("kernel_launch_overhead", &GpuSpec::kernel_launch_overhead);
+}
 
 /** The 80 GB A100 used throughout the paper's evaluation. */
 GpuSpec a100Sxm80GB();

@@ -1,19 +1,6 @@
 #include "hw/node_spec.h"
 
-#include "util/hash.h"
-
 namespace vtrain {
-
-void
-hashAppend(Hash64 &h, const NodeSpec &node)
-{
-    hashAppend(h, node.gpu);
-    h.mix(node.gpus_per_node)
-        .mix(node.nvlink_bandwidth)
-        .mix(node.nic_bandwidth)
-        .mix(node.nic_latency)
-        .mix(node.nvlink_latency);
-}
 
 NodeSpec
 dgxA100Node()

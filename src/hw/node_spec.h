@@ -36,8 +36,18 @@ struct NodeSpec {
     bool operator==(const NodeSpec &) const = default;
 };
 
-/** Folds every NodeSpec field into the request fingerprint stream. */
-void hashAppend(Hash64 &h, const NodeSpec &node);
+/** NodeSpec's wire keys and fingerprint order (see util/hash.h). */
+template <typename Visit>
+void
+fields(Visit &&visit, const NodeSpec *)
+{
+    visit("gpu", &NodeSpec::gpu);
+    visit("gpus_per_node", &NodeSpec::gpus_per_node);
+    visit("nvlink_bandwidth", &NodeSpec::nvlink_bandwidth);
+    visit("nic_bandwidth", &NodeSpec::nic_bandwidth);
+    visit("nic_latency", &NodeSpec::nic_latency);
+    visit("nvlink_latency", &NodeSpec::nvlink_latency);
+}
 
 /** The paper's DGX-A100-class validation node. */
 NodeSpec dgxA100Node();

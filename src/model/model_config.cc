@@ -3,29 +3,9 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace vtrain {
-
-void
-hashAppend(Hash64 &h, const ModelConfig &model)
-{
-    h.mix(std::string_view(model.name))
-        .mix(model.hidden_size)
-        .mix(model.num_layers)
-        .mix(model.seq_length)
-        .mix(model.num_heads)
-        .mix(model.vocab_size);
-}
-
-uint64_t
-hashValue(const ModelConfig &model)
-{
-    Hash64 h;
-    hashAppend(h, model);
-    return h.digest();
-}
 
 void
 ModelConfig::validate() const

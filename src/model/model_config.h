@@ -16,9 +16,9 @@
 #include <functional>
 #include <string>
 
-namespace vtrain {
+#include "util/hash.h"
 
-class Hash64;
+namespace vtrain {
 
 /** Hyperparameters of a decoder-only transformer LLM. */
 struct ModelConfig {
@@ -69,11 +69,18 @@ struct ModelConfig {
     bool operator==(const ModelConfig &) const = default;
 };
 
-/** Folds every ModelConfig field into a fingerprint stream. */
-void hashAppend(Hash64 &h, const ModelConfig &model);
-
-/** @return a stable 64-bit hash of the full model description. */
-uint64_t hashValue(const ModelConfig &model);
+/** ModelConfig's wire keys and fingerprint order (see util/hash.h). */
+template <typename Visit>
+void
+fields(Visit &&visit, const ModelConfig *)
+{
+    visit("name", &ModelConfig::name);
+    visit("hidden_size", &ModelConfig::hidden_size);
+    visit("num_layers", &ModelConfig::num_layers);
+    visit("seq_length", &ModelConfig::seq_length);
+    visit("num_heads", &ModelConfig::num_heads);
+    visit("vocab_size", &ModelConfig::vocab_size);
+}
 
 /**
  * Builds a model from (h, L, n) with defaults for s and V, deriving a

@@ -286,12 +286,12 @@ serializeRequest(const HttpRequest &request)
 std::string
 jsonErrorBody(int status, std::string_view message)
 {
-    std::string out = "{\n  \"error\": {\n    \"code\": " +
-                      std::to_string(status) + ",\n    \"status\": \"";
+    std::string out = "{\"error\":{\"code\":" + std::to_string(status) +
+                      ",\"status\":\"";
     appendJsonEscaped(statusReason(status), &out);
-    out += "\",\n    \"message\": \"";
+    out += "\",\"message\":\"";
     appendJsonEscaped(message, &out);
-    out += "\"\n  }\n}";
+    out += "\"}}";
     return out;
 }
 

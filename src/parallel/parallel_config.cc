@@ -2,34 +2,9 @@
 
 #include <cstdio>
 
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace vtrain {
-
-void
-hashAppend(Hash64 &h, const ParallelConfig &plan)
-{
-    h.mix(plan.tensor)
-        .mix(plan.data)
-        .mix(plan.pipeline)
-        .mix(plan.micro_batch_size)
-        .mix(plan.global_batch_size)
-        .mix(static_cast<int64_t>(plan.schedule))
-        .mix(plan.gradient_bucketing)
-        .mix(plan.bucket_bytes)
-        .mix(plan.activation_recompute)
-        .mix(static_cast<int64_t>(plan.zero_stage))
-        .mix(static_cast<int64_t>(plan.precision));
-}
-
-uint64_t
-hashValue(const ParallelConfig &plan)
-{
-    Hash64 h;
-    hashAppend(h, plan);
-    return h.digest();
-}
 
 std::string
 toString(PipelineSchedule s)

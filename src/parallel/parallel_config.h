@@ -16,6 +16,7 @@
 
 #include "hw/cluster_spec.h"
 #include "model/model_config.h"
+#include "util/hash.h"
 
 namespace vtrain {
 
@@ -106,11 +107,23 @@ struct ParallelConfig {
     bool operator==(const ParallelConfig &) const = default;
 };
 
-/** Folds every ParallelConfig field into a fingerprint stream. */
-void hashAppend(Hash64 &h, const ParallelConfig &plan);
-
-/** @return a stable 64-bit hash of the full plan description. */
-uint64_t hashValue(const ParallelConfig &plan);
+/** ParallelConfig's wire keys and fingerprint order (util/hash.h). */
+template <typename Visit>
+void
+fields(Visit &&visit, const ParallelConfig *)
+{
+    visit("tensor", &ParallelConfig::tensor);
+    visit("data", &ParallelConfig::data);
+    visit("pipeline", &ParallelConfig::pipeline);
+    visit("micro_batch_size", &ParallelConfig::micro_batch_size);
+    visit("global_batch_size", &ParallelConfig::global_batch_size);
+    visit("schedule", &ParallelConfig::schedule);
+    visit("gradient_bucketing", &ParallelConfig::gradient_bucketing);
+    visit("bucket_bytes", &ParallelConfig::bucket_bytes);
+    visit("activation_recompute", &ParallelConfig::activation_recompute);
+    visit("zero_stage", &ParallelConfig::zero_stage);
+    visit("precision", &ParallelConfig::precision);
+}
 
 } // namespace vtrain
 

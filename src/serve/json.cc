@@ -153,10 +153,8 @@ dumpNumber(double d, std::string &out)
 }
 
 void
-dumpValue(const Value &v, std::string &out, int depth)
+dumpValue(const Value &v, std::string &out)
 {
-    // Indentation strings live inside the container cases: building
-    // them up front would allocate twice per scalar leaf dumped.
     switch (v.type()) {
       case Value::Type::Null:
         out += "null";
@@ -172,39 +170,25 @@ dumpValue(const Value &v, std::string &out, int depth)
         break;
       case Value::Type::Array: {
         const auto &items = v.items();
-        if (items.empty()) {
-            out += "[]";
-            break;
-        }
-        const std::string pad(2 * (depth + 1), ' ');
-        out += "[";
+        out += '[';
         for (size_t i = 0; i < items.size(); ++i) {
-            out += i == 0 ? "\n" : ",\n";
-            out += pad;
-            dumpValue(items[i], out, depth + 1);
+            if (i)
+                out += ',';
+            dumpValue(items[i], out);
         }
-        out += '\n';
-        out.append(2 * depth, ' ');
         out += ']';
         break;
       }
       case Value::Type::Object: {
         const auto &members = v.members();
-        if (members.empty()) {
-            out += "{}";
-            break;
-        }
-        const std::string pad(2 * (depth + 1), ' ');
-        out += "{";
+        out += '{';
         for (size_t i = 0; i < members.size(); ++i) {
-            out += i == 0 ? "\n" : ",\n";
-            out += pad;
+            if (i)
+                out += ',';
             dumpString(members[i].first, out);
-            out += ": ";
-            dumpValue(members[i].second, out, depth + 1);
+            out += ':';
+            dumpValue(members[i].second, out);
         }
-        out += '\n';
-        out.append(2 * depth, ' ');
         out += '}';
         break;
       }
@@ -217,7 +201,7 @@ std::string
 Value::dump() const
 {
     std::string out;
-    dumpValue(*this, out, 0);
+    dumpValue(*this, out);
     return out;
 }
 

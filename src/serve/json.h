@@ -67,7 +67,7 @@ class Value
     /** @return the member named `key`, or nullptr when absent. */
     const Value *find(std::string_view key) const;
 
-    /** Serializes the value (2-space indent pretty printing). */
+    /** Serializes the value as compact JSON (no whitespace). */
     std::string dump() const;
 
     /**

@@ -34,11 +34,24 @@ ResultCache::ResultCache(Options options)
 bool
 ResultCache::get(uint64_t key, SimulationResult *out)
 {
+    return lookup(key, out, /*count_miss=*/true);
+}
+
+bool
+ResultCache::recheck(uint64_t key, SimulationResult *out)
+{
+    return lookup(key, out, /*count_miss=*/false);
+}
+
+bool
+ResultCache::lookup(uint64_t key, SimulationResult *out, bool count_miss)
+{
     Shard &shard = shardFor(key);
     util::MutexLock lock(shard.mutex);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
-        ++shard.misses;
+        if (count_miss)
+            ++shard.misses;
         return false;
     }
     ++shard.hits;

@@ -72,6 +72,12 @@ class ResultCache
      */
     bool get(uint64_t key, SimulationResult *out);
 
+    /**
+     * get() for a caller re-checking a key whose miss it already
+     * counted: a hit counts as usual, a miss is not counted again.
+     */
+    bool recheck(uint64_t key, SimulationResult *out);
+
     /** Inserts or refreshes `key`, evicting LRU entries over budget. */
     void put(uint64_t key, const SimulationResult &value);
 
@@ -116,6 +122,9 @@ class ResultCache
         // already uniformly distributed.
         return shards_[key & (shards_.size() - 1)];
     }
+
+    /** get() and recheck(): they differ only in counting a miss. */
+    bool lookup(uint64_t key, SimulationResult *out, bool count_miss);
 
     /** Evicts from the back of `shard` until it fits its budgets. */
     void enforceBudgetLocked(Shard &shard) REQUIRES(shard.mutex);

@@ -21,15 +21,6 @@ constexpr uint64_t kRequestDomain = 0x76747261696e5251ull; // "vtrainRQ"
 
 } // namespace
 
-void
-hashAppend(Hash64 &h, const SimRequest &request)
-{
-    hashAppend(h, request.model);
-    hashAppend(h, request.parallel);
-    hashAppend(h, request.cluster);
-    hashAppend(h, request.options);
-}
-
 uint64_t
 SimRequest::fingerprint() const
 {

@@ -59,8 +59,19 @@ struct SimRequest {
     bool operator==(const SimRequest &) const = default;
 };
 
-/** Folds the entire request into a fingerprint stream. */
-void hashAppend(Hash64 &h, const SimRequest &request);
+/**
+ * SimRequest's wire keys (inside the versioned envelope) and
+ * fingerprint order (see util/hash.h).
+ */
+template <typename Visit>
+void
+fields(Visit &&visit, const SimRequest *)
+{
+    visit("model", &SimRequest::model);
+    visit("parallel", &SimRequest::parallel);
+    visit("cluster", &SimRequest::cluster);
+    visit("options", &SimRequest::options);
+}
 
 } // namespace vtrain
 

@@ -73,22 +73,28 @@ SimService::compute(const SimRequest &request) const
     return sim.simulateIteration(request.model, request.parallel);
 }
 
-std::shared_future<SimulationResult>
+SimService::Claim
 SimService::claimInflight(
     uint64_t fp,
     const std::shared_ptr<std::promise<SimulationResult>> &promise,
-    bool *joined)
+    std::shared_future<SimulationResult> *future)
 {
     util::MutexLock lock(inflight_mutex_);
     auto it = inflight_.find(fp);
     if (it != inflight_.end()) {
-        *joined = true;
-        return it->second;
+        *future = it->second;
+        return Claim::Joined;
     }
-    *joined = false;
-    auto future = promise->get_future().share();
-    inflight_.emplace(fp, future);
-    return future;
+    SimulationResult cached;
+    if (cache_.recheck(fp, &cached)) {
+        std::promise<SimulationResult> ready;
+        ready.set_value(std::move(cached));
+        *future = ready.get_future().share();
+        return Claim::Cached;
+    }
+    *future = promise->get_future().share();
+    inflight_.emplace(fp, *future);
+    return Claim::Owner;
 }
 
 void
@@ -171,9 +177,13 @@ SimService::evaluate(const SimRequest &request, uint64_t deadline_ns)
     }
 
     auto promise = std::make_shared<std::promise<SimulationResult>>();
-    bool joined = false;
-    auto future = claimInflight(fp, promise, &joined);
-    if (joined) {
+    std::shared_future<SimulationResult> future;
+    const Claim claim = claimInflight(fp, promise, &future);
+    if (claim == Claim::Cached) {
+        evaluate_cache_hit_seconds_->record(elapsed());
+        return future.get();
+    }
+    if (claim == Claim::Joined) {
         {
             util::MutexLock lock(stats_mutex_);
             ++inflight_joins_;
@@ -251,13 +261,14 @@ SimService::evaluateAsyncWithFp(const SimRequest &request, uint64_t fp)
     }
 
     auto promise = std::make_shared<std::promise<SimulationResult>>();
-    bool joined = false;
-    auto future = claimInflight(fp, promise, &joined);
-    if (joined) {
+    std::shared_future<SimulationResult> future;
+    const Claim claim = claimInflight(fp, promise, &future);
+    if (claim == Claim::Joined) {
         util::MutexLock lock(stats_mutex_);
         ++inflight_joins_;
-        return future;
     }
+    if (claim != Claim::Owner)
+        return future;
 
     pool_.submit([this, request, fp, promise] {
         try {
@@ -344,15 +355,16 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
 
             auto promise =
                 std::make_shared<std::promise<SimulationResult>>();
-            bool joined = false;
-            auto future = claimInflight(fp, promise, &joined);
+            std::shared_future<SimulationResult> future;
+            const Claim claim = claimInflight(fp, promise, &future);
             future_of[i] = futures.size();
             futures.push_back(std::move(future));
-            if (joined) {
+            if (claim == Claim::Joined) {
                 util::MutexLock lock(stats_mutex_);
                 ++inflight_joins_;
-                continue;
             }
+            if (claim != Claim::Owner)
+                continue;
 
             Claimed claimed{request, fp, std::move(promise)};
             // A pluggable evaluator is a black box: only the real

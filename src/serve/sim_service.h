@@ -199,16 +199,27 @@ class SimService
     /** Runs the evaluator (or the real simulator). */
     SimulationResult compute(const SimRequest &request) const;
 
+    /** How claimInflight() resolved a fingerprint. */
+    enum class Claim {
+        Owner,  //!< `promise` is registered; the caller must compute
+        Joined, //!< another thread is computing it
+        Cached, //!< published since the caller's cache miss
+    };
+
     /**
-     * Claims `fp` in the in-flight table.  Returns the existing
-     * shared future when another thread got there first (joined =
-     * true), otherwise registers `promise`'s future and returns it.
+     * Claims `fp` in the in-flight table after a result-cache miss.
+     * Sets *future to the existing computation's future (Joined), to
+     * a ready future when the result was published in the meantime
+     * (Cached), or registers `promise`'s future (Owner).  The cache is
+     * re-checked under inflight_mutex_: publish() caches before it
+     * erases the in-flight entry, so a fingerprint is always found in
+     * one of the two and is never computed twice.
      */
-    std::shared_future<SimulationResult>
-    claimInflight(uint64_t fp,
-                  const std::shared_ptr<std::promise<SimulationResult>>
-                      &promise,
-                  bool *joined) EXCLUDES(inflight_mutex_);
+    Claim claimInflight(uint64_t fp,
+                        const std::shared_ptr<
+                            std::promise<SimulationResult>> &promise,
+                        std::shared_future<SimulationResult> *future)
+        EXCLUDES(inflight_mutex_);
 
     /** Publishes a finished computation: cache, table, promise. */
     void publish(const SimRequest &request, uint64_t fp,

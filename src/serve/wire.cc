@@ -1,7 +1,11 @@
 #include "serve/wire.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <ranges>
+#include <type_traits>
 #include <utility>
 
 #include "sim/engine.h"
@@ -19,88 +23,59 @@ using json::Value;
 /** Largest double magnitude that still represents integers exactly. */
 constexpr double kMaxExactInt = 9007199254740992.0; // 2^53
 
-// ------------------------------------------------------------ encoders
+// ------------------------------------------------------------ encoding
 
+template <typename T> void appendFields(Value *object, const T &value);
+
+/**
+ * A value as JSON: enums by name, integers as numbers, ranges as
+ * arrays and described types (util/hash.h) as objects.
+ */
+template <typename T>
 Value
-gpuToJson(const GpuSpec &gpu)
+toJson(const T &value)
+{
+    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double> ||
+                  std::is_same_v<T, std::string>) {
+        return Value(value);
+    } else if constexpr (std::is_enum_v<T>) {
+        return Value(toString(value));
+    } else if constexpr (std::is_integral_v<T>) {
+        return Value(static_cast<int64_t>(value));
+    } else if constexpr (std::ranges::range<T>) {
+        Value array = Value::array();
+        for (const auto &item : value)
+            array.push(toJson(item));
+        return array;
+    } else {
+        Value object = Value::object();
+        appendFields(&object, value);
+        return object;
+    }
+}
+
+/** Sets one member per described field of `value`, in order. */
+template <typename T>
+void
+appendFields(Value *object, const T &value)
+{
+    fields([object, &value](const char *key, auto member) {
+        object->set(key, toJson(value.*member));
+    }, &value);
+}
+
+/** A described type's complete payload: {"version":1, fields...}. */
+template <typename T>
+Value
+versioned(const T &value)
 {
     Value v = Value::object();
-    v.set("name", gpu.name);
-    v.set("peak_fp16_flops", gpu.peak_fp16_flops);
-    v.set("peak_fp32_flops", gpu.peak_fp32_flops);
-    v.set("hbm_bandwidth", gpu.hbm_bandwidth);
-    v.set("memory_bytes", gpu.memory_bytes);
-    v.set("kernel_launch_overhead", gpu.kernel_launch_overhead);
+    v.set("version", kVersion);
+    appendFields(&v, value);
     return v;
 }
 
-Value
-nodeToJson(const NodeSpec &node)
-{
-    Value v = Value::object();
-    v.set("gpu", gpuToJson(node.gpu));
-    v.set("gpus_per_node", int64_t{node.gpus_per_node});
-    v.set("nvlink_bandwidth", node.nvlink_bandwidth);
-    v.set("nic_bandwidth", node.nic_bandwidth);
-    v.set("nic_latency", node.nic_latency);
-    v.set("nvlink_latency", node.nvlink_latency);
-    return v;
-}
-
-Value
-clusterToJson(const ClusterSpec &cluster)
-{
-    Value v = Value::object();
-    v.set("node", nodeToJson(cluster.node));
-    v.set("num_nodes", int64_t{cluster.num_nodes});
-    v.set("bandwidth_effectiveness", cluster.bandwidth_effectiveness);
-    v.set("hierarchical_allreduce", cluster.hierarchical_allreduce);
-    return v;
-}
-
-Value
-modelToJson(const ModelConfig &model)
-{
-    Value v = Value::object();
-    v.set("name", model.name);
-    v.set("hidden_size", model.hidden_size);
-    v.set("num_layers", model.num_layers);
-    v.set("seq_length", model.seq_length);
-    v.set("num_heads", model.num_heads);
-    v.set("vocab_size", model.vocab_size);
-    return v;
-}
-
-Value
-parallelToJson(const ParallelConfig &plan)
-{
-    Value v = Value::object();
-    v.set("tensor", int64_t{plan.tensor});
-    v.set("data", int64_t{plan.data});
-    v.set("pipeline", int64_t{plan.pipeline});
-    v.set("micro_batch_size", int64_t{plan.micro_batch_size});
-    v.set("global_batch_size", int64_t{plan.global_batch_size});
-    v.set("schedule", toString(plan.schedule));
-    v.set("gradient_bucketing", plan.gradient_bucketing);
-    v.set("bucket_bytes", plan.bucket_bytes);
-    v.set("activation_recompute", plan.activation_recompute);
-    v.set("zero_stage", int64_t{plan.zero_stage});
-    v.set("precision", toString(plan.precision));
-    return v;
-}
-
-Value
-optionsToJson(const SimOptions &options)
-{
-    Value v = Value::object();
-    v.set("fast_mode", options.fast_mode);
-    v.set("memoize_profiles", options.memoize_profiles);
-    v.set("collapse_operators", options.collapse_operators);
-    v.set("attention", toString(options.attention));
-    return v;
-}
-
-// ------------------------------------------------------------ decoders
+// ------------------------------------------------------------ decoding
 
 bool
 decodeError(std::string *error, const std::string &what)
@@ -110,219 +85,188 @@ decodeError(std::string *error, const std::string &what)
     return false;
 }
 
-const Value *
-member(const Value &obj, std::string_view key, Value::Type type,
-       std::string *error)
+/** Rejects any member of `obj` outside `keys` (strict codecs only). */
+bool
+onlyKnownKeys(const Value &obj, const std::vector<std::string_view> &keys,
+              std::string_view what, std::string *error)
 {
-    const Value *v = obj.find(key);
-    if (!v || v->type() != type) {
-        if (error)
-            *error = "missing or mistyped field '" + std::string(key) +
-                     "'";
-        return nullptr;
+    for (const auto &[key, value] : obj.members()) {
+        (void)value;
+        if (std::find(keys.begin(), keys.end(), key) == keys.end())
+            return decodeError(error, "unknown field '" + key +
+                                          "' in " + std::string(what));
     }
-    return v;
-}
-
-bool
-getNumber(const Value &obj, std::string_view key, double *out,
-          std::string *error)
-{
-    const Value *v = member(obj, key, Value::Type::Number, error);
-    if (!v)
-        return false;
-    *out = v->asNumber();
     return true;
 }
 
-template <typename Int>
-bool
-getInt(const Value &obj, std::string_view key, Int *out,
-       std::string *error)
+// Every enumerator of each wire enum; decoding matches toString().
+
+constexpr std::array<Precision, 3>
+enumerators(Precision)
 {
-    const Value *v = member(obj, key, Value::Type::Number, error);
-    if (!v)
-        return false;
-    const double d = v->asNumber();
-    if (std::nearbyint(d) != d)
-        return decodeError(error, "field '" + std::string(key) +
-                                      "' is not an integer");
-    // Reject values the target type cannot hold: the decoder is the
-    // cross-process input boundary, and an unchecked narrowing cast
-    // from double is undefined behavior.  Within +/-2^53 every
-    // integer is exact, so the limit comparisons are themselves safe.
-    if (d < -kMaxExactInt || d > kMaxExactInt ||
-        d < static_cast<double>(std::numeric_limits<Int>::min()) ||
-        d > static_cast<double>(std::numeric_limits<Int>::max()))
-        return decodeError(error, "field '" + std::string(key) +
-                                      "' is out of range");
-    *out = static_cast<Int>(d);
-    return true;
+    return {Precision::FP16, Precision::BF16, Precision::FP32};
 }
 
-bool
-getBool(const Value &obj, std::string_view key, bool *out,
-        std::string *error)
+constexpr std::array<PipelineSchedule, 2>
+enumerators(PipelineSchedule)
 {
-    const Value *v = member(obj, key, Value::Type::Bool, error);
-    if (!v)
-        return false;
-    *out = v->asBool();
-    return true;
+    return {PipelineSchedule::GPipe, PipelineSchedule::OneFOneB};
 }
 
-bool
-getString(const Value &obj, std::string_view key, std::string *out,
-          std::string *error)
+constexpr std::array<AttentionImpl, 3>
+enumerators(AttentionImpl)
 {
-    const Value *v = member(obj, key, Value::Type::String, error);
-    if (!v)
-        return false;
-    *out = v->asString();
-    return true;
+    return {AttentionImpl::Megatron, AttentionImpl::FlashAttention,
+            AttentionImpl::FlashAttention2};
 }
 
-bool
-parsePrecision(const std::string &s, Precision *out, std::string *error)
+/**
+ * Decodes described types (and their fields) from JSON.  Every field
+ * is required and type-checked; integers are range-checked against
+ * their C++ type.  A strict decoder also rejects keys outside the
+ * description at every nesting level: the sweep codecs use it so a
+ * typo'd bound fails the request instead of silently falling back to
+ * a default and enumerating the wrong space.  The evaluate codecs
+ * stay lax (unknown keys ignored) for forward compatibility.
+ */
+class Decoder
 {
-    if (s == "fp16")
-        *out = Precision::FP16;
-    else if (s == "bf16")
-        *out = Precision::BF16;
-    else if (s == "fp32")
-        *out = Precision::FP32;
-    else
-        return decodeError(error, "unknown precision '" + s + "'");
-    return true;
-}
+  public:
+    Decoder(bool strict, std::string *error)
+        : strict_(strict), error_(error)
+    {
+    }
 
-bool
-parseSchedule(const std::string &s, PipelineSchedule *out,
-              std::string *error)
-{
-    if (s == "gpipe")
-        *out = PipelineSchedule::GPipe;
-    else if (s == "1f1b")
-        *out = PipelineSchedule::OneFOneB;
-    else
-        return decodeError(error,
-                           "unknown pipeline schedule '" + s + "'");
-    return true;
-}
+    /** Decodes the member `key` of `object` into *out. */
+    template <typename T>
+    bool
+    field(const Value &object, std::string_view key, T *out) const
+    {
+        const Value *v = object.find(key);
+        return v ? value(*v, key, out) : mistyped(key);
+    }
 
-bool
-parseAttention(const std::string &s, AttentionImpl *out,
-               std::string *error)
-{
-    if (s == "megatron")
-        *out = AttentionImpl::Megatron;
-    else if (s == "flash-attention")
-        *out = AttentionImpl::FlashAttention;
-    else if (s == "flash-attention-2")
-        *out = AttentionImpl::FlashAttention2;
-    else
-        return decodeError(error,
-                           "unknown attention impl '" + s + "'");
-    return true;
-}
+    /** Decodes `v`, the value of field `key`, into *out. */
+    template <typename T>
+    bool
+    value(const Value &v, std::string_view key, T *out) const
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            if (!v.isBool())
+                return mistyped(key);
+            *out = v.asBool();
+        } else if constexpr (std::is_same_v<T, double>) {
+            if (!v.isNumber())
+                return mistyped(key);
+            *out = v.asNumber();
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            if (!v.isString())
+                return mistyped(key);
+            *out = v.asString();
+        } else if constexpr (std::is_enum_v<T>) {
+            if (!v.isString())
+                return mistyped(key);
+            for (const T e : enumerators(T{})) {
+                if (toString(e) == v.asString()) {
+                    *out = e;
+                    return true;
+                }
+            }
+            return fail("field '" + std::string(key) +
+                        "' has unknown value '" + v.asString() + "'");
+        } else if constexpr (std::is_integral_v<T>) {
+            return integer(v, key, out);
+        } else if constexpr (std::ranges::range<T>) {
+            if (!v.isArray())
+                return mistyped(key);
+            const std::vector<Value> &items = v.items();
+            if constexpr (requires { out->resize(items.size()); })
+                out->resize(items.size());
+            else if (items.size() != out->size())
+                return fail("field '" + std::string(key) + "' must have " +
+                            std::to_string(out->size()) + " entries");
+            for (size_t i = 0; i < items.size(); ++i) {
+                if (!value(items[i], key, &(*out)[i]))
+                    return false;
+            }
+        } else {
+            if (!v.isObject())
+                return mistyped(key);
+            return object(v, key, out);
+        }
+        return true;
+    }
 
-bool
-gpuFromJson(const Value &v, GpuSpec *out, std::string *error)
-{
-    return getString(v, "name", &out->name, error) &&
-           getNumber(v, "peak_fp16_flops", &out->peak_fp16_flops,
-                     error) &&
-           getNumber(v, "peak_fp32_flops", &out->peak_fp32_flops,
-                     error) &&
-           getNumber(v, "hbm_bandwidth", &out->hbm_bandwidth, error) &&
-           getNumber(v, "memory_bytes", &out->memory_bytes, error) &&
-           getNumber(v, "kernel_launch_overhead",
-                     &out->kernel_launch_overhead, error);
-}
+    /**
+     * Decodes every described field of `obj` into *out.  `what`
+     * names the object in strictness errors; `envelope` lists keys
+     * the caller handles itself (e.g. "version").
+     */
+    template <typename T>
+    bool
+    object(const Value &obj, std::string_view what, T *out,
+           std::vector<std::string_view> envelope = {}) const
+    {
+        if (strict_) {
+            fields([&envelope](std::string_view name, auto) {
+                envelope.push_back(name);
+            }, out);
+            if (!onlyKnownKeys(obj, envelope, what, error_))
+                return false;
+        }
+        bool ok = true;
+        fields([&](std::string_view key, auto member) {
+            ok = ok && field(obj, key, &(out->*member));
+        }, out);
+        return ok;
+    }
 
-bool
-nodeFromJson(const Value &v, NodeSpec *out, std::string *error)
-{
-    const Value *gpu = member(v, "gpu", Value::Type::Object, error);
-    if (!gpu || !gpuFromJson(*gpu, &out->gpu, error))
-        return false;
-    return getInt(v, "gpus_per_node", &out->gpus_per_node, error) &&
-           getNumber(v, "nvlink_bandwidth", &out->nvlink_bandwidth,
-                     error) &&
-           getNumber(v, "nic_bandwidth", &out->nic_bandwidth, error) &&
-           getNumber(v, "nic_latency", &out->nic_latency, error) &&
-           getNumber(v, "nvlink_latency", &out->nvlink_latency, error);
-}
+  private:
+    bool fail(const std::string &what) const
+    {
+        return decodeError(error_, what);
+    }
 
-bool
-clusterFromJson(const Value &v, ClusterSpec *out, std::string *error)
-{
-    const Value *node = member(v, "node", Value::Type::Object, error);
-    if (!node || !nodeFromJson(*node, &out->node, error))
-        return false;
-    return getInt(v, "num_nodes", &out->num_nodes, error) &&
-           getNumber(v, "bandwidth_effectiveness",
-                     &out->bandwidth_effectiveness, error) &&
-           getBool(v, "hierarchical_allreduce",
-                   &out->hierarchical_allreduce, error);
-}
+    bool mistyped(std::string_view key) const
+    {
+        return fail("missing or mistyped field '" + std::string(key) +
+                    "'");
+    }
 
-bool
-modelFromJson(const Value &v, ModelConfig *out, std::string *error)
-{
-    return getString(v, "name", &out->name, error) &&
-           getInt(v, "hidden_size", &out->hidden_size, error) &&
-           getInt(v, "num_layers", &out->num_layers, error) &&
-           getInt(v, "seq_length", &out->seq_length, error) &&
-           getInt(v, "num_heads", &out->num_heads, error) &&
-           getInt(v, "vocab_size", &out->vocab_size, error);
-}
+    /**
+     * Range-checked integer decode: the decoder is the cross-process
+     * input boundary, and an unchecked narrowing cast from double is
+     * undefined behavior.  Within +/-2^53 every integer is exact, so
+     * the limit comparisons are themselves safe.
+     */
+    template <typename Int>
+    bool
+    integer(const Value &v, std::string_view key, Int *out) const
+    {
+        if (!v.isNumber())
+            return mistyped(key);
+        const double d = v.asNumber();
+        if (std::nearbyint(d) != d)
+            return fail("field '" + std::string(key) +
+                        "' is not an integer");
+        if (d < -kMaxExactInt || d > kMaxExactInt ||
+            d < static_cast<double>(std::numeric_limits<Int>::min()) ||
+            d > static_cast<double>(std::numeric_limits<Int>::max()))
+            return fail("field '" + std::string(key) +
+                        "' is out of range");
+        *out = static_cast<Int>(d);
+        return true;
+    }
 
-bool
-parallelFromJson(const Value &v, ParallelConfig *out, std::string *error)
-{
-    std::string schedule;
-    std::string precision;
-    if (!(getInt(v, "tensor", &out->tensor, error) &&
-          getInt(v, "data", &out->data, error) &&
-          getInt(v, "pipeline", &out->pipeline, error) &&
-          getInt(v, "micro_batch_size", &out->micro_batch_size,
-                 error) &&
-          getInt(v, "global_batch_size", &out->global_batch_size,
-                 error) &&
-          getString(v, "schedule", &schedule, error) &&
-          getBool(v, "gradient_bucketing", &out->gradient_bucketing,
-                  error) &&
-          getNumber(v, "bucket_bytes", &out->bucket_bytes, error) &&
-          getBool(v, "activation_recompute",
-                  &out->activation_recompute, error) &&
-          getInt(v, "zero_stage", &out->zero_stage, error) &&
-          getString(v, "precision", &precision, error)))
-        return false;
-    return parseSchedule(schedule, &out->schedule, error) &&
-           parsePrecision(precision, &out->precision, error);
-}
-
-bool
-optionsFromJson(const Value &v, SimOptions *out, std::string *error)
-{
-    std::string attention;
-    if (!(getBool(v, "fast_mode", &out->fast_mode, error) &&
-          getBool(v, "memoize_profiles", &out->memoize_profiles,
-                  error) &&
-          getBool(v, "collapse_operators", &out->collapse_operators,
-                  error) &&
-          getString(v, "attention", &attention, error)))
-        return false;
-    out->perturber = nullptr;
-    return parseAttention(attention, &out->attention, error);
-}
+    bool strict_;
+    std::string *error_;
+};
 
 bool
 checkVersion(const Value &root, std::string *error)
 {
     int64_t version = 0;
-    if (!getInt(root, "version", &version, error))
+    if (!Decoder(false, error).field(root, "version", &version))
         return false;
     if (version != kVersion)
         return decodeError(error, "unsupported wire version " +
@@ -330,118 +274,62 @@ checkVersion(const Value &root, std::string *error)
     return true;
 }
 
-// ------------------------------------------------------------ strictness
-//
-// The sweep codecs reject documents with fields outside the schema,
-// at every nesting level: a typo'd bound must fail the request, not
-// silently fall back to a default and enumerate the wrong space.
-
+/** Decodes a {"version":1, fields...} payload (see versioned()). */
+template <typename T>
 bool
-onlyKnownKeys(const Value &obj,
-              std::initializer_list<std::string_view> keys,
-              std::string_view what, std::string *error)
+decodeVersioned(const Value &root, bool strict, std::string_view what,
+                T *out, std::string *error)
 {
-    for (const auto &[key, value] : obj.members()) {
-        (void)value;
-        bool known = false;
-        for (const std::string_view k : keys) {
-            if (key == k) {
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            return decodeError(error, "unknown field '" + key +
-                                          "' in " + std::string(what));
-    }
+    if (!root.isObject())
+        return decodeError(error, std::string(what) +
+                                      " document is not an object");
+    T value;
+    if (!checkVersion(root, error) ||
+        !Decoder(strict, error).object(root, what, &value, {"version"}))
+        return false;
+    *out = std::move(value);
     return true;
 }
 
+/**
+ * Reads the optional top-level "deadline_ms" budget (-1 when absent).
+ * A present value must be a non-negative integer.
+ */
 bool
-strictGpu(const Value &v, GpuSpec *out, std::string *error)
+readDeadlineMs(const Value &root, int64_t *deadline_ms,
+               std::string *error)
 {
-    return onlyKnownKeys(v,
-                         {"name", "peak_fp16_flops", "peak_fp32_flops",
-                          "hbm_bandwidth", "memory_bytes",
-                          "kernel_launch_overhead"},
-                         "gpu", error) &&
-           gpuFromJson(v, out, error);
-}
-
-bool
-strictNode(const Value &v, NodeSpec *out, std::string *error)
-{
-    if (!onlyKnownKeys(v,
-                       {"gpu", "gpus_per_node", "nvlink_bandwidth",
-                        "nic_bandwidth", "nic_latency",
-                        "nvlink_latency"},
-                       "node", error))
+    *deadline_ms = -1;
+    const Value *deadline = root.find("deadline_ms");
+    if (!deadline)
+        return true;
+    int64_t ms = 0;
+    if (!Decoder(false, error).value(*deadline, "deadline_ms", &ms))
         return false;
-    const Value *gpu = member(v, "gpu", Value::Type::Object, error);
-    if (!gpu || !strictGpu(*gpu, &out->gpu, error))
-        return false;
-    return getInt(v, "gpus_per_node", &out->gpus_per_node, error) &&
-           getNumber(v, "nvlink_bandwidth", &out->nvlink_bandwidth,
-                     error) &&
-           getNumber(v, "nic_bandwidth", &out->nic_bandwidth, error) &&
-           getNumber(v, "nic_latency", &out->nic_latency, error) &&
-           getNumber(v, "nvlink_latency", &out->nvlink_latency, error);
+    if (ms < 0)
+        return decodeError(error, "'deadline_ms' must be a "
+                                  "non-negative integer");
+    *deadline_ms = ms;
+    return true;
 }
 
-bool
-strictCluster(const Value &v, ClusterSpec *out, std::string *error)
+/** {"version":1,"results":[…]}, one encode() per item, in order. */
+template <typename T>
+std::string
+resultsBody(const std::vector<T> &results)
 {
-    if (!onlyKnownKeys(v,
-                       {"node", "num_nodes", "bandwidth_effectiveness",
-                        "hierarchical_allreduce"},
-                       "cluster", error))
-        return false;
-    const Value *node = member(v, "node", Value::Type::Object, error);
-    if (!node || !strictNode(*node, &out->node, error))
-        return false;
-    return getInt(v, "num_nodes", &out->num_nodes, error) &&
-           getNumber(v, "bandwidth_effectiveness",
-                     &out->bandwidth_effectiveness, error) &&
-           getBool(v, "hierarchical_allreduce",
-                   &out->hierarchical_allreduce, error);
-}
-
-bool
-strictModel(const Value &v, ModelConfig *out, std::string *error)
-{
-    return onlyKnownKeys(v,
-                         {"name", "hidden_size", "num_layers",
-                          "seq_length", "num_heads", "vocab_size"},
-                         "model", error) &&
-           modelFromJson(v, out, error);
-}
-
-bool
-strictPlan(const Value &v, ParallelConfig *out, std::string *error)
-{
-    return onlyKnownKeys(v,
-                         {"tensor", "data", "pipeline",
-                          "micro_batch_size", "global_batch_size",
-                          "schedule", "gradient_bucketing",
-                          "bucket_bytes", "activation_recompute",
-                          "zero_stage", "precision"},
-                         "plan", error) &&
-           parallelFromJson(v, out, error);
-}
-
-bool
-strictOptions(const Value &v, SimOptions *out, std::string *error)
-{
-    return onlyKnownKeys(v,
-                         {"fast_mode", "memoize_profiles",
-                          "collapse_operators", "attention"},
-                         "options", error) &&
-           optionsFromJson(v, out, error);
+    Value items = Value::array();
+    for (const T &result : results)
+        items.push(v1::encode(result));
+    Value body = Value::object();
+    body.set("version", kVersion);
+    body.set("results", std::move(items));
+    return body.dump();
 }
 
 /** A finished capture's spans as a JSON object (inline trace flag). */
 Value
-traceToJson(const util::Trace &trace)
+traceBlock(const util::Trace &trace)
 {
     Value spans = Value::array();
     for (const util::TraceEvent &event : trace.events) {
@@ -465,7 +353,7 @@ traceToJson(const util::Trace &trace)
 /** Serializes CacheStats and TemplateCacheStats (same shape). */
 template <typename Stats>
 Value
-cacheStatsToJson(const Stats &cache)
+cacheStatsBlock(const Stats &cache)
 {
     Value v = Value::object();
     v.set("hits", static_cast<int64_t>(cache.hits));
@@ -489,117 +377,27 @@ encode(const SimRequest &request)
     VTRAIN_REQUIRE(request.options.perturber == nullptr,
                    "requests carrying a perturber are process-local "
                    "and cannot be serialized");
-    Value v = Value::object();
-    v.set("version", kVersion);
-    v.set("model", modelToJson(request.model));
-    v.set("parallel", parallelToJson(request.parallel));
-    v.set("cluster", clusterToJson(request.cluster));
-    v.set("options", optionsToJson(request.options));
-    return v;
+    return versioned(request);
 }
 
 Value
 encode(const SimulationResult &result)
 {
-    Value v = Value::object();
-    v.set("version", kVersion);
-    v.set("iteration_seconds", result.iteration_seconds);
-    v.set("utilization", result.utilization);
-    v.set("model_flops", result.model_flops);
-    v.set("bubble_fraction", result.bubble_fraction);
-    Value tags = Value::array();
-    for (const double t : result.time_by_tag)
-        tags.push(Value(t));
-    v.set("time_by_tag", std::move(tags));
-    v.set("num_operators", static_cast<int64_t>(result.num_operators));
-    v.set("num_tasks", static_cast<int64_t>(result.num_tasks));
-    v.set("distinct_operators_profiled",
-          static_cast<int64_t>(result.distinct_operators_profiled));
-    v.set("profiler_calls",
-          static_cast<int64_t>(result.profiler_calls));
-    v.set("extrapolated", result.extrapolated);
-    v.set("simulated_micro_batches",
-          int64_t{result.simulated_micro_batches});
-    v.set("total_micro_batches", int64_t{result.total_micro_batches});
-    v.set("sim_wall_seconds", result.sim_wall_seconds);
-    return v;
+    return versioned(result);
 }
 
 bool
 decode(const json::Value &root, SimRequest *out, std::string *error)
 {
-    if (!root.isObject())
-        return decodeError(error, "request document is not an object");
-    if (!checkVersion(root, error))
-        return false;
-    const Value *model = member(root, "model", Value::Type::Object,
-                                error);
-    const Value *parallel =
-        member(root, "parallel", Value::Type::Object, error);
-    const Value *cluster =
-        member(root, "cluster", Value::Type::Object, error);
-    const Value *options =
-        member(root, "options", Value::Type::Object, error);
-    if (!model || !parallel || !cluster || !options)
-        return false;
-    SimRequest request;
-    if (!modelFromJson(*model, &request.model, error) ||
-        !parallelFromJson(*parallel, &request.parallel, error) ||
-        !clusterFromJson(*cluster, &request.cluster, error) ||
-        !optionsFromJson(*options, &request.options, error))
-        return false;
-    *out = std::move(request);
-    return true;
+    return decodeVersioned(root, /*strict=*/false, "request", out,
+                           error);
 }
 
 bool
 decode(const json::Value &root, SimulationResult *out,
        std::string *error)
 {
-    if (!root.isObject())
-        return decodeError(error, "result document is not an object");
-    if (!checkVersion(root, error))
-        return false;
-    SimulationResult result;
-    const Value *tags =
-        member(root, "time_by_tag", Value::Type::Array, error);
-    if (!tags)
-        return false;
-    if (tags->items().size() != result.time_by_tag.size())
-        return decodeError(error, "time_by_tag must have " +
-                                      std::to_string(
-                                          result.time_by_tag.size()) +
-                                      " entries");
-    for (size_t i = 0; i < result.time_by_tag.size(); ++i) {
-        const Value &t = tags->items()[i];
-        if (!t.isNumber())
-            return decodeError(error, "time_by_tag entries must be "
-                                      "numbers");
-        result.time_by_tag[i] = t.asNumber();
-    }
-    if (!(getNumber(root, "iteration_seconds",
-                    &result.iteration_seconds, error) &&
-          getNumber(root, "utilization", &result.utilization, error) &&
-          getNumber(root, "model_flops", &result.model_flops, error) &&
-          getNumber(root, "bubble_fraction", &result.bubble_fraction,
-                    error) &&
-          getInt(root, "num_operators", &result.num_operators,
-                 error) &&
-          getInt(root, "num_tasks", &result.num_tasks, error) &&
-          getInt(root, "distinct_operators_profiled",
-                 &result.distinct_operators_profiled, error) &&
-          getInt(root, "profiler_calls", &result.profiler_calls,
-                 error) &&
-          getBool(root, "extrapolated", &result.extrapolated, error) &&
-          getInt(root, "simulated_micro_batches",
-                 &result.simulated_micro_batches, error) &&
-          getInt(root, "total_micro_batches",
-                 &result.total_micro_batches, error) &&
-          getNumber(root, "sim_wall_seconds", &result.sim_wall_seconds,
-                    error)))
-        return false;
-    *out = result;
-    return true;
+    return decodeVersioned(root, /*strict=*/false, "result", out, error);
 }
 
 bool
@@ -623,24 +421,7 @@ decode(std::string_view text, SimulationResult *out, std::string *error)
 Value
 encode(const SweepSpec &spec)
 {
-    Value v = Value::object();
-    v.set("max_tensor", int64_t{spec.max_tensor});
-    v.set("max_data", int64_t{spec.max_data});
-    v.set("max_pipeline", int64_t{spec.max_pipeline});
-    Value sizes = Value::array();
-    for (const int m : spec.micro_batch_sizes)
-        sizes.push(Value(int64_t{m}));
-    v.set("micro_batch_sizes", std::move(sizes));
-    v.set("min_gpus", int64_t{spec.min_gpus});
-    v.set("max_gpus", int64_t{spec.max_gpus});
-    v.set("exact_gpus", int64_t{spec.exact_gpus});
-    v.set("require_memory_fit", spec.require_memory_fit);
-    v.set("global_batch_size", int64_t{spec.global_batch_size});
-    v.set("schedule", toString(spec.schedule));
-    v.set("gradient_bucketing", spec.gradient_bucketing);
-    v.set("activation_recompute", spec.activation_recompute);
-    v.set("precision", toString(spec.precision));
-    return v;
+    return toJson(spec);
 }
 
 bool
@@ -648,50 +429,8 @@ decode(const json::Value &root, SweepSpec *out, std::string *error)
 {
     if (!root.isObject())
         return decodeError(error, "spec is not an object");
-    if (!onlyKnownKeys(root,
-                       {"max_tensor", "max_data", "max_pipeline",
-                        "micro_batch_sizes", "min_gpus", "max_gpus",
-                        "exact_gpus", "require_memory_fit",
-                        "global_batch_size", "schedule",
-                        "gradient_bucketing", "activation_recompute",
-                        "precision"},
-                       "spec", error))
-        return false;
     SweepSpec spec;
-    const Value *sizes =
-        member(root, "micro_batch_sizes", Value::Type::Array, error);
-    if (!sizes)
-        return false;
-    spec.micro_batch_sizes.clear();
-    for (const Value &m : sizes->items()) {
-        if (!m.isNumber() ||
-            std::nearbyint(m.asNumber()) != m.asNumber())
-            return decodeError(error, "micro_batch_sizes entries must "
-                                      "be integers");
-        spec.micro_batch_sizes.push_back(
-            static_cast<int>(m.asInt64()));
-    }
-    std::string schedule;
-    std::string precision;
-    if (!(getInt(root, "max_tensor", &spec.max_tensor, error) &&
-          getInt(root, "max_data", &spec.max_data, error) &&
-          getInt(root, "max_pipeline", &spec.max_pipeline, error) &&
-          getInt(root, "min_gpus", &spec.min_gpus, error) &&
-          getInt(root, "max_gpus", &spec.max_gpus, error) &&
-          getInt(root, "exact_gpus", &spec.exact_gpus, error) &&
-          getBool(root, "require_memory_fit", &spec.require_memory_fit,
-                  error) &&
-          getInt(root, "global_batch_size", &spec.global_batch_size,
-                 error) &&
-          getString(root, "schedule", &schedule, error) &&
-          getBool(root, "gradient_bucketing", &spec.gradient_bucketing,
-                  error) &&
-          getBool(root, "activation_recompute",
-                  &spec.activation_recompute, error) &&
-          getString(root, "precision", &precision, error)))
-        return false;
-    if (!parseSchedule(schedule, &spec.schedule, error) ||
-        !parsePrecision(precision, &spec.precision, error))
+    if (!Decoder(/*strict=*/true, error).object(root, "spec", &spec))
         return false;
     *out = std::move(spec);
     return true;
@@ -701,7 +440,7 @@ Value
 encode(const ExploreResult &result)
 {
     Value v = Value::object();
-    v.set("plan", parallelToJson(result.plan));
+    v.set("plan", toJson(result.plan));
     v.set("result", encode(result.sim));
     return v;
 }
@@ -714,25 +453,18 @@ decode(const json::Value &root, ExploreResult *out, std::string *error)
     if (!onlyKnownKeys(root, {"plan", "result"}, "explore result",
                        error))
         return false;
-    const Value *plan = member(root, "plan", Value::Type::Object,
-                               error);
-    const Value *result =
-        member(root, "result", Value::Type::Object, error);
-    if (!plan || !result)
+    ExploreResult result;
+    if (!Decoder(/*strict=*/true, error)
+             .field(root, "plan", &result.plan))
         return false;
-    if (!strictPlan(*plan, &out->plan, error))
+    const Value *sim = root.find("result");
+    if (!sim || !sim->isObject())
+        return decodeError(error, "missing or mistyped field 'result'");
+    if (!decodeVersioned(*sim, /*strict=*/true, "result", &result.sim,
+                         error))
         return false;
-    if (!onlyKnownKeys(*result,
-                       {"version", "iteration_seconds", "utilization",
-                        "model_flops", "bubble_fraction",
-                        "time_by_tag", "num_operators", "num_tasks",
-                        "distinct_operators_profiled",
-                        "profiler_calls", "extrapolated",
-                        "simulated_micro_batches",
-                        "total_micro_batches", "sim_wall_seconds"},
-                       "result", error))
-        return false;
-    return decode(*result, &out->sim, error);
+    *out = std::move(result);
+    return true;
 }
 
 Value
@@ -743,17 +475,13 @@ encode(const SweepRequest &request)
                    "and cannot be serialized");
     Value v = Value::object();
     v.set("version", kVersion);
-    v.set("model", modelToJson(request.model));
-    v.set("cluster", clusterToJson(request.cluster));
-    v.set("options", optionsToJson(request.options));
-    if (request.use_spec) {
+    v.set("model", toJson(request.model));
+    v.set("cluster", toJson(request.cluster));
+    v.set("options", toJson(request.options));
+    if (request.use_spec)
         v.set("spec", encode(request.spec));
-    } else {
-        Value plans = Value::array();
-        for (const ParallelConfig &plan : request.plans)
-            plans.push(parallelToJson(plan));
-        v.set("plans", std::move(plans));
-    }
+    else
+        v.set("plans", toJson(request.plans));
     if (request.deadline_ms >= 0)
         v.set("deadline_ms", request.deadline_ms);
     return v;
@@ -772,18 +500,11 @@ decode(const json::Value &root, SweepRequest *out, std::string *error)
         return false;
     if (!checkVersion(root, error))
         return false;
-    const Value *model = member(root, "model", Value::Type::Object,
-                                error);
-    const Value *cluster =
-        member(root, "cluster", Value::Type::Object, error);
-    const Value *options =
-        member(root, "options", Value::Type::Object, error);
-    if (!model || !cluster || !options)
-        return false;
+    const Decoder strict(/*strict=*/true, error);
     SweepRequest request;
-    if (!strictModel(*model, &request.model, error) ||
-        !strictCluster(*cluster, &request.cluster, error) ||
-        !strictOptions(*options, &request.options, error))
+    if (!strict.field(root, "model", &request.model) ||
+        !strict.field(root, "cluster", &request.cluster) ||
+        !strict.field(root, "options", &request.options))
         return false;
 
     const Value *plans = root.find("plans");
@@ -794,14 +515,13 @@ decode(const json::Value &root, SweepRequest *out, std::string *error)
     if (plans) {
         if (!plans->isArray())
             return decodeError(error, "'plans' must be an array");
-        request.plans.reserve(plans->items().size());
+        request.plans.resize(plans->items().size());
         for (size_t i = 0; i < plans->items().size(); ++i) {
-            ParallelConfig plan;
-            if (!strictPlan(plans->items()[i], &plan, error))
+            if (!strict.value(plans->items()[i], "plan",
+                              &request.plans[i]))
                 return decodeError(
                     error, "bad plan at index " + std::to_string(i) +
                                ": " + (error ? *error : ""));
-            request.plans.push_back(plan);
         }
     } else {
         if (!spec->isObject())
@@ -810,13 +530,8 @@ decode(const json::Value &root, SweepRequest *out, std::string *error)
         if (!decode(*spec, &request.spec, error))
             return false;
     }
-    const Value *deadline = root.find("deadline_ms");
-    if (deadline) {
-        if (!deadline->isNumber() || deadline->asInt64() < 0)
-            return decodeError(error, "'deadline_ms' must be a "
-                                      "non-negative integer");
-        request.deadline_ms = deadline->asInt64();
-    }
+    if (!readDeadlineMs(root, &request.deadline_ms, error))
+        return false;
     *out = std::move(request);
     return true;
 }
@@ -824,13 +539,7 @@ decode(const json::Value &root, SweepRequest *out, std::string *error)
 std::string
 encodeSweepResponse(const std::vector<ExploreResult> &results)
 {
-    Value items = Value::array();
-    for (const ExploreResult &result : results)
-        items.push(encode(result));
-    Value body = Value::object();
-    body.set("version", kVersion);
-    body.set("results", std::move(items));
-    return body.dump();
+    return resultsBody(results);
 }
 
 bool
@@ -848,10 +557,10 @@ decodeSweepResponse(std::string_view body,
         return false;
     if (!checkVersion(root, error))
         return false;
-    const Value *results =
-        member(root, "results", Value::Type::Array, error);
-    if (!results)
-        return false;
+    const Value *results = root.find("results");
+    if (!results || !results->isArray())
+        return decodeError(error,
+                           "missing or mistyped field 'results'");
     std::vector<ExploreResult> decoded;
     decoded.reserve(results->items().size());
     for (size_t i = 0; i < results->items().size(); ++i) {
@@ -900,33 +609,6 @@ parseEnvelope(std::string_view body, json::Value *root,
     return true;
 }
 
-namespace {
-
-/**
- * Reads the optional top-level "deadline_ms" budget (-1 when absent).
- * Returns false with *error_response set when the field is present
- * but not a non-negative integer.
- */
-bool
-readDeadlineMs(const Value &root, int64_t *deadline_ms,
-               net::HttpResponse *error_response)
-{
-    *deadline_ms = -1;
-    const Value *deadline = root.find("deadline_ms");
-    if (!deadline)
-        return true;
-    if (!deadline->isNumber() || deadline->asInt64() < 0) {
-        *error_response = errorResponse(
-            400, "bad request payload: 'deadline_ms' must be a "
-                 "non-negative integer");
-        return false;
-    }
-    *deadline_ms = deadline->asInt64();
-    return true;
-}
-
-} // namespace
-
 bool
 decodeEvaluateRequest(std::string_view body, SimRequest *out,
                       bool *want_trace, int64_t *deadline_ms,
@@ -940,10 +622,9 @@ decodeEvaluateRequest(std::string_view body, SimRequest *out,
     const Value *trace_flag = root.find("trace");
     *want_trace =
         trace_flag && trace_flag->isBool() && trace_flag->asBool();
-    if (!readDeadlineMs(root, deadline_ms, error_response))
-        return false;
     std::string error;
-    if (!decode(root, out, &error)) {
+    if (!readDeadlineMs(root, deadline_ms, &error) ||
+        !decode(root, out, &error)) {
         *error_response =
             errorResponse(400, "bad request payload: " + error);
         return false;
@@ -957,7 +638,7 @@ encodeEvaluateResponse(const SimulationResult &result,
 {
     Value body = encode(result);
     if (trace)
-        body.set("trace", traceToJson(*trace));
+        body.set("trace", traceBlock(*trace));
     return body.dump();
 }
 
@@ -970,8 +651,12 @@ decodeEvaluateBatchRequest(std::string_view body,
     json::Value root;
     if (!parseEnvelope(body, &root, error_response))
         return false;
-    if (!readDeadlineMs(root, deadline_ms, error_response))
+    std::string error;
+    if (!readDeadlineMs(root, deadline_ms, &error)) {
+        *error_response =
+            errorResponse(400, "bad request payload: " + error);
         return false;
+    }
     const Value *requests = root.find("requests");
     if (!requests || !requests->isArray()) {
         *error_response = errorResponse(
@@ -983,7 +668,6 @@ decodeEvaluateBatchRequest(std::string_view body,
     batch.reserve(requests->items().size());
     for (size_t i = 0; i < requests->items().size(); ++i) {
         SimRequest request;
-        std::string error;
         if (!decode(requests->items()[i], &request, &error)) {
             *error_response = errorResponse(
                 400, "bad request payload at index " +
@@ -999,13 +683,7 @@ decodeEvaluateBatchRequest(std::string_view body,
 std::string
 encodeEvaluateBatchResponse(const std::vector<SimulationResult> &results)
 {
-    Value items = Value::array();
-    for (const SimulationResult &result : results)
-        items.push(encode(result));
-    Value body = Value::object();
-    body.set("version", kVersion);
-    body.set("results", std::move(items));
-    return body.dump();
+    return resultsBody(results);
 }
 
 bool
@@ -1026,6 +704,7 @@ decodeSweepRequest(std::string_view body, SweepRequest *out,
 
 } // namespace v1
 
+
 // ------------------------------------------------------------ admin
 
 std::string
@@ -1040,9 +719,9 @@ statzBody(const StatzInfo &info)
                 static_cast<int64_t>(info.service.inflight_joins));
     service.set("batch_dedups",
                 static_cast<int64_t>(info.service.batch_dedups));
-    service.set("cache", cacheStatsToJson(info.service.cache));
+    service.set("cache", cacheStatsBlock(info.service.cache));
     service.set("template_cache",
-                cacheStatsToJson(info.service.graph_templates));
+                cacheStatsBlock(info.service.graph_templates));
 
     Value engine = Value::object();
     engine.set("replay_runs",

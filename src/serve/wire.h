@@ -6,8 +6,17 @@
  * POST /v1/evaluate, /v1/evaluate_batch and /v1/sweep, and the
  * responses they return — is encoded and decoded here and nowhere
  * else.  serve/json.h provides only the document type (json::Value);
- * this header owns the schemas.  The split keeps three guarantees in
- * one place:
+ * this header owns the schemas.  Bodies are compact JSON.
+ *
+ * Each wire type (GpuSpec, NodeSpec, ClusterSpec, ModelConfig,
+ * ParallelConfig, SimOptions, SimRequest, SimulationResult, SweepSpec)
+ * is described once, next to its definition, by a fields() list of
+ * (JSON name, member pointer) pairs (util/hash.h).  That list drives
+ * the encoder, the lax and strict decoders and the request
+ * fingerprint, so a new field is one line in its type's description.
+ * What is hand-written here is only the envelopes: the version, the
+ * /v1/sweep `plans`-xor-`spec` choice, `trace`, `deadline_ms` and the
+ * batch/sweep arrays.  The split keeps three guarantees in one place:
  *
  *   1. Versioning.  Every request and response payload carries a
  *      top-level `"version": 1` envelope.  wire::v1::parseEnvelope is
@@ -24,7 +33,8 @@
  *      sweep bound must fail loudly, not silently enumerate the whole
  *      design space.  The evaluate codecs keep their documented
  *      pre-existing laxness (unknown fields ignored) for forward
- *      compatibility with older clients.
+ *      compatibility with older clients.  Both check every field's
+ *      type, and every integer against its C++ type's range.
  *
  * The admin surface (GET /statz, GET /healthz) is unversioned but its
  * body builders also live here so the schema documented in the README

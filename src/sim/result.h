@@ -58,6 +58,27 @@ struct SimulationResult {
     bool operator==(const SimulationResult &) const = default;
 };
 
+/** SimulationResult's wire keys, in order (see util/hash.h). */
+template <typename Visit>
+void
+fields(Visit &&visit, const SimulationResult *)
+{
+    using R = SimulationResult;
+    visit("iteration_seconds", &R::iteration_seconds);
+    visit("utilization", &R::utilization);
+    visit("model_flops", &R::model_flops);
+    visit("bubble_fraction", &R::bubble_fraction);
+    visit("time_by_tag", &R::time_by_tag);
+    visit("num_operators", &R::num_operators);
+    visit("num_tasks", &R::num_tasks);
+    visit("distinct_operators_profiled", &R::distinct_operators_profiled);
+    visit("profiler_calls", &R::profiler_calls);
+    visit("extrapolated", &R::extrapolated);
+    visit("simulated_micro_batches", &R::simulated_micro_batches);
+    visit("total_micro_batches", &R::total_micro_batches);
+    visit("sim_wall_seconds", &R::sim_wall_seconds);
+}
+
 } // namespace vtrain
 
 #endif // VTRAIN_SIM_RESULT_H

@@ -62,20 +62,9 @@ phaseMetrics()
 void
 hashAppend(Hash64 &h, const SimOptions &options)
 {
-    h.mix(options.fast_mode)
-        .mix(options.memoize_profiles)
-        .mix(options.collapse_operators)
-        .mix(static_cast<int64_t>(options.attention))
-        .mix(static_cast<uint64_t>(
-            reinterpret_cast<uintptr_t>(options.perturber)));
-}
-
-uint64_t
-hashValue(const SimOptions &options)
-{
-    Hash64 h;
-    hashAppend(h, options);
-    return h.digest();
+    hashFields(h, options);
+    h.mix(static_cast<uint64_t>(
+        reinterpret_cast<uintptr_t>(options.perturber)));
 }
 
 Simulator::Simulator(ClusterSpec cluster, SimOptions options)

@@ -70,21 +70,32 @@ struct SimOptions {
     bool operator==(const SimOptions &) const = default;
 };
 
-class Hash64;
+/**
+ * SimOptions' wire keys and fingerprint order (see util/hash.h).  The
+ * perturber is process-local: never on the wire, hashed by
+ * hashAppend() below.
+ */
+template <typename Visit>
+void
+fields(Visit &&visit, const SimOptions *)
+{
+    visit("fast_mode", &SimOptions::fast_mode);
+    visit("memoize_profiles", &SimOptions::memoize_profiles);
+    visit("collapse_operators", &SimOptions::collapse_operators);
+    visit("attention", &SimOptions::attention);
+}
+
 class GraphTemplateCache;
 class OperatorToTaskTable;
 class ThreadPool;
 
 /**
- * Folds the options into a fingerprint stream.  The perturber is
- * hashed by address, so the digest is canonical across processes only
- * when `perturber == nullptr`; the serve layer refuses to cache (or
- * serialize) perturbed requests for exactly this reason.
+ * Folds the options into a fingerprint stream: the described fields,
+ * then the perturber by address, so the digest is canonical across
+ * processes only when `perturber == nullptr`; the serve layer refuses
+ * to cache (or serialize) perturbed requests for exactly this reason.
  */
 void hashAppend(Hash64 &h, const SimOptions &options);
-
-/** @return a stable 64-bit hash of the options (see hashAppend). */
-uint64_t hashValue(const SimOptions &options);
 
 /** End-to-end training projection for a fixed token budget. */
 struct TrainingProjection {

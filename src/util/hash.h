@@ -8,13 +8,32 @@
  * encoding of each field, with a splitmix64 finalizer for avalanche.
  * Not cryptographic; collisions are possible in principle but a 64-bit
  * space is ample for cache keys.
+ *
+ * Field descriptions.  Every wire type (GpuSpec, NodeSpec,
+ * ClusterSpec, ModelConfig, ParallelConfig, SimOptions, SimRequest,
+ * SimulationResult, SweepSpec) declares its fields once, next to its
+ * definition, as an ordered list of (JSON name, member pointer) pairs:
+ *
+ *     template <typename Visit>
+ *     void fields(Visit &&visit, const GpuSpec *)
+ *     {
+ *         visit("name", &GpuSpec::name);
+ *         ...
+ *     }
+ *
+ * That one list drives the JSON encoder and the lax/strict decoders
+ * (serve/wire.cc) and hashAppend() below, so the wire keys, their
+ * order and the fingerprint cannot drift apart: a new field is one
+ * line in its type's description.
  */
 #ifndef VTRAIN_UTIL_HASH_H
 #define VTRAIN_UTIL_HASH_H
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace vtrain {
 
@@ -77,6 +96,49 @@ class Hash64
 
     uint64_t state_ = kFnvOffset;
 };
+
+template <typename T> void hashFields(Hash64 &h, const T &value);
+
+/**
+ * Folds one value into a fingerprint stream: integers and enums as
+ * int64, bools, doubles and strings as Hash64::mix() does, and a
+ * described type as its fields in description order (nested types
+ * inline).  A type with process-local state overloads this to mix it
+ * after hashFields() (see hashAppend(Hash64 &, const SimOptions &)).
+ */
+template <typename T>
+void
+hashAppend(Hash64 &h, const T &value)
+{
+    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double>)
+        h.mix(value);
+    else if constexpr (std::is_same_v<T, std::string>)
+        h.mix(std::string_view(value));
+    else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>)
+        h.mix(static_cast<int64_t>(value));
+    else
+        hashFields(h, value);
+}
+
+/** Folds every described field of `value`, in description order. */
+template <typename T>
+void
+hashFields(Hash64 &h, const T &value)
+{
+    fields([&h, &value](std::string_view, auto member) {
+        hashAppend(h, value.*member);
+    }, &value);
+}
+
+/** @return the digest of `value` alone on a fresh stream. */
+template <typename T>
+uint64_t
+hashValue(const T &value)
+{
+    Hash64 h;
+    hashAppend(h, value);
+    return h.digest();
+}
 
 } // namespace vtrain
 

@@ -553,5 +553,34 @@ TEST(AdmissionHttp, NegativeWireDeadlineIs400)
     EXPECT_EQ(response.status, 400);
 }
 
+TEST(AdmissionHttp, NonIntegralWireDeadlineIs400NamingTheField)
+{
+    Loopback loopback;
+    HttpClient client = loopback.client();
+    wire::v1::SweepRequest sweep;
+    sweep.model = tinyRequest().model;
+    sweep.cluster = tinyRequest().cluster;
+    sweep.plans.push_back(tinyRequest().parallel);
+    for (const double bad : {1.5, 1e300, -0.5}) {
+        json::Value evaluate = wire::v1::encode(requestVariant(0));
+        evaluate.set("deadline_ms", bad);
+        json::Value sweep_body = wire::v1::encode(sweep);
+        sweep_body.set("deadline_ms", bad);
+        for (const auto &[target, body] :
+             {std::pair{"/v1/evaluate", evaluate},
+              std::pair{"/v1/sweep", sweep_body}}) {
+            HttpResponse response;
+            std::string error;
+            ASSERT_TRUE(client.post(target, body.dump(), &response,
+                                    &error))
+                << error;
+            EXPECT_EQ(response.status, 400) << target << " " << bad;
+            EXPECT_NE(response.body.find("deadline_ms"),
+                      std::string::npos)
+                << target << ": " << response.body;
+        }
+    }
+}
+
 } // namespace
 } // namespace vtrain

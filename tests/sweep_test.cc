@@ -183,6 +183,24 @@ TEST(SweepCodec, SpecRejectsUnknownField)
     EXPECT_NE(error.find("max_tnsor"), std::string::npos) << error;
 }
 
+TEST(SweepCodec, SpecRejectsOutOfRangeMicroBatchSize)
+{
+    // 2^32 + 1 used to narrow silently to 1 and enumerate the wrong
+    // space; every wire integer is range-checked against its field.
+    for (const double bad : {4294967297.0, 1.5, 1e300}) {
+        json::Value doc = wire::v1::encode(SweepSpec{});
+        json::Value sizes = json::Value::array();
+        sizes.push(int64_t{4});
+        sizes.push(bad);
+        doc.set("micro_batch_sizes", std::move(sizes));
+        SweepSpec decoded;
+        std::string error;
+        EXPECT_FALSE(wire::v1::decode(doc, &decoded, &error)) << bad;
+        EXPECT_NE(error.find("micro_batch_sizes"), std::string::npos)
+            << error;
+    }
+}
+
 TEST(SweepCodec, SweepRequestIsStrictAtEveryLevel)
 {
     wire::v1::SweepRequest request;
