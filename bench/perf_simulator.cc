@@ -8,6 +8,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include "util/metrics.h"
 #include "vtrain/vtrain.h"
 
 namespace {
@@ -121,20 +122,85 @@ BENCHMARK(BM_EngineRun)->Arg(0)->Arg(1);
 void
 BM_SimulateIteration_MtNlg(benchmark::State &state)
 {
+    // Arg 0: warm — the template cache is primed, so every measured
+    //        iteration is the steady-state request cost (retime +
+    //        schedule replay; BM_TemplateRetime reports the
+    //        cold/warm split of graph production alone).
+    // Arg 1: cold — a fresh template cache per iteration, so every
+    //        iteration builds, captures and runs the op-level FIFO.
     setVerbose(false);
     const ModelConfig model = zoo::mtNlg530b();
-    Simulator sim(makeCluster(3360));
+    const ClusterSpec cluster = makeCluster(3360);
     const ParallelConfig plan = mtNlgPlan();
-    // Prime the graph-template cache so every measured iteration is
-    // the steady-state request cost (the first call pays a one-off
-    // capture; BM_TemplateRetime reports that cold/warm split).
-    (void)sim.simulateIteration(model, plan);
+    const bool cold = state.range(0) != 0;
+    Simulator warm(cluster);
+    (void)warm.simulateIteration(model, plan); // captures
+    (void)warm.simulateIteration(model, plan); // derives the schedule
     for (auto _ : state) {
-        SimulationResult r = sim.simulateIteration(model, plan);
-        benchmark::DoNotOptimize(r.iteration_seconds);
+        if (cold) {
+            Simulator sim(cluster, SimOptions{},
+                          std::make_shared<GraphTemplateCache>());
+            SimulationResult r = sim.simulateIteration(model, plan);
+            benchmark::DoNotOptimize(r.iteration_seconds);
+        } else {
+            SimulationResult r = warm.simulateIteration(model, plan);
+            benchmark::DoNotOptimize(r.iteration_seconds);
+        }
     }
 }
-BENCHMARK(BM_SimulateIteration_MtNlg)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulateIteration_MtNlg)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_ColdSweep_Mtnlg(benchmark::State &state)
+{
+    // The paper's MT-NLG 530B space (Table I, Fig. 10) on 2048 GPUs,
+    // one fresh single-threaded Explorer per iteration: every topology
+    // misses the template cache, so this is the cold path end to end.
+    // Counters: per-sweep seconds of each simulator phase, read from
+    // the library's own vtrain_sim_phase_seconds histograms.
+    setVerbose(false);
+    const ModelConfig model = zoo::mtNlg530b();
+    const ClusterSpec cluster = makeCluster(2048);
+    SweepSpec spec;
+    spec.global_batch_size = 1920;
+    spec.max_tensor = 8;
+    spec.max_data = 32;
+    spec.max_pipeline = 105;
+    spec.micro_batch_sizes = {1, 2};
+    spec.max_gpus = 2048;
+    const std::vector<ParallelConfig> plans =
+        enumeratePlans(model, cluster, spec);
+
+    static const char *const kPhases[] = {"graph_build", "template_capture",
+                                          "template_retime", "replay",
+                                          "queue_run"};
+    std::vector<util::Histogram *> series;
+    for (const char *phase : kPhases)
+        series.push_back(util::MetricRegistry::global().histogram(
+            "vtrain_sim_phase_seconds", {{"phase", phase}}));
+    std::vector<double> before(series.size());
+    for (size_t i = 0; i < series.size(); ++i)
+        before[i] = series[i]->snapshot().sum;
+
+    for (auto _ : state) {
+        Explorer explorer(cluster, SimOptions{}, 1);
+        auto results = explorer.sweep(model, plans);
+        benchmark::DoNotOptimize(results.data());
+    }
+    const double sweeps = static_cast<double>(state.iterations());
+    for (size_t i = 0; i < series.size(); ++i)
+        state.counters[std::string(kPhases[i]) + "_s"] =
+            (series[i]->snapshot().sum - before[i]) / sweeps;
+    state.counters["plans"] = static_cast<double>(plans.size());
+}
+// Wall time: the sweep blocks on its pool worker.
+BENCHMARK(BM_ColdSweep_Mtnlg)
+    ->Iterations(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SimulateIteration_Gpt3(benchmark::State &state)
@@ -156,7 +222,7 @@ BM_TemplateRetime(benchmark::State &state)
 {
     // Arg 0: model (0 = MT-NLG 530B, 1 = GPT-3 175B).
     // Arg 1: 0 = cold (the simulator's template-miss path: graph
-    //            build + capturing expansion),
+    //            build + operator-level capture, no expansion),
     //        1 = warm (the hit path: re-time the cached template).
     setVerbose(false);
     const bool gpt3 = state.range(0) != 0;
@@ -186,11 +252,9 @@ BM_TemplateRetime(benchmark::State &state)
             benchmark::DoNotOptimize(out.numTasks());
         } else {
             OpGraph g = builder.build(options);
-            TaskGraph out;
             const auto fresh = GraphTemplate::capture(
-                g, table, ExpandOptions{}, &out);
+                g, table, ExpandOptions{}, nullptr);
             benchmark::DoNotOptimize(fresh->numTasks());
-            benchmark::DoNotOptimize(out.numTasks());
         }
     }
     state.counters["tasks"] = static_cast<double>(tmpl->numTasks());
@@ -294,13 +358,11 @@ BM_ReplayKernel(benchmark::State &state)
     // that name a kernel the binary/host cannot run are skipped, so
     // the suite is portable while still exposing the SIMD roof where
     // the hardware has one.
-    //   Arg 0: kernel (0 = scalar, 1 = AVX2, 2 = AVX-512);
+    //   Arg 0: kernel (0 = scalar, 1 = AVX2);
     //   Arg 1: K, the batch width (sweeps vector bodies and tails).
     setVerbose(false);
     const ReplayKernel kernel =
-        state.range(0) == 0   ? ReplayKernel::Scalar
-        : state.range(0) == 1 ? ReplayKernel::Avx2
-                              : ReplayKernel::Avx512;
+        state.range(0) == 0 ? ReplayKernel::Scalar : ReplayKernel::Avx2;
     if (!replayKernelUsable(kernel)) {
         state.SkipWithError("replay kernel not usable on this host");
         return;
@@ -346,10 +408,10 @@ BM_ReplayKernel(benchmark::State &state)
     state.counters["points"] = static_cast<double>(k_points);
 }
 // The SIMD acceptance metric: the same K columns through each
-// compiled kernel.  Widths cross the 8-wide AVX-512 body, the 4-wide
-// AVX2 body/tail, and the scalar remainders.
+// compiled kernel.  Widths cross the 4-wide AVX2 body and the scalar
+// remainders.
 BENCHMARK(BM_ReplayKernel)
-    ->ArgsProduct({{0, 1, 2}, {4, 16, 64}})
+    ->ArgsProduct({{0, 1}, {4, 16, 64}})
     ->Unit(benchmark::kMillisecond);
 
 void

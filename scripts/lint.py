@@ -51,7 +51,7 @@ do not) catch:
                       friends) anywhere but the dedicated replay
                       kernel TUs (src/sim/replay_kernels_*.cc), and
                       never in a header.  Those TUs are the only code
-                      compiled with -mavx2/-mavx512f; an intrinsic
+                      compiled with an ISA flag (-mavx2); an intrinsic
                       leaking into a baseline-arch TU either fails to
                       compile or, worse, quietly raises the binary's
                       ISA floor past the runtime cpuid dispatch

@@ -6,6 +6,14 @@
 namespace vtrain {
 
 size_t
+OpTopology::approxBytes() const
+{
+    return sizeof(OpTopology) + ops.size() * sizeof(Op) +
+           (child_offsets.size() + child_list.size() + in_degree.size()) *
+               sizeof(int32_t);
+}
+
+size_t
 ReplaySchedule::approxBytes() const
 {
     return sizeof(ReplaySchedule) +
@@ -16,12 +24,70 @@ ReplaySchedule::approxBytes() const
 }
 
 size_t
-ReplaySchedule::predictBytes(const TaskGraph::Topology &topo)
+ReplaySchedule::predictBytes(size_t num_tasks, size_t num_edges)
 {
-    const size_t n = topo.meta.size();
+    const size_t n = num_tasks;
     return sizeof(ReplaySchedule) +
-           (3 * n + (n + 1) + topo.child_list.size()) * sizeof(int32_t) +
+           (3 * n + (n + 1) + num_edges) * sizeof(int32_t) +
            n * sizeof(uint8_t);
+}
+
+std::shared_ptr<const ReplaySchedule>
+ReplaySchedule::build(const OpTopology &ops)
+{
+    const size_t n_ops = ops.numOps();
+    const size_t n = ops.num_tasks;
+    auto schedule = std::make_shared<ReplaySchedule>();
+    schedule->num_devices = ops.num_devices;
+
+    // Task ids follow TaskGraph::expand: operator i's kernels are
+    // first[i] .. first[i+1]-1.
+    std::vector<int32_t> first(n_ops + 1, 0);
+    for (size_t i = 0; i < n_ops; ++i)
+        first[i + 1] = first[i] + ops.ops[i].kernels;
+
+    std::vector<int32_t> &order = schedule->order;
+    std::vector<int32_t> op_at; // operator of each position
+    order.reserve(n);
+    op_at.reserve(n);
+    schedule->lane.reserve(n);
+    schedule->busy_lane.reserve(n);
+    schedule->tag.reserve(n);
+    const size_t ordered = walkOpFifo<0>(
+        ops, [&](int32_t op, int32_t k, const OpTopology::Op &rec,
+                 const double *, double *) {
+            order.push_back(first[op] + k);
+            op_at.push_back(op);
+            schedule->lane.push_back(rec.lane);
+            schedule->busy_lane.push_back(rec.busy_lane);
+            schedule->tag.push_back(rec.tag);
+        });
+    VTRAIN_CHECK(ordered == n, "schedule deadlock: ordered ", ordered,
+                 " of ", n, " tasks (cyclic dependency?)");
+
+    std::vector<int32_t> pos_of(n);
+    for (size_t i = 0; i < n; ++i)
+        pos_of[order[i]] = static_cast<int32_t>(i);
+
+    // Children in expand's edge order: a kernel's chain successor, or
+    // after an operator's last kernel its children's first kernels.
+    schedule->child_offsets.assign(n + 1, 0);
+    schedule->child_list.reserve(ops.numTaskEdges());
+    for (size_t i = 0; i < n; ++i) {
+        const int32_t u = order[i];
+        const int32_t op = op_at[i];
+        if (u + 1 < first[op + 1]) {
+            schedule->child_list.push_back(pos_of[u + 1]);
+        } else {
+            for (int32_t e = ops.child_offsets[op];
+                 e < ops.child_offsets[op + 1]; ++e)
+                schedule->child_list.push_back(
+                    pos_of[first[ops.child_list[e]]]);
+        }
+        schedule->child_offsets[i + 1] =
+            static_cast<int32_t>(schedule->child_list.size());
+    }
+    return schedule;
 }
 
 std::shared_ptr<const ReplaySchedule>

@@ -1,17 +1,32 @@
 /**
  * @file
- * Precomputed execution-order replay schedule.
+ * Operator-granularity execution order, and the precomputed
+ * kernel-level replay schedule derived from it.
  *
  * The simulation engine's FIFO ready queue (sim/engine.h, Algorithm 1)
  * pops tasks in insertion order, and tasks are inserted exactly when
  * their reference count reaches zero — both pure functions of the
  * dependency structure.  Durations therefore never change the pop
- * sequence: every run of the queue engine over one topology visits
- * tasks in the same order.  A ReplaySchedule captures that order once
- * and re-arranges everything the engine touches per task into flat
- * arrays laid out in execution order, so a replay (engine.h
- * replaySimulation / replayBatch) is a single linear pass with no
- * queue, no reference counting and no per-task stream branch.
+ * sequence.
+ *
+ * TaskGraph::expand chains an operator's kernels k -> k+1, and only
+ * kernel 0 has parents outside the operator.  Kernel k+1 therefore
+ * enters the queue at the exact moment kernel k pops, which makes the
+ * kernel-level queue equivalent to a FIFO of (operator, kernel cursor)
+ * entries: popping an entry runs one kernel, re-appends the operator
+ * while it has kernels left, and after its last kernel releases the
+ * operator's children in CSR order.  OpTopology is the structure that
+ * FIFO walks (walkOpFifo below); it never materializes a per-kernel
+ * task, edge or reference count.
+ *
+ * A ReplaySchedule is that same walk recorded once per topology, with
+ * everything the engine touches per task re-arranged into flat arrays
+ * laid out in execution order, so a replay (engine.h replaySimulation
+ * / replayBatch) is a single linear pass with no queue, no reference
+ * counting and no per-task stream branch.  build(OpTopology) derives
+ * it from one untimed op-FIFO walk; build(TaskGraph::Topology) runs
+ * the kernel-level queue instead and is kept as the reference the
+ * derived schedule is tested array-equal against.
  *
  * Layout (all arrays indexed by schedule position, SoA):
  *   order[i]      the original task id executed i-th — used to gather
@@ -36,6 +51,8 @@
 #ifndef VTRAIN_GRAPH_SCHEDULE_H
 #define VTRAIN_GRAPH_SCHEDULE_H
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -44,7 +61,123 @@
 
 namespace vtrain {
 
-/** Execution-order view of one TaskGraph::Topology (see file doc). */
+/**
+ * The operator-granularity structure of an expanded topology: one
+ * record per operator plus the operator CSR.  Kernel durations are
+ * not stored; kernel k of an operator takes its duration from slot
+ * `slot + k` of a per-plan slot table (GraphTemplate::retimeSlots).
+ * Operator i expands to TaskGraph::expand's task ids
+ * sum(kernels of operators < i) onwards.
+ */
+struct OpTopology {
+    /** One operator, packed into 16 bytes. */
+    struct Op {
+        int32_t slot = 0;      //!< slot of kernel 0
+        int32_t lane = 0;      //!< device * kNumStreams + stream
+        int32_t busy_lane = 0; //!< device * 2 + (stream != Compute)
+        uint16_t kernels = 1;  //!< tasks this operator expands into
+        uint8_t tag = 0;       //!< TaskTag
+    };
+
+    std::vector<Op> ops;
+    std::vector<int32_t> child_offsets{0}; //!< size numOps()+1
+    std::vector<int32_t> child_list;
+    std::vector<int32_t> in_degree;
+    int num_devices = 1;
+    size_t num_tasks = 0; //!< sum of ops[].kernels
+    size_t num_slots = 0; //!< entries of a slot table
+
+    size_t numOps() const { return ops.size(); }
+
+    /** Kernel-level edge count: the k -> k+1 chains plus one edge per
+     *  operator edge. */
+    size_t numTaskEdges() const
+    {
+        return num_tasks - ops.size() + child_list.size();
+    }
+
+    /** Approximate resident size, for cache byte budgets. */
+    size_t approxBytes() const;
+};
+
+/**
+ * Walks the operator-level FIFO (see file comment) for K points in
+ * lockstep and @return the number of kernels popped; a result below
+ * topo.num_tasks means a cycle.  Per pop it calls
+ * `run_kernel(op, k, rec, ready, end)` for kernel k of operator `op`:
+ * `ready` holds the K data-ready times of that kernel, and the
+ * callback stores the K end times into `end`.  The walk itself does
+ * the queue's dependency work: a continuation's ready time is
+ * max(0, end), exactly what the kernel-level queue stores for kernel
+ * k+1's only parent, and an operator's last kernel raises each CSR
+ * child's ready time to its end before the child's reference count
+ * drops.  K = 0 walks the order alone.
+ */
+template <size_t K, typename RunKernel>
+size_t
+walkOpFifo(const OpTopology &topo, RunKernel &&run_kernel)
+{
+    const size_t n = topo.ops.size();
+    const OpTopology::Op *const ops = topo.ops.data();
+    const int32_t *const child_offsets = topo.child_offsets.data();
+    const int32_t *const child_list = topo.child_list.data();
+    std::vector<int32_t> ref_vec = topo.in_degree;
+    std::vector<int32_t> cursor_vec(n, 0);
+    std::vector<double> ready_vec(n * K, 0.0);
+    // An operator is queued at most once at a time (it re-enters only
+    // after its entry pops), so an n-entry ring of operator ids holds
+    // the whole queue.  Entries stay 4 bytes on purpose: carrying the
+    // operator record and ready times in them measured slower on
+    // large topologies.
+    std::vector<int32_t> ring_vec(n);
+    int32_t *const ref = ref_vec.data();
+    int32_t *const cursor = cursor_vec.data();
+    double *const ready = ready_vec.data();
+    int32_t *const ring = ring_vec.data();
+    size_t head = 0;
+    size_t tail = 0;
+    size_t queued = 0;
+    const auto push = [&](int32_t op) {
+        ring[tail] = op;
+        tail = tail + 1 == n ? 0 : tail + 1;
+        ++queued;
+    };
+    for (size_t i = 0; i < n; ++i)
+        if (ref[i] == 0)
+            push(static_cast<int32_t>(i));
+
+    size_t executed = 0;
+    std::array<double, K> end{};
+    while (queued > 0) {
+        const int32_t op = ring[head];
+        head = head + 1 == n ? 0 : head + 1;
+        --queued;
+        const OpTopology::Op &rec = ops[op];
+        const int32_t k = cursor[op];
+        double *const op_ready = ready + static_cast<size_t>(op) * K;
+        run_kernel(op, k, rec, op_ready, end.data());
+        ++executed;
+        if (k + 1 < rec.kernels) {
+            cursor[op] = k + 1;
+            for (size_t j = 0; j < K; ++j)
+                op_ready[j] = std::max(0.0, end[j]);
+            push(op);
+            continue;
+        }
+        for (const int32_t *c = child_list + child_offsets[op],
+                           *const c_end = child_list + child_offsets[op + 1];
+             c != c_end; ++c) {
+            double *const child_ready = ready + static_cast<size_t>(*c) * K;
+            for (size_t j = 0; j < K; ++j)
+                child_ready[j] = std::max(child_ready[j], end[j]);
+            if (--ref[*c] == 0)
+                push(*c);
+        }
+    }
+    return executed;
+}
+
+/** Execution-order view of one topology (see file doc). */
 struct ReplaySchedule {
     std::vector<int32_t> order;
     std::vector<int32_t> lane;
@@ -60,15 +193,22 @@ struct ReplaySchedule {
     /** Approximate resident size, for cache byte budgets. */
     size_t approxBytes() const;
 
-    /** What build() will allocate for `topo`, without building (the
-     *  template cache budgets schedules before they exist). */
-    static size_t predictBytes(const TaskGraph::Topology &topo);
+    /** What build() will allocate for a topology of `num_tasks` tasks
+     *  and `num_edges` edges, without building (the template cache
+     *  budgets schedules before they exist). */
+    static size_t predictBytes(size_t num_tasks, size_t num_edges);
 
     /**
-     * Derives the schedule of `topo` by running the queue algorithm
-     * once without timing.  Fails (throws) on a cyclic topology, the
-     * same condition the engine reports as a deadlock.
+     * Derives the schedule of the kernel-level expansion of `ops` from
+     * one untimed op-FIFO walk.  Fails (throws) on a cyclic topology,
+     * the same condition the engine reports as a deadlock.
      */
+    static std::shared_ptr<const ReplaySchedule>
+    build(const OpTopology &ops);
+
+    /** The same schedule, derived by running the kernel-level queue
+     *  over an expanded topology (the reference build(OpTopology) is
+     *  tested against). */
     static std::shared_ptr<const ReplaySchedule>
     build(const TaskGraph::Topology &topo);
 };

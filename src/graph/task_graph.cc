@@ -5,10 +5,8 @@
 
 namespace vtrain {
 
-namespace {
-
 TaskTag
-tagOf(const OpNode &node)
+taskTagOf(const OpNode &node)
 {
     if (node.type == OpNodeType::Compute)
         return TaskTag::Compute;
@@ -24,8 +22,6 @@ tagOf(const OpNode &node)
     }
     VTRAIN_PANIC("unknown comm kind");
 }
-
-} // namespace
 
 const std::shared_ptr<const TaskGraph::Topology> &
 TaskGraph::emptyTopology()
@@ -83,7 +79,7 @@ TaskGraph::fromParts(std::vector<double> durations,
 
 TaskGraph
 TaskGraph::expand(const OpGraph &ops, OperatorToTaskTable &table,
-                  const ExpandOptions &options, Provenance *provenance)
+                  const ExpandOptions &options)
 {
     VTRAIN_CHECK(ops.finalized(),
                  "expand requires a finalized operator graph");
@@ -131,7 +127,7 @@ TaskGraph::expand(const OpGraph &ops, OperatorToTaskTable &table,
     // Pass 2: materialize tasks (perturbing per instance).
     for (size_t i = 0; i < n_ops; ++i) {
         const OpNode &node = nodes[i];
-        const TaskTag tag = tagOf(node);
+        const TaskTag tag = taskTagOf(node);
         const int32_t begin = first_task[i];
         const int32_t end = first_task[i + 1];
         const TaskMeta meta{node.device, node.stream, tag};
@@ -201,29 +197,6 @@ TaskGraph::expand(const OpGraph &ops, OperatorToTaskTable &table,
     each_edge([&](int32_t from, int32_t to) {
         topo->child_list[cursor[from]++] = to;
     });
-
-    if (provenance) {
-        provenance->first_task = first_task;
-        provenance->ops.resize(n_ops);
-        for (size_t i = 0; i < n_ops; ++i) {
-            auto &src = provenance->ops[i];
-            if (nodes[i].type == OpNodeType::Compute) {
-                src.desc_id = nodes[i].desc_id;
-            } else {
-                src.desc_id = -1;
-                src.comm_kind = nodes[i].comm_kind;
-                src.comm_bytes = nodes[i].comm_bytes;
-            }
-        }
-        provenance->descs = descs;
-        provenance->kernels_per_desc.resize(descs.size());
-        for (size_t d = 0; d < descs.size(); ++d) {
-            const KernelSequence &seq =
-                hoist ? *seq_of_desc[d] : table.lookup(descs[d]);
-            provenance->kernels_per_desc[d] =
-                static_cast<int32_t>(seq.kernels.size());
-        }
-    }
 
     TaskGraph tg;
     tg.durations_ = std::move(durations);

@@ -12,9 +12,8 @@
  * that change when kernels are re-profiled or comm parameters move)
  * live in a per-instance array, while the structural remainder —
  * per-task device/stream/tag metadata and the CSR dependency arrays —
- * lives in an immutable, shared Topology.  Re-timing a cached graph
- * template (graph/template.h) therefore allocates one double per task
- * and shares everything else.
+ * lives in an immutable, shared Topology, so graphs that differ only
+ * in durations share one.
  */
 #ifndef VTRAIN_GRAPH_TASK_GRAPH_H
 #define VTRAIN_GRAPH_TASK_GRAPH_H
@@ -37,6 +36,9 @@ enum class TaskTag : uint8_t {
 };
 
 constexpr int kNumTaskTags = 4;
+
+/** @return the accounting tag of the tasks `node` expands into. */
+TaskTag taskTagOf(const OpNode &node);
 
 /**
  * Duration-perturbation hook.
@@ -99,27 +101,6 @@ class TaskGraph
         int num_devices = 1;
     };
 
-    /**
-     * Structural provenance recorded during expansion: which operator
-     * (and, transitively, which interned descriptor or communication
-     * payload) produced each task span.  Consumed by GraphTemplate to
-     * re-time the topology without rebuilding it.
-     */
-    struct Provenance {
-        /** Per-op source: a descriptor id for compute ops, or the
-         *  communication kind + per-GPU payload for comm ops. */
-        struct OpSource {
-            int32_t desc_id = -1; //!< -1 for communication ops
-            CommKind comm_kind = CommKind::TpAllReduce;
-            double comm_bytes = 0.0;
-        };
-
-        std::vector<int32_t> first_task; //!< size numOps()+1
-        std::vector<OpSource> ops;
-        std::vector<OpDesc> descs; //!< interned descriptors, by id
-        std::vector<int32_t> kernels_per_desc;
-    };
-
     TaskGraph() : topo_(emptyTopology()) {}
 
     /** Incremental construction of arbitrary task DAGs (tests and
@@ -144,14 +125,9 @@ class TaskGraph
         std::vector<std::pair<int32_t, int32_t>> edges_;
     };
 
-    /**
-     * Expands a finalized operator graph via the lookup table.  When
-     * `provenance` is non-null it receives the structural record the
-     * graph-template cache needs to re-time this topology later.
-     */
+    /** Expands a finalized operator graph via the lookup table. */
     static TaskGraph expand(const OpGraph &ops, OperatorToTaskTable &table,
-                            const ExpandOptions &options = {},
-                            Provenance *provenance = nullptr);
+                            const ExpandOptions &options = {});
 
     /** Assembles a graph from a duration array and a shared topology
      *  (the template re-timing fast path). */

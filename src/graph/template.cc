@@ -1,6 +1,7 @@
 #include "graph/template.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "graph/builder.h"
 #include "util/hash.h"
@@ -60,25 +61,96 @@ GraphTemplate::capture(const OpGraph &ops, OperatorToTaskTable &table,
 {
     VTRAIN_CHECK(options.perturber == nullptr,
                  "graph templates cannot capture perturbed expansions");
+    VTRAIN_CHECK(ops.finalized(),
+                 "capture requires a finalized operator graph");
     std::shared_ptr<GraphTemplate> tmpl(new GraphTemplate());
-    TaskGraph::Provenance prov;
-    *expanded = TaskGraph::expand(ops, table, options, &prov);
-    tmpl->topo_ = expanded->topology();
-    tmpl->prov_ = std::move(prov);
+    if (expanded) {
+        *expanded = TaskGraph::expand(ops, table, options);
+        tmpl->expanded_ = expanded->topology();
+    }
     tmpl->collapse_ = options.collapse_operators;
 
-    const auto &topo = *tmpl->topo_;
-    const auto &p = tmpl->prov_;
+    // Descriptor slots: one per kernel, or one per descriptor when
+    // operators collapse to single tasks.
+    tmpl->descs_ = ops.descs();
+    const size_t n_descs = tmpl->descs_.size();
+    std::vector<int32_t> &desc_slot = tmpl->desc_slot_;
+    desc_slot.assign(n_descs + 1, 0);
+    for (size_t d = 0; d < n_descs; ++d) {
+        size_t kernels = 1;
+        if (!options.collapse_operators) {
+            kernels = table.lookup(tmpl->descs_[d]).kernels.size();
+            VTRAIN_CHECK(kernels > 0 &&
+                             kernels <= std::numeric_limits<uint16_t>::max(),
+                         "descriptor ", d, " expands to ", kernels,
+                         " kernels");
+        }
+        desc_slot[d + 1] = desc_slot[d] + static_cast<int32_t>(kernels);
+    }
+
+    OpTopology &topo = tmpl->ops_;
+    const std::vector<OpNode> &nodes = ops.nodes();
+    const size_t n_ops = nodes.size();
+    auto &payloads = tmpl->comm_payloads_;
+    size_t last_payload = 0;
+    topo.num_devices = ops.numDevices();
+    topo.ops.reserve(n_ops);
+    for (size_t i = 0; i < n_ops; ++i) {
+        const OpNode &node = nodes[i];
+        OpTopology::Op &op = topo.ops.emplace_back();
+        op.lane =
+            node.device * kNumStreams + static_cast<int32_t>(node.stream);
+        op.busy_lane =
+            node.device * 2 + (node.stream != StreamKind::Compute ? 1 : 0);
+        op.tag = static_cast<uint8_t>(taskTagOf(node));
+        if (node.type == OpNodeType::Compute) {
+            op.slot = desc_slot[node.desc_id];
+            op.kernels = static_cast<uint16_t>(
+                desc_slot[node.desc_id + 1] - op.slot);
+        } else {
+            // Comm sites repeat heavily (every TP All-Reduce shares
+            // one payload), so the last match and then a short linear
+            // memo find the slot.
+            const auto same = [&node](const CommPayload &payload) {
+                return payload.kind == node.comm_kind &&
+                       payload.bytes == node.comm_bytes;
+            };
+            if (last_payload >= payloads.size() ||
+                !same(payloads[last_payload])) {
+                last_payload = static_cast<size_t>(
+                    std::find_if(payloads.begin(), payloads.end(), same) -
+                    payloads.begin());
+                if (last_payload == payloads.size())
+                    payloads.push_back(
+                        CommPayload{node.comm_kind, node.comm_bytes});
+            }
+            op.slot = desc_slot[n_descs] + static_cast<int32_t>(last_payload);
+            op.kernels = 1;
+        }
+        topo.num_tasks += static_cast<size_t>(op.kernels);
+    }
+
+    // The operator graph's CSR is one contiguous list in node order.
+    topo.child_offsets.assign(n_ops + 1, 0);
+    topo.in_degree.assign(n_ops, 0);
+    if (n_ops > 0) {
+        const OpGraph::NodeId *const base = ops.childBegin(0);
+        topo.child_list.assign(
+            base, ops.childEnd(static_cast<OpGraph::NodeId>(n_ops - 1)));
+        for (size_t i = 0; i < n_ops; ++i)
+            topo.child_offsets[i + 1] = static_cast<int32_t>(
+                ops.childEnd(static_cast<OpGraph::NodeId>(i)) - base);
+        for (const int32_t child : topo.child_list)
+            ++topo.in_degree[child];
+    }
+    topo.num_slots = static_cast<size_t>(desc_slot[n_descs]) +
+                     tmpl->comm_payloads_.size();
+
     tmpl->bytes_ =
-        sizeof(GraphTemplate) +
-        topo.meta.size() * sizeof(TaskGraph::TaskMeta) +
-        (topo.child_offsets.size() + topo.child_list.size() +
-         topo.in_degree.size() + p.first_task.size() +
-         p.kernels_per_desc.size()) *
-            sizeof(int32_t) +
-        p.ops.size() * sizeof(TaskGraph::Provenance::OpSource) +
-        p.descs.size() * sizeof(OpDesc) +
-        ReplaySchedule::predictBytes(topo);
+        sizeof(GraphTemplate) + topo.approxBytes() +
+        n_descs * sizeof(OpDesc) + desc_slot.size() * sizeof(int32_t) +
+        tmpl->comm_payloads_.size() * sizeof(CommPayload) +
+        ReplaySchedule::predictBytes(topo.num_tasks, topo.numTaskEdges());
     return tmpl;
 }
 
@@ -86,8 +158,69 @@ const ReplaySchedule &
 GraphTemplate::schedule() const
 {
     std::call_once(schedule_once_,
-                   [this] { schedule_ = ReplaySchedule::build(*topo_); });
+                   [this] { schedule_ = ReplaySchedule::build(ops_); });
     return *schedule_;
+}
+
+bool
+GraphTemplate::retimeSlots(OperatorToTaskTable &table,
+                           const ParallelConfig &parallel,
+                           const ClusterSpec &cluster, const CommModel &comm,
+                           std::vector<double> *out) const
+{
+    // One table lookup per interned descriptor, verified against the
+    // captured kernel counts: a disagreeing decomposition (fingerprint
+    // collision, different profiler) must rebuild, never mis-time.
+    const size_t n_descs = descs_.size();
+    std::vector<const KernelSequence *> seqs(n_descs);
+    for (size_t d = 0; d < n_descs; ++d) {
+        seqs[d] = &table.lookup(descs_[d]);
+        if (!collapse_ && static_cast<int32_t>(seqs[d]->kernels.size()) !=
+                              desc_slot_[d + 1] - desc_slot_[d])
+            return false;
+    }
+
+    std::vector<double> &slots = *out;
+    slots.resize(ops_.num_slots);
+    for (size_t d = 0; d < n_descs; ++d) {
+        const auto &kernels = seqs[d]->kernels;
+        if (collapse_) {
+            // Same accumulation order as expansion: bit-identical sum.
+            double total = 0.0;
+            for (const auto &k : kernels)
+                total += k.duration;
+            slots[desc_slot_[d]] = total;
+        } else {
+            for (size_t k = 0; k < kernels.size(); ++k)
+                slots[desc_slot_[d] + k] = kernels[k].duration;
+        }
+    }
+    const size_t comm_base = static_cast<size_t>(desc_slot_[n_descs]);
+    for (size_t p = 0; p < comm_payloads_.size(); ++p)
+        slots[comm_base + p] = comm.latencySeconds(commDescFor(
+            comm_payloads_[p].kind, comm_payloads_[p].bytes, parallel,
+            cluster));
+    return true;
+}
+
+bool
+GraphTemplate::retimeDurations(OperatorToTaskTable &table,
+                               const ParallelConfig &parallel,
+                               const ClusterSpec &cluster,
+                               const CommModel &comm,
+                               std::vector<double> *out) const
+{
+    std::vector<double> slots;
+    if (!retimeSlots(table, parallel, cluster, comm, &slots))
+        return false;
+    std::vector<double> &durations = *out;
+    durations.resize(ops_.num_tasks);
+    double *task = durations.data();
+    for (const OpTopology::Op &op : ops_.ops) {
+        std::copy_n(slots.data() + op.slot, op.kernels, task);
+        task += op.kernels;
+    }
+    return true;
 }
 
 bool
@@ -99,93 +232,50 @@ GraphTemplate::retime(OperatorToTaskTable &table,
     std::vector<double> durations;
     if (!retimeDurations(table, parallel, cluster, comm, &durations))
         return false;
-    *out = TaskGraph::fromParts(std::move(durations), topo_);
+    std::shared_ptr<const TaskGraph::Topology> topo = expanded_.lock();
+    if (!topo)
+        topo = expandTopology();
+    *out = TaskGraph::fromParts(std::move(durations), std::move(topo));
     return true;
 }
 
-bool
-GraphTemplate::retimeDurations(OperatorToTaskTable &table,
-                               const ParallelConfig &parallel,
-                               const ClusterSpec &cluster,
-                               const CommModel &comm,
-                               std::vector<double> *out) const
+std::shared_ptr<const TaskGraph::Topology>
+GraphTemplate::expandTopology() const
 {
-    // One table lookup per interned descriptor, verified against the
-    // captured kernel counts: a disagreeing decomposition (fingerprint
-    // collision, different profiler) must rebuild, never mis-time.
-    // The durations are flattened into a packed per-desc arena so the
-    // per-op fill below streams doubles instead of striding through
-    // the table's kernel records.
-    const size_t n_descs = prov_.descs.size();
-    std::vector<int32_t> flat_off(n_descs + 1, 0);
-    std::vector<const KernelSequence *> seqs(n_descs);
-    for (size_t d = 0; d < n_descs; ++d) {
-        const KernelSequence &seq = table.lookup(prov_.descs[d]);
-        if (!collapse_ &&
-            static_cast<int32_t>(seq.kernels.size()) !=
-                prov_.kernels_per_desc[d])
-            return false;
-        seqs[d] = &seq;
-        flat_off[d + 1] =
-            flat_off[d] +
-            (collapse_ ? 1
-                       : static_cast<int32_t>(seq.kernels.size()));
-    }
-    std::vector<double> flat(static_cast<size_t>(flat_off[n_descs]));
-    for (size_t d = 0; d < n_descs; ++d) {
-        if (collapse_) {
-            // Same accumulation order as expansion: bit-identical sum.
-            double total = 0.0;
-            for (const auto &k : seqs[d]->kernels)
-                total += k.duration;
-            flat[flat_off[d]] = total;
-        } else {
-            const auto &kernels = seqs[d]->kernels;
-            for (size_t k = 0; k < kernels.size(); ++k)
-                flat[flat_off[d] + static_cast<size_t>(k)] =
-                    kernels[k].duration;
-        }
-    }
-
-    // Comm sites repeat heavily (every TP All-Reduce shares one
-    // payload; DP buckets repeat across the middle stages), so the
-    // latency model runs once per distinct (kind, bytes) pair and a
-    // small flat memo serves the other tens of thousands of nodes.
-    struct CommLatency {
-        CommKind kind;
-        double bytes;
-        double latency;
-    };
-    std::vector<CommLatency> comm_memo;
-    const auto comm_latency = [&](CommKind kind, double bytes) {
-        for (const CommLatency &m : comm_memo)
-            if (m.kind == kind && m.bytes == bytes)
-                return m.latency;
-        const double latency = comm.latencySeconds(
-            commDescFor(kind, bytes, parallel, cluster));
-        comm_memo.push_back(CommLatency{kind, bytes, latency});
-        return latency;
-    };
-
-    std::vector<double> &durations = *out;
-    durations.resize(topo_->meta.size());
-    const size_t n_ops = prov_.ops.size();
-    const TaskGraph::Provenance::OpSource *const ops = prov_.ops.data();
-    const int32_t *const first_task = prov_.first_task.data();
+    // TaskGraph::expand's numbering and edge order: operator i's
+    // kernels are consecutive ids chained k -> k+1, and its last
+    // kernel feeds each CSR child's first kernel.
+    const size_t n_ops = ops_.numOps();
+    std::vector<int32_t> first(n_ops + 1, 0);
+    for (size_t i = 0; i < n_ops; ++i)
+        first[i + 1] = first[i] + ops_.ops[i].kernels;
+    auto topo = std::make_shared<TaskGraph::Topology>();
+    topo->num_devices = ops_.num_devices;
+    topo->meta.reserve(ops_.num_tasks);
+    topo->child_offsets.reserve(ops_.num_tasks + 1);
+    topo->child_list.reserve(ops_.numTaskEdges());
+    topo->in_degree.assign(ops_.num_tasks, 1);
     for (size_t i = 0; i < n_ops; ++i) {
-        const auto &src = ops[i];
-        const int32_t first = first_task[i];
-        if (src.desc_id < 0) {
-            durations[first] =
-                comm_latency(src.comm_kind, src.comm_bytes);
-        } else {
-            const int32_t begin = flat_off[src.desc_id];
-            const int32_t count = flat_off[src.desc_id + 1] - begin;
-            std::copy_n(flat.data() + begin, count,
-                        durations.data() + first);
+        const OpTopology::Op &op = ops_.ops[i];
+        const TaskGraph::TaskMeta meta{
+            op.lane / kNumStreams,
+            static_cast<StreamKind>(op.lane % kNumStreams),
+            static_cast<TaskTag>(op.tag)};
+        topo->in_degree[first[i]] = ops_.in_degree[i];
+        for (int32_t t = first[i]; t < first[i + 1]; ++t) {
+            topo->meta.push_back(meta);
+            if (t + 1 < first[i + 1]) {
+                topo->child_list.push_back(t + 1);
+            } else {
+                for (int32_t e = ops_.child_offsets[i];
+                     e < ops_.child_offsets[i + 1]; ++e)
+                    topo->child_list.push_back(first[ops_.child_list[e]]);
+            }
+            topo->child_offsets.push_back(
+                static_cast<int32_t>(topo->child_list.size()));
         }
     }
-    return true;
+    return topo;
 }
 
 GraphTemplateCache::GraphTemplateCache(Options options) : options_(options)

@@ -5,14 +5,23 @@
  * The paper's central observation is that training iterations are
  * statically determined and repetitive.  The same holds one level up:
  * across a design-space sweep, most simulation points share the exact
- * *structure* of their task graph — the tasks, the CSR dependency
- * arrays, the device/stream/tag assignment — and differ only in the
- * durations that kernels and collectives are assigned.  A
- * GraphTemplate captures that structure once (together with a per-op
- * provenance record mapping every task span back to its operator
- * descriptor or communication payload) and a retime() pass fills in
- * durations for a new (plan, cluster) pair in O(tasks) with a single
- * allocation, skipping graph construction and expansion entirely.
+ * *structure* of their task graph and differ only in the durations
+ * that kernels and collectives are assigned.  A GraphTemplate
+ * captures that structure at operator granularity, in O(operators):
+ *
+ *   - the OpTopology (graph/schedule.h): one packed record per
+ *     operator (lanes, tag, kernel count, slot offset), the operator
+ *     CSR and in-degrees;
+ *   - a structural slot map: one slot per (interned descriptor,
+ *     kernel index) — one per descriptor when operators are collapsed
+ *     — and one per distinct (comm kind, bytes) payload.  A capped
+ *     MT-NLG topology of 1.18M kernel tasks has 68 slots.
+ *
+ * retimeSlots() fills a slot table for a new (plan, cluster) pair in
+ * O(slots): one table lookup per descriptor and one latency-model
+ * call per payload.  Slots are structural, not values, so two kernels
+ * that happen to share a duration under one plan never share a slot
+ * another plan would split.
  *
  * Templates are keyed by structuralFingerprint(), a hash of exactly
  * the inputs the topology depends on: model shape, the structural
@@ -23,18 +32,22 @@
  * sweeps that vary cluster/comm parameters, global batch size (under
  * fast mode's cap) or only the DP degree reuse the cached topology.
  *
- * Retiming is exact, not approximate: a re-timed graph is
- * bit-identical to the graph a from-scratch build would produce for
- * the same request (golden-tested across a sweep grid).  A retime()
- * whose lookup table disagrees with the recorded kernel counts (a
- * fingerprint collision, or a profiler whose decomposition changed)
- * fails gracefully and the caller rebuilds from scratch.
+ * Retiming is exact, not approximate: a re-timed template simulates
+ * bit-identically to a from-scratch build of the same request
+ * (golden- and differential-tested).  A retime whose lookup table
+ * disagrees with the recorded kernel counts (a fingerprint collision,
+ * or a profiler whose decomposition changed) fails gracefully and the
+ * caller rebuilds from scratch.
  *
- * A template also carries the topology's execution-order replay
- * schedule (graph/schedule.h), built lazily on first use: warm
- * simulations pair retimeDurations() with the engine's
- * replaySimulation()/replayBatch() linear passes instead of
- * re-running the ready queue.
+ * Two consumers share a template:
+ *
+ *   - a cold simulation (the capture's own plan, or a K-wide group of
+ *     plans) runs the op-level FIFO (engine.h runOpBatch) over the
+ *     OpTopology and its slot tables, never expanding kernels;
+ *   - a warm simulation pairs retimeDurations() (slots expanded to
+ *     one duration per kernel task) with the engine's linear
+ *     replaySimulation()/replayBatch() over schedule(), which is
+ *     derived from one untimed op-FIFO walk on first reuse.
  */
 #ifndef VTRAIN_GRAPH_TEMPLATE_H
 #define VTRAIN_GRAPH_TEMPLATE_H
@@ -79,34 +92,38 @@ class GraphTemplate
 {
   public:
     /**
-     * Expands `ops` via `table` and captures the result: returns the
-     * template and assigns the fully timed graph to `expanded`.  The
-     * expansion must be unperturbed (perturbers are per-instance and
-     * process-local; the simulator never routes them through
-     * templates).
+     * Captures the operator-level structure of `ops` expanded via
+     * `table` under `options`.  When `expanded` is non-null it also
+     * receives the fully expanded, timed kernel-level graph; when null
+     * nothing is expanded (the simulator's path).  The expansion must
+     * be unperturbed (perturbers are per-instance and process-local;
+     * the simulator never routes them through templates).
      */
     static std::shared_ptr<const GraphTemplate>
     capture(const OpGraph &ops, OperatorToTaskTable &table,
             const ExpandOptions &options, TaskGraph *expanded);
 
     /**
-     * Re-times the captured topology for (parallel, cluster): kernel
+     * Fills the slot table for (parallel, cluster) in O(slots): kernel
      * durations come from `table`, communication latencies are
      * re-derived from the recorded payloads via `comm`.  @return true
-     * and assigns `*out` on success; false (leaving `out` untouched)
-     * when `table`'s kernel decomposition disagrees with the captured
-     * structure, in which case the caller must rebuild from scratch.
+     * and assigns `*out` (ops().num_slots entries) on success; false
+     * (leaving `out` untouched) when `table`'s kernel decomposition
+     * disagrees with the captured structure, in which case the caller
+     * must rebuild from scratch.  The op-level FIFO consumes exactly
+     * this (engine.h runOpBatch).
      */
-    bool retime(OperatorToTaskTable &table, const ParallelConfig &parallel,
-                const ClusterSpec &cluster, const CommModel &comm,
-                TaskGraph *out) const;
+    bool retimeSlots(OperatorToTaskTable &table,
+                     const ParallelConfig &parallel,
+                     const ClusterSpec &cluster, const CommModel &comm,
+                     std::vector<double> *out) const;
 
     /**
-     * The durations-only variant of retime(): fills `*out` with the
-     * per-task durations (in task id order) the retimed graph would
-     * carry, without assembling a TaskGraph.  The schedule-replay
-     * engine consumes exactly this (engine.h replaySimulation), and
-     * the batched sweep path collects one such vector per point.
+     * retimeSlots() expanded to one duration per kernel task, in task
+     * id order (the order TaskGraph::expand numbers tasks in).  The
+     * schedule-replay engine consumes exactly this (engine.h
+     * replaySimulation), and the batched warm path collects one such
+     * vector per point.
      */
     bool retimeDurations(OperatorToTaskTable &table,
                          const ParallelConfig &parallel,
@@ -115,28 +132,57 @@ class GraphTemplate
                          std::vector<double> *out) const;
 
     /**
-     * The execution-order replay schedule of the captured topology,
-     * built on first use (capture stays cheap; the one-time queue
-     * pass lands on the first replay) and shared by every subsequent
+     * retimeDurations() assembled into a TaskGraph.  The graph shares
+     * the kernel-level topology of the graph capture() expanded while
+     * that graph is alive; otherwise the topology is derived from the
+     * operator structure (O(tasks)), since templates do not keep one.
+     */
+    bool retime(OperatorToTaskTable &table, const ParallelConfig &parallel,
+                const ClusterSpec &cluster, const CommModel &comm,
+                TaskGraph *out) const;
+
+    /**
+     * The execution-order replay schedule of the kernel-level
+     * expansion, derived on first use from one untimed op-FIFO walk
+     * (cold simulations never need it) and shared by every subsequent
      * replay of this template, across threads.
      */
     const ReplaySchedule &schedule() const;
 
-    size_t numOperators() const { return prov_.ops.size(); }
-    size_t numTasks() const { return topo_->meta.size(); }
+    /** The operator-level structure the op FIFO runs on. */
+    const OpTopology &ops() const { return ops_; }
 
-    /** Approximate resident size, for the cache's byte budget.
-     *  Includes the (lazily built) replay schedule up front, so cache
-     *  accounting does not shift when the schedule materializes. */
+    size_t numOperators() const { return ops_.numOps(); }
+    size_t numTasks() const { return ops_.num_tasks; }
+
+    /** Approximate resident size, for the cache's byte budget: the
+     *  operator structure plus the predicted size of schedule(),
+     *  fixed at capture so cache accounting does not shift when the
+     *  schedule materializes. */
     size_t approxBytes() const { return bytes_; }
 
   private:
+    /** A (comm kind, per-GPU bytes) payload: one slot. */
+    struct CommPayload {
+        CommKind kind;
+        double bytes;
+    };
+
     GraphTemplate() = default;
 
-    std::shared_ptr<const TaskGraph::Topology> topo_;
-    TaskGraph::Provenance prov_;
+    /** The kernel-level topology TaskGraph::expand would build. */
+    std::shared_ptr<const TaskGraph::Topology> expandTopology() const;
+
+    OpTopology ops_;
+    std::vector<OpDesc> descs_; //!< interned descriptors, by id
+    /** Slots of descriptor d: [desc_slot_[d], desc_slot_[d+1]). */
+    std::vector<int32_t> desc_slot_;
+    /** Slot desc_slot_.back() + i holds comm_payloads_[i]. */
+    std::vector<CommPayload> comm_payloads_;
     bool collapse_ = false;
     size_t bytes_ = 0;
+    /** The graph capture() expanded, observed but not owned. */
+    std::weak_ptr<const TaskGraph::Topology> expanded_;
 
     // call_once publication, not a mutex: std::once_flag needs no
     // thread-safety annotations (call_once's own synchronization

@@ -51,8 +51,8 @@ SimService::SimService(Options options)
     registry.declareHistogram(
         "vtrain_sim_phase_seconds",
         "Simulator phase latency: graph assembly, template "
-        "capture/expand, durations-only retime, schedule replay, "
-        "and the event-queue engine.");
+        "capture/expand, retime, schedule replay, and the event-queue "
+        "engine (kernel- or operator-level).");
     registry.declareGauge("vtrain_cache_entries",
                           "Entries resident in the named cache.");
     registry.declareGauge(

@@ -187,6 +187,15 @@ replayImpl(const ReplaySchedule &schedule, const double *const durations,
 constexpr size_t kMaxReplayWidth = 4;
 
 /**
+ * Widest lockstep lane count of runOpBatch.  The op FIFO's per-pop
+ * queue work (ring, cursor, reference counts) is shared by every lane,
+ * so wider chunks amortize more of it than replay's do: eight lanes
+ * took 15-30% less time per point than four on MT-NLG p=35 and
+ * p=105.  A throughput knob only; every width is bit-identical.
+ */
+constexpr size_t kMaxOpWidth = 8;
+
+/**
  * One K-wide lockstep pass over the schedule (see replayBatch).  K is
  * a compile-time constant so the per-position loops fully unroll, and
  * the working arrays are __restrict: they never alias each other or
@@ -257,24 +266,91 @@ replayChunk(const ReplaySchedule &schedule,
         }
     }
 
-    for (size_t j = 0; j < K; ++j) {
-        EngineResult &result = results[j];
-        result.makespan = makespan[j];
-        result.executed = n;
-        result.busy_compute.resize(n_devices);
-        result.busy_comm.resize(n_devices);
-        for (int d = 0; d < n_devices; ++d) {
-            result.busy_compute[d] =
-                busy[(static_cast<size_t>(d) * 2) * K + j];
-            result.busy_comm[d] =
-                busy[(static_cast<size_t>(d) * 2 + 1) * K + j];
-        }
-        for (int t = 0; t < kNumTaskTags; ++t)
-            result.time_by_tag[t] = tags[static_cast<size_t>(t) * K + j];
-    }
+    detail::unpackChunkResults(K, n, n_devices, busy, tags, makespan,
+                               results);
+}
+
+/**
+ * One K-wide lockstep walk of the operator-level FIFO (see
+ * runOpBatch).  The per-kernel body is replayChunk's, fed from a
+ * slot-major copy of the K slot tables (K contiguous durations per
+ * slot).  Lanes past `count` repeat the last table and are not
+ * reported, so a group of 3 or 5 points pays for one walk.
+ */
+template <size_t K>
+void
+opChunk(const OpTopology &topo, const double *const *slot_tables,
+        size_t count, EngineResult *results)
+{
+    const int n_devices = topo.num_devices;
+    std::vector<double> slots_vec(topo.num_slots * K);
+    for (size_t s = 0; s < topo.num_slots; ++s)
+        for (size_t j = 0; j < K; ++j)
+            slots_vec[s * K + j] = slot_tables[std::min(j, count - 1)][s];
+    std::vector<double> timeline_vec(
+        static_cast<size_t>(n_devices) * kNumStreams * K, 0.0);
+    std::vector<double> busy_vec(
+        static_cast<size_t>(n_devices) * 2 * K, 0.0);
+    std::vector<double> tags_vec(
+        static_cast<size_t>(kNumTaskTags) * K, 0.0);
+    const double *__restrict const slots = slots_vec.data();
+    double *__restrict const timeline = timeline_vec.data();
+    double *__restrict const busy = busy_vec.data();
+    double *__restrict const tags = tags_vec.data();
+    double makespan[K] = {};
+
+    const size_t executed = walkOpFifo<K>(
+        topo, [&](int32_t, int32_t k, const OpTopology::Op &rec,
+                  const double *__restrict ready, double *__restrict end) {
+            const double *__restrict const duration =
+                slots + static_cast<size_t>(rec.slot + k) * K;
+            double *__restrict const lane_base = timeline + rec.lane * K;
+            double *__restrict const busy_base = busy + rec.busy_lane * K;
+            double *__restrict const tag_base = tags + rec.tag * K;
+            for (size_t j = 0; j < K; ++j) {
+                const double start = std::max(ready[j], lane_base[j]);
+                end[j] = start + duration[j];
+                lane_base[j] = end[j];
+                busy_base[j] += duration[j];
+                tag_base[j] += duration[j];
+                makespan[j] = std::max(makespan[j], end[j]);
+            }
+        });
+    VTRAIN_CHECK(executed == topo.num_tasks, "simulation deadlock: executed ",
+                 executed, " of ", topo.num_tasks,
+                 " tasks (cyclic dependency?)");
+    EngineResult padded[K];
+    detail::unpackChunkResults(K, executed, n_devices, busy, tags, makespan,
+                               padded);
+    std::move(padded, padded + count, results);
 }
 
 } // namespace
+
+void
+runOpBatch(const OpTopology &ops, const double *const *slot_tables,
+           size_t count, EngineResult *results)
+{
+    // The per-pop queue work is shared by every lane, so the fewest
+    // walks win: full-width chunks, then one chunk of the narrowest
+    // width that holds the rest (padded; see opChunk).  Results do not
+    // depend on the split.
+    static_assert(kMaxOpWidth == 8,
+                  "update the tail dispatch below with the width table");
+    size_t begin = 0;
+    for (; count - begin >= kMaxOpWidth; begin += kMaxOpWidth)
+        opChunk<kMaxOpWidth>(ops, slot_tables + begin, kMaxOpWidth,
+                             results + begin);
+    const size_t rest = count - begin;
+    if (rest > 4)
+        opChunk<8>(ops, slot_tables + begin, rest, results + begin);
+    else if (rest > 2)
+        opChunk<4>(ops, slot_tables + begin, rest, results + begin);
+    else if (rest == 2)
+        opChunk<2>(ops, slot_tables + begin, rest, results + begin);
+    else if (rest == 1)
+        opChunk<1>(ops, slot_tables + begin, rest, results + begin);
+}
 
 EngineResult
 replaySimulation(const ReplaySchedule &schedule,
@@ -300,8 +376,6 @@ replayKernelName(ReplayKernel kernel)
         return "scalar";
     case ReplayKernel::Avx2:
         return "avx2";
-    case ReplayKernel::Avx512:
-        return "avx512";
     }
     return "unknown";
 }
@@ -314,8 +388,6 @@ replayKernelCompiled(ReplayKernel kernel)
         return true;
     case ReplayKernel::Avx2:
         return detail::replayKernelAvx2Compiled();
-    case ReplayKernel::Avx512:
-        return detail::replayKernelAvx512Compiled();
     }
     return false;
 }
@@ -329,9 +401,6 @@ replayKernelUsable(ReplayKernel kernel)
     case ReplayKernel::Avx2:
         return detail::replayKernelAvx2Compiled() &&
                util::cpuFeatures().avx2;
-    case ReplayKernel::Avx512:
-        return detail::replayKernelAvx512Compiled() &&
-               util::cpuFeatures().avx512f;
     }
     return false;
 }
@@ -339,23 +408,9 @@ replayKernelUsable(ReplayKernel kernel)
 ReplayKernel
 activeReplayKernel()
 {
-    // AVX2 is preferred over AVX-512 on purpose, not by accident.
-    // The inner loop assembles each position's duration vector from K
-    // scattered per-set loads; at 512 bits that costs a chain of
-    // lane-crossing shuffles (port-5 bound) on top of the wide-op
-    // frequency licence.  Measured on a Xeon with avx512f
-    // (BM_ReplayKernel), the 8-wide kernel at best matches two 4-wide
-    // AVX2 passes and loses at the largest batch widths, so the extra
-    // ISA buys nothing here.  The AVX-512 kernel stays compiled,
-    // bit-identity-tested, and selectable via the pinned replayBatch
-    // overload for hardware where the trade flips.
-    static const ReplayKernel kernel = [] {
-        if (replayKernelUsable(ReplayKernel::Avx2))
-            return ReplayKernel::Avx2;
-        if (replayKernelUsable(ReplayKernel::Avx512))
-            return ReplayKernel::Avx512;
-        return ReplayKernel::Scalar;
-    }();
+    static const ReplayKernel kernel =
+        replayKernelUsable(ReplayKernel::Avx2) ? ReplayKernel::Avx2
+                                               : ReplayKernel::Scalar;
     return kernel;
 }
 
@@ -376,21 +431,7 @@ replayBatchInto(const ReplaySchedule &schedule,
     // (see replay_kernels.h).
     std::vector<double> ready;
     size_t begin = 0;
-    if (kernel == ReplayKernel::Avx512) {
-        while (count - begin >= detail::kAvx512ReplayWidth) {
-            detail::replayChunkAvx512(schedule, duration_sets + begin,
-                                      ready, results + begin);
-            begin += detail::kAvx512ReplayWidth;
-        }
-        // An AVX-512 host always runs the AVX2 kernel too; use it for
-        // the 4-wide tail when it was compiled in.
-        if (count - begin >= detail::kAvx2ReplayWidth &&
-            replayKernelUsable(ReplayKernel::Avx2)) {
-            detail::replayChunkAvx2(schedule, duration_sets + begin,
-                                    ready, results + begin);
-            begin += detail::kAvx2ReplayWidth;
-        }
-    } else if (kernel == ReplayKernel::Avx2) {
+    if (kernel == ReplayKernel::Avx2) {
         while (count - begin >= detail::kAvx2ReplayWidth) {
             detail::replayChunkAvx2(schedule, duration_sets + begin,
                                     ready, results + begin);

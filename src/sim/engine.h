@@ -8,22 +8,28 @@
  * 9-20 of Algorithm 1 with the computation/communication-overlap
  * refinement the paper describes for gradient bucketing (Fig. 5).
  *
- * Two execution modes share that semantics:
+ * Three execution modes share that semantics bit for bit:
  *
- *   - runSimulation(): the queue engine.  Works on any TaskGraph,
- *     detects cycles, and serves as the cold path (no captured
- *     template) and as the golden reference the replay modes are
- *     tested bit-identical against.
- *   - replaySimulation() / replayBatch(): schedule replay.  The FIFO
- *     pop order is a pure function of the topology (tasks enter the
- *     queue when their reference count hits zero and leave in
- *     insertion order — durations cannot reorder a FIFO), so a
- *     ReplaySchedule captured once per topology turns every
- *     subsequent run into a single linear pass: no queue, no
- *     reference counting, no per-task stream branch.  replayBatch()
- *     additionally simulates K duration vectors over one shared
- *     schedule in a cache-friendly K-wide pass, the engine side of
- *     batched design-space sweeps.
+ *   - runSimulation(): the kernel-level queue engine.  Works on any
+ *     TaskGraph and detects cycles.  It serves the template-less
+ *     simulator (perturbed and ablation runs) and is the oracle every
+ *     other mode is tested bit-identical against.
+ *   - runOpBatch(): the same queue at operator granularity, the cold
+ *     path of the templated simulator.  A FIFO of (operator, kernel
+ *     cursor) entries pops one kernel at a time (graph/schedule.h
+ *     walkOpFifo), so the pop order equals the kernel-level queue's,
+ *     while kernels are never materialized as tasks: durations come
+ *     from a per-plan slot table (GraphTemplate::retimeSlots), and K
+ *     plans advance in lockstep through one walk.
+ *   - replaySimulation() / replayBatch(): schedule replay, the warm
+ *     path.  The FIFO pop order is a pure function of the topology
+ *     (durations cannot reorder a FIFO), so a ReplaySchedule recorded
+ *     once per topology turns every later run into a single linear
+ *     pass: no queue, no reference counting, no per-task stream
+ *     branch.  replayBatch() simulates K duration vectors over one
+ *     shared schedule in a cache-friendly K-wide pass.  Once a
+ *     schedule exists the linear pass beats the op FIFO about 2x,
+ *     which is why warm hits stay on it.
  */
 #ifndef VTRAIN_SIM_ENGINE_H
 #define VTRAIN_SIM_ENGINE_H
@@ -90,19 +96,34 @@ EngineResult replaySimulation(const ReplaySchedule &schedule,
                               std::vector<TaskSpan> *trace = nullptr);
 
 /**
+ * Runs Algorithm 1 at operator granularity for `count` plans in
+ * lockstep: one op-FIFO walk of `ops` (graph/schedule.h) whose K-wide
+ * per-kernel bodies time every plan at once.  Each result is
+ * bit-identical to runSimulation() over the kernel-level expansion
+ * timed with the same slot table: the pop order is the same, and so
+ * is every floating-point accumulation.  Fails (throws) with the
+ * queue engine's deadlock message on a cyclic topology.
+ *
+ * @param slot_tables `count` tables of ops.num_slots durations each
+ *                    (GraphTemplate::retimeSlots; not validated).
+ * @param results     receives one EngineResult per table.
+ */
+void runOpBatch(const OpTopology &ops, const double *const *slot_tables,
+                size_t count, EngineResult *results);
+
+/**
  * The chunk kernel replayBatch() runs its lockstep passes with.
  * Scalar is the portable fallback (compile-time-width chunks the
- * compiler autovectorizes at the build's baseline ISA); Avx2/Avx512
- * are the explicit 256/512-bit kernels (sim/replay_kernels.h),
- * available only when compiled in *and* the running CPU supports
- * them.  Every kernel produces bit-identical results — the choice is
- * purely a throughput knob, which is why the default entry points
- * pick one automatically.
+ * compiler autovectorizes at the build's baseline ISA); Avx2 is the
+ * explicit 256-bit kernel (sim/replay_kernels.h), available only when
+ * compiled in *and* the running CPU supports it.  Every kernel
+ * produces bit-identical results — the choice is purely a throughput
+ * knob, which is why the default entry points pick one automatically.
  */
-enum class ReplayKernel { Scalar, Avx2, Avx512 };
+enum class ReplayKernel { Scalar, Avx2 };
 
-/** @return "scalar", "avx2", or "avx512" (stable; used on /statz and
- *  in bench context blocks). */
+/** @return "scalar" or "avx2" (stable; used on /statz and in bench
+ *  context blocks). */
 const char *replayKernelName(ReplayKernel kernel);
 
 /** @return true when the kernel's TU was compiled into this binary. */
@@ -113,18 +134,16 @@ bool replayKernelCompiled(ReplayKernel kernel);
 bool replayKernelUsable(ReplayKernel kernel);
 
 /** @return the kernel auto-dispatch selects (resolved once per
- *  process; the cpuid probe is cached).  AVX2 when usable, else
- *  AVX-512, else Scalar — measured, not widest-first: the 512-bit
- *  kernel's per-position lane assembly loses to two AVX2 passes on
- *  the Xeons benched (see activeReplayKernel() in engine.cc). */
+ *  process; the cpuid probe is cached): AVX2 when usable, else
+ *  Scalar. */
 ReplayKernel activeReplayKernel();
 
 /**
  * Simulates K duration vectors over one shared schedule in a single
  * cache-friendly pass.  The K points advance in lockstep through the
  * schedule: per position the K-wide inner loops (contiguous, branch
- * free) vectorize — explicitly via the AVX2/AVX-512 chunk kernels
- * when the host supports them, by autovectorization of the scalar
+ * free) vectorize — explicitly via the AVX2 chunk kernel when the
+ * host supports it, by autovectorization of the scalar
  * chunks otherwise — and the schedule's metadata and child arrays
  * are read once per position instead of once per point.  Results are
  * bit-identical to K independent replaySimulation() calls, under
@@ -164,9 +183,12 @@ void replayBatchInto(const ReplaySchedule &schedule,
  * instance across requests and reports it on GET /statz.
  */
 struct EngineCounters {
-    std::atomic<uint64_t> replay_runs{0};  //!< replaySimulation() runs
-    std::atomic<uint64_t> queue_runs{0};   //!< runSimulation() runs
-    std::atomic<uint64_t> batched_points{0}; //!< vectors via replayBatch()
+    /** Single-plan warm runs (replaySimulation()). */
+    std::atomic<uint64_t> replay_runs{0};
+    /** Single-plan cold runs: runSimulation(), or runOpBatch() at K=1. */
+    std::atomic<uint64_t> queue_runs{0};
+    /** Points of K-wide group passes (replayBatch() or runOpBatch()). */
+    std::atomic<uint64_t> batched_points{0};
 };
 
 /** A point-in-time snapshot of EngineCounters. */

@@ -2,11 +2,11 @@
  * @file
  * Vectorized replay-chunk kernels: the ISA dispatch boundary.
  *
- * Each kernel runs one fixed-width lockstep pass over a
+ * The kernel runs one fixed-width lockstep pass over a
  * ReplaySchedule, exactly mirroring engine.cc's scalar replayChunk<K>
  * — same arrays, same per-position loads, and the same per-lane
- * operation order — so every width and every ISA produces bit-
- * identical EngineResults:
+ * operation order — so every width and ISA produces bit-identical
+ * EngineResults:
  *
  *   - the accumulation path contains only IEEE additions and maxima
  *     (no multiplies), so FMA contraction cannot apply; the kernel
@@ -39,16 +39,10 @@ namespace detail {
 /** Lockstep width of the AVX2 kernel (doubles per __m256d). */
 constexpr size_t kAvx2ReplayWidth = 4;
 
-/** Lockstep width of the AVX-512 kernel (doubles per __m512d). */
-constexpr size_t kAvx512ReplayWidth = 8;
-
 /** @return true when the AVX2 kernel TU was compiled into this
  *  binary (the compiler accepted -mavx2 on an x86-64 target).  Says
  *  nothing about the running CPU — see engine.h replayKernelUsable. */
 bool replayKernelAvx2Compiled();
-
-/** @return true when the AVX-512 kernel TU was compiled in. */
-bool replayKernelAvx512Compiled();
 
 /**
  * One kAvx2ReplayWidth-wide lockstep pass over the schedule.
@@ -62,24 +56,17 @@ void replayChunkAvx2(const ReplaySchedule &schedule,
                      std::vector<double> &ready_vec,
                      EngineResult *results);
 
-/** replayChunkAvx2 at kAvx512ReplayWidth lanes via 512-bit ops. */
-void replayChunkAvx512(const ReplaySchedule &schedule,
-                       const double *const *set_ptrs,
-                       std::vector<double> &ready_vec,
-                       EngineResult *results);
-
 /**
  * Splits a chunk's interleaved accumulators into per-point
- * EngineResults — the one unpack every chunk width shares, so the
- * result layout cannot drift between the scalar and vector kernels.
+ * EngineResults — the one unpack every lockstep pass shares (replay
+ * and op FIFO, scalar and vector), so the result layout cannot drift
+ * between them.
  */
 inline void
-unpackChunkResults(size_t k, const ReplaySchedule &schedule,
-                   const double *busy, const double *tags,
-                   const double *makespan, EngineResult *results)
+unpackChunkResults(size_t k, size_t n, int n_devices, const double *busy,
+                   const double *tags, const double *makespan,
+                   EngineResult *results)
 {
-    const size_t n = schedule.numTasks();
-    const int n_devices = schedule.num_devices;
     for (size_t j = 0; j < k; ++j) {
         EngineResult &result = results[j];
         result.makespan = makespan[j];

@@ -98,7 +98,8 @@ replayChunkAvx2(const ReplaySchedule &schedule,
 
     alignas(32) double makespan_arr[K];
     _mm256_store_pd(makespan_arr, makespan);
-    unpackChunkResults(K, schedule, busy, tags, makespan_arr, results);
+    unpackChunkResults(K, n, n_devices, busy, tags, makespan_arr,
+                       results);
 }
 
 } // namespace detail

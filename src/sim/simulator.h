@@ -16,22 +16,26 @@
  * exact and fast mode agree to floating-point tolerance (covered by
  * tests), while design-space sweeps run orders of magnitude faster.
  *
- * Build-once / retime-many: graph construction and task expansion are
- * ~97% of a cold simulation, yet the resulting topology depends only
- * on structural inputs (see graph/template.h).  The simulator keys an
- * LRU template cache by structural fingerprint; on a hit it re-times
- * the cached topology in O(tasks) instead of rebuilding it, with
- * bit-identical results.  The cache can be shared across Simulator
- * instances (the serve layer passes one cache to every request) and
- * is skipped for perturbed or non-memoized (ablation) runs.
+ * Build-once / retime-many: the task-graph topology depends only on
+ * structural inputs (see graph/template.h).  The simulator keys an
+ * LRU template cache by structural fingerprint and splits every
+ * simulation into a cold and a warm path, bit-identical to each
+ * other and to the template-less oracle:
  *
- * Schedule replay: on a template hit the engine also skips its ready
- * queue — the template's execution order (built lazily on first
- * reuse) turns each run into one linear pass (sim/engine.h), and
- * structurally identical sweep points batch through
- * simulateIterationBatch(), which times K plans in lockstep over one
- * shared schedule.  The queue engine stays as the cold path (first
- * build *and* capture) and the golden reference.
+ *   - cold (template miss): build the operator graph, capture it at
+ *     operator granularity, fill a slot table per plan, and run
+ *     Algorithm 1 as an op-level FIFO (sim/engine.h runOpBatch) — once
+ *     for a single plan, or K plans in lockstep for a batch group.  No
+ *     kernel task is materialized and no replay schedule is built.
+ *   - warm (template hit): expand the slot table to per-task durations
+ *     and replay the template's execution-order schedule (derived on
+ *     first reuse) in one linear pass, K-wide for batch groups.
+ *
+ * The cache can be shared across Simulator instances (the serve layer
+ * passes one cache to every request) and is skipped for perturbed or
+ * non-memoized (ablation) runs, which — like a Simulator constructed
+ * without a cache — expand every operator into kernel tasks and run
+ * the kernel-level queue engine, the golden reference.
  */
 #ifndef VTRAIN_SIM_SIMULATOR_H
 #define VTRAIN_SIM_SIMULATOR_H
@@ -85,6 +89,7 @@ fields(Visit &&visit, const SimOptions *)
     visit("attention", &SimOptions::attention);
 }
 
+class GraphTemplate;
 class GraphTemplateCache;
 class OperatorToTaskTable;
 class ThreadPool;
@@ -133,10 +138,11 @@ class Simulator
 
     /**
      * Evaluates a structurally uniform group of plans in one batched
-     * pass: the task-graph topology is captured (or fetched) once per
-     * simulated micro-batch count, each plan contributes only a
-     * re-timed duration vector, and the engine simulates all plans in
-     * lockstep over the shared schedule (engine.h replayBatch).  One
+     * pass: the topology is captured (or fetched) once per simulated
+     * micro-batch count, each plan contributes only its re-timed
+     * durations, and the engine simulates all plans in lockstep — over
+     * the op-level FIFO on a miss (engine.h runOpBatch), over the
+     * shared replay schedule on a hit (engine.h replayBatch).  One
      * shared lookup table profiles each distinct operator once for
      * the whole group.
      *
@@ -211,6 +217,36 @@ class Simulator
     RunOutcome runOnce(const ModelConfig &model,
                        const ParallelConfig &parallel, int n_micro,
                        OperatorToTaskTable &table) const;
+
+    /** Builds the operator graph of (model, parallel) with n_micro
+     *  micro-batches. */
+    OpGraph buildOps(const ModelConfig &model,
+                     const ParallelConfig &parallel, int n_micro) const;
+
+    /** buildOps(), captured and cached under `fingerprint`. */
+    std::shared_ptr<const GraphTemplate>
+    captureTemplate(const ModelConfig &model, const ParallelConfig &parallel,
+                    int n_micro, uint64_t fingerprint,
+                    OperatorToTaskTable &table) const;
+
+    /**
+     * One pass of simulateIterationBatch() over a freshly captured
+     * template: a slot table per plan, then one K-wide op-FIFO walk.
+     * Plans whose retime fails are marked in `fell_back`; the others
+     * get their engine result in `out`.
+     */
+    void opGroupPass(const GraphTemplate &tmpl,
+                     const std::vector<ParallelConfig> &plans,
+                     OperatorToTaskTable &table, std::vector<char> &fell_back,
+                     std::vector<RunOutcome> &out) const;
+
+    /** opGroupPass() for a cached template: chunked per-task retimes
+     *  (on the retime pool when set) and K-wide schedule replays. */
+    void replayGroupPass(const GraphTemplate &tmpl,
+                         const std::vector<ParallelConfig> &plans,
+                         OperatorToTaskTable &table,
+                         std::vector<char> &fell_back,
+                         std::vector<RunOutcome> &out) const;
 
     /**
      * The shared post-processing of simulateIteration() and the

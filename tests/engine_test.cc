@@ -6,16 +6,20 @@
  * detection — plus the schedule-replay mode (single and batched),
  * pinned bit-identical to the queue engine on every graph shape here
  * and on a real expanded model graph, including under concurrent use
- * of one shared schedule.
+ * of one shared schedule — and the operator-level FIFO, pinned to the
+ * queue engine at every lockstep width.
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/builder.h"
 #include "graph/schedule.h"
 #include "graph/task_graph.h"
+#include "graph/template.h"
 #include "model/zoo.h"
 #include "profiling/synthetic_profiler.h"
 #include "sim/engine.h"
@@ -529,28 +533,20 @@ TEST(EngineReplay, KernelDispatchPolicy)
 {
     EXPECT_STREQ(replayKernelName(ReplayKernel::Scalar), "scalar");
     EXPECT_STREQ(replayKernelName(ReplayKernel::Avx2), "avx2");
-    EXPECT_STREQ(replayKernelName(ReplayKernel::Avx512), "avx512");
 
-    // Scalar is always there; a vector kernel is usable only when it
-    // was both compiled in and the host cpuid reports the ISA.
+    // Scalar is always there; the vector kernel is usable only when
+    // it was both compiled in and the host cpuid reports the ISA.
     EXPECT_TRUE(replayKernelCompiled(ReplayKernel::Scalar));
     EXPECT_TRUE(replayKernelUsable(ReplayKernel::Scalar));
-    for (const ReplayKernel k :
-         {ReplayKernel::Avx2, ReplayKernel::Avx512}) {
-        if (replayKernelUsable(k)) {
-            EXPECT_TRUE(replayKernelCompiled(k));
-        }
+    if (replayKernelUsable(ReplayKernel::Avx2)) {
+        EXPECT_TRUE(replayKernelCompiled(ReplayKernel::Avx2));
     }
 
-    // Auto-dispatch prefers AVX2, then AVX-512, then scalar (the
-    // 512-bit kernel measures slower than two 4-wide passes on the
-    // hardware benched; see activeReplayKernel() in engine.cc).
+    // Auto-dispatch prefers AVX2, then scalar.
     const ReplayKernel active = activeReplayKernel();
     EXPECT_TRUE(replayKernelUsable(active));
     if (replayKernelUsable(ReplayKernel::Avx2))
         EXPECT_EQ(active, ReplayKernel::Avx2);
-    else if (replayKernelUsable(ReplayKernel::Avx512))
-        EXPECT_EQ(active, ReplayKernel::Avx512);
     else
         EXPECT_EQ(active, ReplayKernel::Scalar);
 }
@@ -562,10 +558,9 @@ TEST(EngineReplay, UnusableKernelPanics)
     const TaskGraph graph = fanGraph();
     const auto schedule = ReplaySchedule::build(*graph.topology());
     const std::vector<std::vector<double>> sets = {graph.durations()};
-    for (const ReplayKernel k : {ReplayKernel::Avx2, ReplayKernel::Avx512}) {
-        if (replayKernelUsable(k))
-            continue;
-        EXPECT_THROW(replayBatch(*schedule, sets, k), std::logic_error);
+    if (!replayKernelUsable(ReplayKernel::Avx2)) {
+        EXPECT_THROW(replayBatch(*schedule, sets, ReplayKernel::Avx2),
+                     std::logic_error);
     }
 }
 
@@ -573,8 +568,7 @@ TEST(EngineReplay, KernelGridBitIdentical)
 {
     // Every usable kernel must agree with the scalar chunks bit for
     // bit at every batch width K = 1..19 — that sweeps all chunk
-    // tails: 8-wide AVX-512 bodies, the 4-wide AVX2 tail after them,
-    // and the 4/2/1 scalar remainders.
+    // tails: 4-wide AVX2 bodies and the 2/1 scalar remainders.
     const TaskGraph graph = fanGraph();
     const auto schedule = ReplaySchedule::build(*graph.topology());
 
@@ -595,16 +589,13 @@ TEST(EngineReplay, KernelGridBitIdentical)
         for (size_t k = 0; k < width; ++k)
             expectSameResult(replaySimulation(*schedule, prefix[k]),
                              scalar[k]);
-        for (const ReplayKernel kernel :
-             {ReplayKernel::Avx2, ReplayKernel::Avx512}) {
-            if (!replayKernelUsable(kernel))
-                continue;
-            const std::vector<EngineResult> got =
-                replayBatch(*schedule, prefix, kernel);
-            ASSERT_EQ(got.size(), width);
-            for (size_t k = 0; k < width; ++k)
-                expectSameResult(scalar[k], got[k]);
-        }
+        if (!replayKernelUsable(ReplayKernel::Avx2))
+            continue;
+        const std::vector<EngineResult> got =
+            replayBatch(*schedule, prefix, ReplayKernel::Avx2);
+        ASSERT_EQ(got.size(), width);
+        for (size_t k = 0; k < width; ++k)
+            expectSameResult(scalar[k], got[k]);
     }
 }
 
@@ -638,16 +629,13 @@ TEST(EngineReplay, KernelsBitIdenticalOnExpandedModelGraph)
 
     const std::vector<EngineResult> scalar =
         replayBatch(*schedule, sets, ReplayKernel::Scalar);
-    for (const ReplayKernel kernel :
-         {ReplayKernel::Avx2, ReplayKernel::Avx512}) {
-        if (!replayKernelUsable(kernel))
-            continue;
-        const std::vector<EngineResult> got =
-            replayBatch(*schedule, sets, kernel);
-        ASSERT_EQ(got.size(), scalar.size());
-        for (size_t k = 0; k < scalar.size(); ++k)
-            expectSameResult(scalar[k], got[k]);
-    }
+    if (!replayKernelUsable(ReplayKernel::Avx2))
+        return; // the scalar chunks are the only kernel here
+    const std::vector<EngineResult> got =
+        replayBatch(*schedule, sets, ReplayKernel::Avx2);
+    ASSERT_EQ(got.size(), scalar.size());
+    for (size_t k = 0; k < scalar.size(); ++k)
+        expectSameResult(scalar[k], got[k]);
 }
 
 TEST(EngineReplay, ConcurrentRunsShareOneSchedule)
@@ -679,6 +667,102 @@ TEST(EngineReplay, ConcurrentRunsShareOneSchedule)
         expectSameResult(want, batches[t][0]);
         expectSameResult(want, batches[t][1]);
     }
+}
+
+/** A two-stage pipeline graph over a tiny model, with collapse on or
+ *  off, captured into a template. */
+std::shared_ptr<const GraphTemplate>
+captureModelGraph(bool collapse, TaskGraph *expanded,
+                  std::vector<double> *slots)
+{
+    const ModelConfig model = makeModel(512, 4, 8, 256, 4096);
+    const ClusterSpec cluster = makeCluster(8);
+    ParallelConfig plan;
+    plan.tensor = 2;
+    plan.data = 2;
+    plan.pipeline = 2;
+    plan.micro_batch_size = 1;
+    plan.global_batch_size = 8;
+    CommModel comm(cluster);
+    GraphBuilder builder(model, plan, cluster, comm);
+    const OpGraph ops = builder.build();
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    ExpandOptions options;
+    options.collapse_operators = collapse;
+    auto tmpl = GraphTemplate::capture(ops, table, options, expanded);
+    EXPECT_TRUE(tmpl->retimeSlots(table, plan, cluster, comm, slots));
+    return tmpl;
+}
+
+TEST(EngineOpFifo, MatchesQueueAtEveryWidth)
+{
+    // K = 1..9 covers every full chunk and padded tail.  Each lane
+    // gets its own slot table, and each table must time exactly like
+    // the queue engine over the expanded graph carrying the same
+    // durations.
+    for (const bool collapse : {false, true}) {
+        TaskGraph expanded;
+        std::vector<double> base;
+        const auto tmpl = captureModelGraph(collapse, &expanded, &base);
+        const OpTopology &ops = tmpl->ops();
+        ASSERT_EQ(ops.num_tasks, expanded.numTasks());
+
+        std::vector<std::vector<double>> tables;
+        std::vector<EngineResult> want;
+        for (size_t j = 0; j < 9; ++j) {
+            std::vector<double> table = base;
+            for (size_t s = 0; s < table.size(); ++s)
+                table[s] *= 1.0 + 0.125 * ((3 * j + s) % 5);
+            std::vector<double> durations;
+            for (const OpTopology::Op &op : ops.ops)
+                durations.insert(durations.end(), table.begin() + op.slot,
+                                 table.begin() + op.slot + op.kernels);
+            want.push_back(runSimulation(TaskGraph::fromParts(
+                std::move(durations), expanded.topology())));
+            tables.push_back(std::move(table));
+        }
+        for (size_t k = 1; k <= tables.size(); ++k) {
+            std::vector<const double *> ptrs;
+            for (size_t j = 0; j < k; ++j)
+                ptrs.push_back(tables[j].data());
+            std::vector<EngineResult> got(k);
+            runOpBatch(ops, ptrs.data(), k, got.data());
+            for (size_t j = 0; j < k; ++j) {
+                SCOPED_TRACE(::testing::Message()
+                             << "collapse " << collapse << " K=" << k
+                             << " lane " << j);
+                expectSameResult(want[j], got[j]);
+            }
+        }
+    }
+}
+
+TEST(EngineOpFifo, CycleFailsLikeTheQueueEngine)
+{
+    // Ops 0 <-> 1 form a cycle; op 2 (two kernels) is independent.
+    OpTopology ops;
+    OpTopology::Op two_kernels;
+    two_kernels.kernels = 2;
+    ops.ops = {OpTopology::Op{}, OpTopology::Op{}, two_kernels};
+    ops.child_offsets = {0, 1, 2, 2};
+    ops.child_list = {1, 0};
+    ops.in_degree = {1, 1, 0};
+    ops.num_tasks = 4;
+    ops.num_slots = 2;
+    const std::vector<double> slots = {1.0, 2.0};
+    const double *table = slots.data();
+    EngineResult result;
+    try {
+        runOpBatch(ops, &table, 1, &result);
+        ADD_FAILURE() << "a cyclic topology must not simulate";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "simulation deadlock: executed 2 of 4 tasks"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(ReplaySchedule::build(ops), std::logic_error);
 }
 
 } // namespace

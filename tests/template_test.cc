@@ -536,6 +536,41 @@ TEST(TemplateRetime, RejectsMismatchedKernelDecomposition)
         tmpl->retime(flash_table, plan, cluster, comm, &retimed));
 }
 
+TEST(TemplateRetime, DerivesTheTopologyOnceTheExpandedGraphIsGone)
+{
+    // A template keeps no kernel-level topology: retime() shares the
+    // expanded graph's while it lives, then derives an equal one.
+    const ClusterSpec cluster = makeCluster(64);
+    const ParallelConfig plan = planOf(GoldenCase{2, 2, 2, 1, 32});
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    CommModel comm(cluster);
+
+    TaskGraph expanded;
+    const auto tmpl = captureTiny(AttentionImpl::Megatron, &expanded,
+                                  cluster, plan, table);
+    const TaskGraph::Topology a = *expanded.topology();
+    const std::vector<double> durations = expanded.durations();
+    expanded = TaskGraph();
+    TaskGraph retimed;
+    ASSERT_TRUE(tmpl->retime(table, plan, cluster, comm, &retimed));
+
+    const TaskGraph::Topology &b = *retimed.topology();
+    ASSERT_EQ(a.meta.size(), b.meta.size());
+    for (size_t i = 0; i < a.meta.size(); ++i) {
+        EXPECT_EQ(a.meta[i].device, b.meta[i].device) << i;
+        EXPECT_EQ(a.meta[i].stream, b.meta[i].stream) << i;
+        EXPECT_EQ(a.meta[i].tag, b.meta[i].tag) << i;
+    }
+    EXPECT_EQ(a.child_offsets, b.child_offsets);
+    EXPECT_EQ(a.child_list, b.child_list);
+    EXPECT_EQ(a.in_degree, b.in_degree);
+    EXPECT_EQ(a.num_devices, b.num_devices);
+    ASSERT_EQ(durations.size(), retimed.numTasks());
+    EXPECT_EQ(0, std::memcmp(durations.data(), retimed.durations().data(),
+                             durations.size() * sizeof(double)));
+}
+
 TEST(TemplateRetime, CaptureRejectsPerturbedExpansions)
 {
     class Doubler : public Perturber
@@ -634,6 +669,27 @@ TEST(TemplateCache, ByteBudgetEvictsButKeepsNewest)
     GraphTemplateCache tight(options);
     tight.put(7, tmpl);
     EXPECT_NE(tight.get(7), nullptr);
+}
+
+TEST(TemplateCache, ApproxBytesCoverOpArraysAndDerivedSchedule)
+{
+    // The byte budget is fixed at capture, before the replay schedule
+    // exists, and must not under-count it once it does.
+    const ClusterSpec cluster = makeCluster(64);
+    const ParallelConfig plan = planOf(GoldenCase{2, 2, 2, 1, 32});
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    TaskGraph expanded;
+    const auto tmpl = captureTiny(AttentionImpl::Megatron, &expanded,
+                                  cluster, plan, table);
+    const size_t before = tmpl->approxBytes();
+    const ReplaySchedule &schedule = tmpl->schedule();
+    EXPECT_EQ(tmpl->approxBytes(), before) << "accounting must not shift";
+    EXPECT_GE(tmpl->approxBytes(),
+              schedule.approxBytes() + tmpl->ops().approxBytes());
+    EXPECT_EQ(schedule.approxBytes(),
+              ReplaySchedule::predictBytes(schedule.numTasks(),
+                                           schedule.numEdges()));
 }
 
 TEST(TemplateCache, ClearDropsEntriesKeepsCounters)
