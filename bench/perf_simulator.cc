@@ -278,7 +278,7 @@ BM_BatchedReplay(benchmark::State &state)
     //   0 = sequential queue engine (retime + runSimulation), the
     //       warm path before schedule replay existed;
     //   1 = sequential schedule replay (retimeDurations +
-    //       replaySimulation), the warm path per request;
+    //       replaySimulation), one replay per request;
     //   2 = batched replay (retimeDurations per point + one K-wide
     //       replayBatch), the grouped-sweep path.
     setVerbose(false);

@@ -122,8 +122,8 @@ class GraphTemplate
      * retimeSlots() expanded to one duration per kernel task, in task
      * id order (the order TaskGraph::expand numbers tasks in).  The
      * schedule-replay engine consumes exactly this (engine.h
-     * replaySimulation), and the batched warm path collects one such
-     * vector per point.
+     * replayBatchInto), and the simulator's warm path collects one
+     * such vector per plan.
      */
     bool retimeDurations(OperatorToTaskTable &table,
                          const ParallelConfig &parallel,

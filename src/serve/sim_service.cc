@@ -459,13 +459,6 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
                 try {
                     Simulator sim(head.cluster, head.options,
                                   templates_, engine_counters_);
-                    // The group's K retimes spread across the pool.
-                    // run_group itself usually *is* a pool task, but
-                    // the cooperative loop (ThreadPool::startFor)
-                    // cannot deadlock on a saturated pool: this
-                    // thread runs whatever chunks no worker takes.
-                    if (options_.parallel_retimes)
-                        sim.setRetimePool(&pool_);
                     results =
                         sim.simulateIterationBatch(head.model, plans);
                     batched = true;

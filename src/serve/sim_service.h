@@ -105,13 +105,6 @@ class SimService
          *  process may run on, round-robin across workers. */
         std::vector<int> pin_cpus;
 
-        /**
-         * Spread a batched group's per-plan retimes across the pool
-         * (Simulator::setRetimePool).  Bit-identical results; on by
-         * default, off only for serial-vs-parallel golden tests.
-         */
-        bool parallel_retimes = true;
-
         ResultCache::Options cache;
 
         /** Budget of the shared graph-template cache. */

@@ -21,15 +21,16 @@
  *     while kernels are never materialized as tasks: durations come
  *     from a per-plan slot table (GraphTemplate::retimeSlots), and K
  *     plans advance in lockstep through one walk.
- *   - replaySimulation() / replayBatch(): schedule replay, the warm
+ *   - replayBatch() / replaySimulation(): schedule replay, the warm
  *     path.  The FIFO pop order is a pure function of the topology
  *     (durations cannot reorder a FIFO), so a ReplaySchedule recorded
  *     once per topology turns every later run into a single linear
  *     pass: no queue, no reference counting, no per-task stream
  *     branch.  replayBatch() simulates K duration vectors over one
- *     shared schedule in a cache-friendly K-wide pass.  Once a
- *     schedule exists the linear pass beats the op FIFO about 2x,
- *     which is why warm hits stay on it.
+ *     shared schedule in a cache-friendly K-wide pass; the simulator
+ *     runs every warm hit through its core (replayBatchInto), a
+ *     single plan at K=1.  Once a schedule exists the linear pass
+ *     beats the op FIFO about 2x, which is why warm hits stay on it.
  */
 #ifndef VTRAIN_SIM_ENGINE_H
 #define VTRAIN_SIM_ENGINE_H
@@ -170,8 +171,9 @@ replayBatch(const ReplaySchedule &schedule,
  * The allocation-lean core of replayBatch: `count` duration vectors
  * given as raw pointers (each schedule.numTasks() doubles, original
  * task id order — not validated), results written into
- * `results[0..count)`.  The batched simulator path uses this to
- * replay a compacted subset of its retime buffers without copying.
+ * `results[0..count)`.  The simulator's warm path replays its reused
+ * retime buffers through this without copying, up to 32 plans at a
+ * time and a single plan at count 1.
  */
 void replayBatchInto(const ReplaySchedule &schedule,
                      const double *const *duration_sets, size_t count,
@@ -183,11 +185,14 @@ void replayBatchInto(const ReplaySchedule &schedule,
  * instance across requests and reports it on GET /statz.
  */
 struct EngineCounters {
-    /** Single-plan warm runs (replaySimulation()). */
+    /** Single-plan warm runs: a schedule replay (replayBatchInto())
+     *  at K=1. */
     std::atomic<uint64_t> replay_runs{0};
-    /** Single-plan cold runs: runSimulation(), or runOpBatch() at K=1. */
+    /** Single-plan cold runs: runSimulation() (the template-less
+     *  oracle), or runOpBatch() at K=1. */
     std::atomic<uint64_t> queue_runs{0};
-    /** Points of K-wide group passes (replayBatch() or runOpBatch()). */
+    /** Points of simulateIterationBatch() group passes, over the
+     *  schedule replay or the op FIFO. */
     std::atomic<uint64_t> batched_points{0};
 };
 

@@ -11,7 +11,6 @@
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "util/units.h"
 
@@ -63,6 +62,50 @@ class Phase
     util::TraceSpan span_;
     util::ScopedLatency timer_;
 };
+
+/**
+ * The template gate: re-timing needs determinism (no perturber) and
+ * the memoized table (the non-memoized ablation deliberately pays for
+ * re-profiling every node, which re-timing would skip).
+ */
+bool
+mayUseTemplates(const SimOptions &options)
+{
+    return options.memoize_profiles && options.perturber == nullptr;
+}
+
+/**
+ * The micro-batch counts a plan simulates: its own count, or fast
+ * mode's capped pair, whose difference extrapolates the affine tail.
+ */
+struct MicroBatchRuns {
+    int n_micro = 0; //!< the plan's own count
+    /** 2p+2 covers warmup, at least one full steady-state period per
+     *  stage, and drain for both schedules. */
+    int cap = 0;
+    bool fast = false;
+
+    int passes() const { return fast ? 2 : 1; }
+    int simulated(int pass) const { return fast ? cap + pass : n_micro; }
+};
+
+MicroBatchRuns
+microBatchRuns(const ParallelConfig &parallel, const SimOptions &options)
+{
+    MicroBatchRuns runs;
+    runs.n_micro = parallel.numMicroBatches();
+    runs.cap = std::max(2 * parallel.pipeline + 2, 4);
+    runs.fast = options.fast_mode && runs.n_micro > runs.cap + 1;
+    return runs;
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
 
 } // namespace
 
@@ -117,84 +160,26 @@ Simulator::captureTemplate(const ModelConfig &model,
 }
 
 Simulator::RunOutcome
-Simulator::runOnce(const ModelConfig &model, const ParallelConfig &parallel,
-                   int n_micro, OperatorToTaskTable &table) const
+Simulator::runOracle(const ModelConfig &model, const ParallelConfig &parallel,
+                     int n_micro, OperatorToTaskTable &table) const
 {
-    // The template path requires determinism (no perturber) and the
-    // memoized table (the non-memoized ablation deliberately pays for
-    // re-profiling every node, which re-timing would skip).
-    const bool use_templates = templates_ != nullptr &&
-                               options_.memoize_profiles &&
-                               options_.perturber == nullptr;
-
-    RunOutcome outcome;
-    if (!use_templates) {
-        // The kernel-level oracle: expand every operator into tasks
-        // and run the queue engine over them.
-        const OpGraph ops = buildOps(model, parallel, n_micro);
-        ExpandOptions expand_options;
-        expand_options.collapse_operators = options_.collapse_operators;
-        expand_options.perturber = options_.perturber;
-        TaskGraph tasks;
-        {
-            Phase phase(Phase::TemplateCapture);
-            tasks = TaskGraph::expand(ops, table, expand_options);
-        }
-        {
-            Phase phase(Phase::QueueRun);
-            outcome.engine = runSimulation(tasks);
-        }
-        counters_->queue_runs.fetch_add(1, std::memory_order_relaxed);
-        outcome.num_operators = ops.numNodes();
-        outcome.num_tasks = tasks.numTasks();
-    } else {
-        const uint64_t fingerprint = structuralFingerprint(
-            model, parallel, n_micro, options_.collapse_operators,
-            options_.attention);
-        std::shared_ptr<const GraphTemplate> tmpl =
-            templates_->get(fingerprint);
-        std::vector<double> durations;
-        bool retimed = false;
-        if (tmpl) {
-            // Warm path: durations-only retime + schedule replay, no
-            // graph assembly and no queue.
-            Phase phase(Phase::TemplateRetime);
-            retimed = tmpl->retimeDurations(table, parallel, cluster_,
-                                            comm_, &durations);
-        }
-        if (retimed) {
-            {
-                Phase phase(Phase::Replay);
-                outcome.engine =
-                    replaySimulation(tmpl->schedule(), durations);
-            }
-            counters_->replay_runs.fetch_add(1, std::memory_order_relaxed);
-        } else {
-            // Miss (or a disagreeing table): capture at operator
-            // granularity and run the op-level FIFO once.  The replay
-            // schedule is derived only on a template's first reuse, so
-            // a sweep that thrashes the cache with single-use
-            // topologies never pays for one.
-            tmpl = captureTemplate(model, parallel, n_micro, fingerprint,
-                                   table);
-            std::vector<double> slots;
-            {
-                Phase phase(Phase::TemplateRetime);
-                VTRAIN_CHECK(tmpl->retimeSlots(table, parallel, cluster_,
-                                               comm_, &slots),
-                             "a fresh capture must retime with its own "
-                             "table");
-            }
-            {
-                Phase phase(Phase::QueueRun);
-                const double *table_ptr = slots.data();
-                runOpBatch(tmpl->ops(), &table_ptr, 1, &outcome.engine);
-            }
-            counters_->queue_runs.fetch_add(1, std::memory_order_relaxed);
-        }
-        outcome.num_operators = tmpl->numOperators();
-        outcome.num_tasks = tmpl->numTasks();
+    const OpGraph ops = buildOps(model, parallel, n_micro);
+    ExpandOptions expand_options;
+    expand_options.collapse_operators = options_.collapse_operators;
+    expand_options.perturber = options_.perturber;
+    TaskGraph tasks;
+    {
+        Phase phase(Phase::TemplateCapture);
+        tasks = TaskGraph::expand(ops, table, expand_options);
     }
+    RunOutcome outcome;
+    {
+        Phase phase(Phase::QueueRun);
+        outcome.engine = runSimulation(tasks);
+    }
+    counters_->queue_runs.fetch_add(1, std::memory_order_relaxed);
+    outcome.num_operators = ops.numNodes();
+    outcome.num_tasks = tasks.numTasks();
     outcome.distinct_profiled = table.numEntries();
     outcome.profiler_calls = table.numProfilerCalls();
     return outcome;
@@ -252,31 +237,26 @@ Simulator::simulateIteration(const ModelConfig &model,
     model.validate();
     parallel.validate(model, cluster_);
 
-    SyntheticProfiler profiler(cluster_.node.gpu, parallel.precision,
-                               options_.attention);
-    OperatorToTaskTable table(profiler, options_.memoize_profiles);
-
-    const int n_micro = parallel.numMicroBatches();
-    // Simulating 2p+2 micro-batches covers warmup, at least one full
-    // steady-state period per stage, and drain for both schedules.
-    const int cap = std::max(2 * parallel.pipeline + 2, 4);
-
     SimulationResult result;
-    if (options_.fast_mode && n_micro > cap + 1) {
-        const RunOutcome base = runOnce(model, parallel, cap, table);
-        const RunOutcome next = runOnce(model, parallel, cap + 1, table);
-        result = assembleResult(model, parallel, base, &next, n_micro,
-                                cap);
+    if (templates_ != nullptr && mayUseTemplates(options_)) {
+        result = std::move(simulateGroup(model, {&parallel, 1},
+                                         /*batch=*/false)
+                               .front());
     } else {
-        const RunOutcome run = runOnce(model, parallel, n_micro, table);
-        result =
-            assembleResult(model, parallel, run, nullptr, n_micro, cap);
+        SyntheticProfiler profiler(cluster_.node.gpu, parallel.precision,
+                                   options_.attention);
+        OperatorToTaskTable table(profiler, options_.memoize_profiles);
+        const MicroBatchRuns runs = microBatchRuns(parallel, options_);
+        const RunOutcome base =
+            runOracle(model, parallel, runs.simulated(0), table);
+        RunOutcome next;
+        if (runs.fast)
+            next = runOracle(model, parallel, runs.simulated(1), table);
+        result = assembleResult(model, parallel, base,
+                                runs.fast ? &next : nullptr, runs.n_micro,
+                                runs.cap);
     }
-
-    result.sim_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
+    result.sim_wall_seconds = secondsSince(wall_start);
     return result;
 }
 
@@ -284,21 +264,18 @@ uint64_t
 batchGroupKey(const ModelConfig &model, const ParallelConfig &parallel,
               const ClusterSpec &cluster, const SimOptions &options)
 {
-    // The batched path needs determinism (no perturber) and the
-    // memoized table (mirroring the simulator's template gate), and a
+    // The batched path needs the simulator's template gate and a
     // well-formed enough plan to derive the micro-batch count.
-    if (!options.memoize_profiles || options.perturber != nullptr)
+    if (!mayUseTemplates(options))
         return 0;
     if (parallel.data <= 0 || parallel.micro_batch_size <= 0 ||
         parallel.pipeline <= 0)
         return 0;
-    const int n_micro = parallel.numMicroBatches();
-    const int cap = std::max(2 * parallel.pipeline + 2, 4);
-    const bool fast = options.fast_mode && n_micro > cap + 1;
+    const MicroBatchRuns runs = microBatchRuns(parallel, options);
     // Fast-mode points simulate the capped prefix regardless of their
     // own n_micro, so any fast point of a structure groups; exact
     // points must agree on the simulated count itself.
-    const int n_sim = fast ? cap : n_micro;
+    const int n_sim = runs.simulated(0);
 
     Hash64 h;
     h.mix(std::string_view("vtrain.batch-group.v1"));
@@ -308,7 +285,7 @@ batchGroupKey(const ModelConfig &model, const ParallelConfig &parallel,
     // Precision selects the profiler, which the group shares; it is
     // deliberately absent from the structural fingerprint.
     h.mix(static_cast<int64_t>(parallel.precision));
-    h.mix(fast).mix(int64_t{n_sim});
+    h.mix(runs.fast).mix(int64_t{n_sim});
     h.mix(structuralFingerprint(model, parallel, n_sim,
                                 options.collapse_operators,
                                 options.attention));
@@ -316,235 +293,77 @@ batchGroupKey(const ModelConfig &model, const ParallelConfig &parallel,
 }
 
 void
-Simulator::opGroupPass(const GraphTemplate &tmpl,
-                       const std::vector<ParallelConfig> &plans,
-                       OperatorToTaskTable &table,
-                       std::vector<char> &fell_back,
-                       std::vector<RunOutcome> &out) const
+Simulator::opPass(const GraphTemplate &tmpl,
+                  std::span<const ParallelConfig> plans,
+                  OperatorToTaskTable &table,
+                  std::vector<RunOutcome> &out) const
 {
     // A slot table is a few dozen doubles, so the whole group retimes
     // up front and walks the op FIFO once, K points in lockstep.
-    std::vector<std::vector<double>> slots(plans.size());
-    std::vector<const double *> table_ptrs;
-    std::vector<size_t> alive;
+    const size_t n = plans.size();
+    std::vector<std::vector<double>> slots(n);
+    std::vector<const double *> table_ptrs(n);
     {
         Phase phase(Phase::TemplateRetime);
-        for (size_t j = 0; j < plans.size(); ++j) {
-            if (fell_back[j])
-                continue;
-            bool ok = false;
-            try {
-                ok = tmpl.retimeSlots(table, plans[j], cluster_, comm_,
-                                      &slots[j]);
-            } catch (...) {
-                // The plan recomputes on its own simulateIteration(),
-                // which surfaces a persistent error to the caller.
-            }
-            if (!ok) {
-                fell_back[j] = 1;
-                continue;
-            }
-            table_ptrs.push_back(slots[j].data());
-            alive.push_back(j);
+        for (size_t j = 0; j < n; ++j) {
+            VTRAIN_CHECK(tmpl.retimeSlots(table, plans[j], cluster_, comm_,
+                                          &slots[j]),
+                         "a fresh capture must retime with its own table");
+            table_ptrs[j] = slots[j].data();
         }
     }
-    if (alive.empty())
-        return;
-    std::vector<EngineResult> engines(alive.size());
+    std::vector<EngineResult> engines(n);
     {
         Phase phase(Phase::QueueRun);
-        runOpBatch(tmpl.ops(), table_ptrs.data(), table_ptrs.size(),
-                   engines.data());
+        runOpBatch(tmpl.ops(), table_ptrs.data(), n, engines.data());
     }
-    counters_->batched_points.fetch_add(alive.size(),
-                                        std::memory_order_relaxed);
-    for (size_t s = 0; s < alive.size(); ++s)
-        out[alive[s]].engine = std::move(engines[s]);
+    for (size_t j = 0; j < n; ++j)
+        out[j].engine = std::move(engines[j]);
 }
 
-void
-Simulator::replayGroupPass(const GraphTemplate &tmpl,
-                           const std::vector<ParallelConfig> &plans,
-                           OperatorToTaskTable &table,
-                           std::vector<char> &fell_back,
-                           std::vector<RunOutcome> &out) const
+bool
+Simulator::replayPass(const GraphTemplate &tmpl,
+                      std::span<const ParallelConfig> plans,
+                      OperatorToTaskTable &table,
+                      std::vector<RunOutcome> &out) const
 {
-    const size_t n_plans = plans.size();
-
     // Bounds the number of duration vectors alive at once, so a
     // 512-point sweep over a 400k-task topology does not hold
-    // 512 * 400k doubles.
+    // 512 * 400k doubles.  retimeDurations resizes in place, so the
+    // buffers are reused across chunks without reallocating.
     constexpr size_t kPlanChunk = 32;
-
-    // Chunked retime -> replay pipeline, double buffered: while the
-    // main thread replays chunk c out of one buffer, the retime pool
-    // (when set) produces chunk c+1's durations into the other.
-    // Duration buffers are reused across chunks: retimeDurations
-    // resizes in place, so the steady state re-times without
-    // allocating.
-    //
-    // Concurrent retimes are safe *after the pass's first retime has
-    // run serially*: every plan in the group looks up the same
-    // template descriptors, so that prefill inserts every table entry
-    // and the parallel retimes only take read-only memoized hits (the
-    // table is not thread-safe under mutation).  Durations are a pure
-    // function of the plan, so results — and the table/counter
-    // snapshots — are bit-identical to the serial loop.
-    struct ChunkBuf {
-        std::vector<std::vector<double>> sets; // slot-indexed
-        std::vector<size_t> owner;             // plan per slot
-        std::vector<char> ok; //!< slot's retime succeeded
-    };
-    ChunkBuf bufs[2];
-    bool prefilled = false;
-
-    // Collects a chunk's pending plans, serially runs the pass's first
-    // retime (table prefill), then either launches the rest on the
-    // pool (returns the in-flight job) or runs them serially (returns
-    // null).
-    const auto start_chunk =
-        [&](size_t begin, size_t end,
-            ChunkBuf &buf) -> std::shared_ptr<ThreadPool::ForJob> {
-        buf.owner.clear();
-        for (size_t j = begin; j < end; ++j)
-            if (!fell_back[j])
-                buf.owner.push_back(j);
-        const size_t count = buf.owner.size();
-        buf.ok.assign(count, 0);
-        while (buf.sets.size() < count)
-            buf.sets.emplace_back();
-        if (count == 0)
-            return nullptr;
-
-        const auto retime_one = [&buf, &tmpl, &table, &plans,
-                                 this](size_t slot) {
-            try {
-                buf.ok[slot] = tmpl.retimeDurations(
-                                   table, plans[buf.owner[slot]],
-                                   cluster_, comm_, &buf.sets[slot])
-                                   ? 1
-                                   : 0;
-            } catch (...) {
-                // A throwing retime must not escape a pool worker; the
-                // plan falls back to its own simulateIteration()
-                // (which recomputes from scratch and surfaces any
-                // persistent error on the calling thread).
-                buf.ok[slot] = 0;
-            }
-        };
-
-        Phase phase(Phase::TemplateRetime);
-        size_t first = 0;
-        if (!prefilled) {
-            retime_one(0);
-            prefilled = true;
-            first = 1;
-            if (!buf.ok[0]) {
-                // Retime rejection (foreign profiler or fingerprint
-                // collision) is plan-independent within a uniform
-                // group — every other pending plan would reject
-                // against the same template and table — so mark them
-                // all fallen back instead of running K rejections.
-                // Matches the serial loop's end state exactly: each
-                // serial rejection after the first is a read-only
-                // no-op.
-                std::fill(fell_back.begin(), fell_back.end(), 1);
-                return nullptr;
-            }
-        }
-        if (first >= count)
-            return nullptr;
-        if (retime_pool_ == nullptr) {
-            for (size_t s = first; s < count; ++s)
-                retime_one(s);
-            return nullptr;
-        }
-        return retime_pool_->startFor(
-            count - first, /*grain=*/1,
-            [retime_one, first](size_t b, size_t e) {
-                for (size_t s = b; s < e; ++s)
-                    retime_one(first + s);
-            });
-    };
-
-    const size_t n_chunks = (n_plans + kPlanChunk - 1) / kPlanChunk;
-    std::vector<const double *> set_ptrs;
-    std::vector<size_t> alive;
-    std::vector<EngineResult> engines;
-    std::shared_ptr<ThreadPool::ForJob> job =
-        start_chunk(0, std::min(kPlanChunk, n_plans), bufs[0]);
-    for (size_t c = 0; c < n_chunks; ++c) {
-        ChunkBuf &buf = bufs[c % 2];
-        if (job) {
+    const size_t n = plans.size();
+    std::vector<std::vector<double>> durations(std::min(n, kPlanChunk));
+    std::vector<const double *> duration_ptrs(durations.size());
+    std::vector<EngineResult> engines(durations.size());
+    for (size_t begin = 0; begin < n; begin += kPlanChunk) {
+        const size_t count = std::min(kPlanChunk, n - begin);
+        {
             Phase phase(Phase::TemplateRetime);
-            job->finish(); // cooperative: helps run the chunks
-            job = nullptr;
-        }
-        // Compact the chunk's survivors to pointers before touching
-        // the engine, and launch the next chunk's retimes so they
-        // overlap the replay below.
-        set_ptrs.clear();
-        alive.clear();
-        for (size_t s = 0; s < buf.owner.size(); ++s) {
-            if (!buf.ok[s]) {
-                // Foreign profiler or fingerprint collision: this plan
-                // rebuilds from scratch.
-                fell_back[buf.owner[s]] = 1;
-                continue;
+            for (size_t s = 0; s < count; ++s) {
+                if (!tmpl.retimeDurations(table, plans[begin + s],
+                                          cluster_, comm_, &durations[s]))
+                    return false;
+                duration_ptrs[s] = durations[s].data();
             }
-            set_ptrs.push_back(buf.sets[s].data());
-            alive.push_back(buf.owner[s]);
         }
-        if (c + 1 < n_chunks) {
-            const size_t nb = (c + 1) * kPlanChunk;
-            job = start_chunk(nb, std::min(nb + kPlanChunk, n_plans),
-                              bufs[(c + 1) % 2]);
-        }
-        if (set_ptrs.empty())
-            continue;
-        engines.resize(set_ptrs.size());
         {
             Phase phase(Phase::Replay);
-            replayBatchInto(tmpl.schedule(), set_ptrs.data(),
-                            set_ptrs.size(), engines.data(),
-                            activeReplayKernel());
+            replayBatchInto(tmpl.schedule(), duration_ptrs.data(), count,
+                            engines.data(), activeReplayKernel());
         }
-        counters_->batched_points.fetch_add(set_ptrs.size(),
-                                            std::memory_order_relaxed);
-        for (size_t s = 0; s < alive.size(); ++s)
-            out[alive[s]].engine = std::move(engines[s]);
+        for (size_t s = 0; s < count; ++s)
+            out[begin + s].engine = std::move(engines[s]);
     }
+    return true;
 }
 
 std::vector<SimulationResult>
-Simulator::simulateIterationBatch(const ModelConfig &model,
-                                  const std::vector<ParallelConfig> &plans)
+Simulator::simulateGroup(const ModelConfig &model,
+                         std::span<const ParallelConfig> plans,
+                         bool batch) const
 {
-    const auto wall_start = std::chrono::steady_clock::now();
-    const size_t n_plans = plans.size();
-    std::vector<SimulationResult> results(n_plans);
-    if (n_plans == 0)
-        return results;
-
-    // The group must be uniform: one key, shared by every plan.  A
-    // mixed or unbatchable group transparently degrades to the
-    // per-plan path (identical results, no shared work).
-    const uint64_t key =
-        batchGroupKey(model, plans[0], cluster_, options_);
-    bool batchable = key != 0 && templates_ != nullptr;
-    for (size_t i = 1; batchable && i < n_plans; ++i)
-        batchable =
-            batchGroupKey(model, plans[i], cluster_, options_) == key;
-    if (!batchable) {
-        for (size_t i = 0; i < n_plans; ++i)
-            results[i] = simulateIteration(model, plans[i]);
-        return results;
-    }
-
-    model.validate();
-    for (const ParallelConfig &plan : plans)
-        plan.validate(model, cluster_);
-
+    const size_t n = plans.size();
     // One profiler table for the whole group: every plan re-times the
     // same interned descriptors, so each distinct operator is
     // profiled once for all K points.
@@ -552,68 +371,85 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
                                options_.attention);
     OperatorToTaskTable table(profiler, options_.memoize_profiles);
 
-    const int n_micro0 = plans[0].numMicroBatches();
-    const int cap = std::max(2 * plans[0].pipeline + 2, 4);
-    const bool fast = options_.fast_mode && n_micro0 > cap + 1;
-    const int n_passes = fast ? 2 : 1;
-
-    std::vector<char> fell_back(n_plans, 0);
-    std::vector<RunOutcome> base(n_plans);
-    std::vector<RunOutcome> next(fast ? n_plans : 0);
-    for (int pass = 0; pass < n_passes; ++pass) {
-        const int n_micro = pass == 0 ? (fast ? cap : n_micro0)
-                                      : cap + 1;
+    const MicroBatchRuns runs = microBatchRuns(plans[0], options_);
+    std::vector<RunOutcome> base(n);
+    std::vector<RunOutcome> next(runs.fast ? n : 0);
+    for (int pass = 0; pass < runs.passes(); ++pass) {
+        const int n_micro = runs.simulated(pass);
         const uint64_t fp = structuralFingerprint(
             model, plans[0], n_micro, options_.collapse_operators,
             options_.attention);
         std::vector<RunOutcome> &out = pass == 0 ? base : next;
         std::shared_ptr<const GraphTemplate> tmpl = templates_->get(fp);
-        if (tmpl) {
-            replayGroupPass(*tmpl, plans, table, fell_back, out);
-        } else {
+        const bool hit = tmpl && replayPass(*tmpl, plans, table, out);
+        if (!hit) {
+            // A miss, or a table that disagrees with the cached
+            // template: capture at operator granularity and walk the
+            // op FIFO.  The replay schedule is derived only on a
+            // template's first reuse, so a sweep that thrashes the
+            // cache with single-use topologies never pays for one.
             tmpl = captureTemplate(model, plans[0], n_micro, fp, table);
-            opGroupPass(*tmpl, plans, table, fell_back, out);
+            opPass(*tmpl, plans, table, out);
         }
+        if (batch)
+            counters_->batched_points.fetch_add(n,
+                                                std::memory_order_relaxed);
+        else
+            (hit ? counters_->replay_runs : counters_->queue_runs)
+                .fetch_add(1, std::memory_order_relaxed);
 
-        // Table statistics snapshot, taken where the per-plan path
-        // takes it: after this pass's (re)timing work.
-        for (size_t j = 0; j < n_plans; ++j) {
-            if (fell_back[j])
-                continue;
-            out[j].num_operators = tmpl->numOperators();
-            out[j].num_tasks = tmpl->numTasks();
-            out[j].distinct_profiled = table.numEntries();
-            out[j].profiler_calls = table.numProfilerCalls();
+        // Table statistics after this pass's (re)timing work.
+        for (RunOutcome &outcome : out) {
+            outcome.num_operators = tmpl->numOperators();
+            outcome.num_tasks = tmpl->numTasks();
+            outcome.distinct_profiled = table.numEntries();
+            outcome.profiler_calls = table.numProfilerCalls();
         }
     }
 
-    // The batched points share one wall clock; snapshot it before the
-    // fallback loop (whose plans measure their own simulations) and
-    // report the amortized per-point cost so numbers stay comparable
-    // across entry points.
-    const double batched_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-
-    size_t batched = 0;
-    for (size_t j = 0; j < n_plans; ++j) {
-        if (fell_back[j]) {
-            results[j] = simulateIteration(model, plans[j]);
-            continue;
-        }
+    std::vector<SimulationResult> results(n);
+    for (size_t j = 0; j < n; ++j)
         results[j] = assembleResult(model, plans[j], base[j],
-                                    fast ? &next[j] : nullptr,
-                                    plans[j].numMicroBatches(), cap);
-        ++batched;
+                                    runs.fast ? &next[j] : nullptr,
+                                    plans[j].numMicroBatches(), runs.cap);
+    return results;
+}
+
+std::vector<SimulationResult>
+Simulator::simulateIterationBatch(const ModelConfig &model,
+                                  const std::vector<ParallelConfig> &plans)
+{
+    const auto wall_start = std::chrono::steady_clock::now();
+    if (plans.empty())
+        return {};
+
+    // The group must be uniform: one key, shared by every plan.  A
+    // mixed or unbatchable group degrades to the per-plan path
+    // (identical results, no shared work).
+    const uint64_t key =
+        batchGroupKey(model, plans[0], cluster_, options_);
+    bool batchable = key != 0 && templates_ != nullptr;
+    for (size_t i = 1; batchable && i < plans.size(); ++i)
+        batchable =
+            batchGroupKey(model, plans[i], cluster_, options_) == key;
+    std::vector<SimulationResult> results;
+    if (!batchable) {
+        for (const ParallelConfig &plan : plans)
+            results.push_back(simulateIteration(model, plan));
+        return results;
     }
-    if (batched > 0) {
-        const double amortized =
-            batched_wall / static_cast<double>(batched);
-        for (size_t j = 0; j < n_plans; ++j)
-            if (!fell_back[j])
-                results[j].sim_wall_seconds = amortized;
-    }
+
+    model.validate();
+    for (const ParallelConfig &plan : plans)
+        plan.validate(model, cluster_);
+    results = simulateGroup(model, plans, /*batch=*/true);
+
+    // The points share one wall clock: report the amortized per-point
+    // cost so numbers stay comparable across entry points.
+    const double amortized =
+        secondsSince(wall_start) / static_cast<double>(plans.size());
+    for (SimulationResult &result : results)
+        result.sim_wall_seconds = amortized;
     return results;
 }
 

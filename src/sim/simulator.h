@@ -18,18 +18,22 @@
  *
  * Build-once / retime-many: the task-graph topology depends only on
  * structural inputs (see graph/template.h).  The simulator keys an
- * LRU template cache by structural fingerprint and splits every
- * simulation into a cold and a warm path, bit-identical to each
- * other and to the template-less oracle:
+ * LRU template cache by structural fingerprint and runs every
+ * templated simulation — one plan, or a group of K plans that share
+ * a topology — through one routine, bit-identical to the
+ * template-less oracle.  Per simulated micro-batch count it takes one
+ * of two outcomes:
  *
- *   - cold (template miss): build the operator graph, capture it at
- *     operator granularity, fill a slot table per plan, and run
- *     Algorithm 1 as an op-level FIFO (sim/engine.h runOpBatch) — once
- *     for a single plan, or K plans in lockstep for a batch group.  No
- *     kernel task is materialized and no replay schedule is built.
- *   - warm (template hit): expand the slot table to per-task durations
- *     and replay the template's execution-order schedule (derived on
- *     first reuse) in one linear pass, K-wide for batch groups.
+ *   - miss: build the operator graph, capture it at operator
+ *     granularity, fill a slot table per plan, and run Algorithm 1 as
+ *     one op-level FIFO walk with the K plans in lockstep (sim/engine.h
+ *     runOpBatch).  No kernel task is materialized and no replay
+ *     schedule is built.
+ *   - hit: expand each plan's slot table to per-task durations and
+ *     replay the template's execution-order schedule (derived on first
+ *     reuse) in one K-wide linear pass, 32 plans at a time.  A retime
+ *     the cached template rejects (fingerprint collision) recaptures
+ *     and takes the miss outcome instead.
  *
  * The cache can be shared across Simulator instances (the serve layer
  * passes one cache to every request) and is skipped for perturbed or
@@ -41,6 +45,8 @@
 #define VTRAIN_SIM_SIMULATOR_H
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "comm/comm_model.h"
 #include "graph/builder.h"
@@ -92,7 +98,6 @@ fields(Visit &&visit, const SimOptions *)
 class GraphTemplate;
 class GraphTemplateCache;
 class OperatorToTaskTable;
-class ThreadPool;
 
 /**
  * Folds the options into a fingerprint stream: the described fields,
@@ -140,19 +145,18 @@ class Simulator
      * Evaluates a structurally uniform group of plans in one batched
      * pass: the topology is captured (or fetched) once per simulated
      * micro-batch count, each plan contributes only its re-timed
-     * durations, and the engine simulates all plans in lockstep — over
-     * the op-level FIFO on a miss (engine.h runOpBatch), over the
-     * shared replay schedule on a hit (engine.h replayBatch).  One
-     * shared lookup table profiles each distinct operator once for
-     * the whole group.
+     * durations, and the engine simulates all plans in lockstep, over
+     * the op-level FIFO on a miss and over the shared replay schedule
+     * on a hit (see the file comment).  One shared lookup table
+     * profiles each distinct operator once for the whole group.
      *
-     * Results are identical (modulo sim_wall_seconds) to calling
-     * simulateIteration() per plan.  Plans must share this
-     * simulator's cluster and options; when the group is not
-     * batchable — mixed batchGroupKey()s, templates disabled, a
-     * perturber, the non-memoized ablation, or a retime rejection —
-     * the affected plans transparently fall back to the per-plan
-     * path.
+     * Results are identical (modulo sim_wall_seconds, which reports
+     * the group's amortized per-plan cost) to calling
+     * simulateIteration() per plan, which is the same routine with a
+     * group of one.  Plans must share this simulator's cluster and
+     * options; a group that is not batchable — mixed batchGroupKey()s,
+     * templates disabled, a perturber, or the non-memoized ablation --
+     * is simulated plan by plan.
      */
     std::vector<SimulationResult>
     simulateIterationBatch(const ModelConfig &model,
@@ -183,23 +187,6 @@ class Simulator
         return counters_;
     }
 
-    /**
-     * Optional worker pool for simulateIterationBatch(): a group's
-     * per-plan retimes (measured at ~¼ of group cost, embarrassingly
-     * parallel) are spread across `pool` and overlapped with the
-     * engine's replay of the previous chunk.  Non-owning; null (the
-     * default) re-times serially.  Results are bit-identical either
-     * way — retiming is a pure function of the plan, and the shared
-     * profiler table is only read concurrently (see the batch loop
-     * for the prefill argument).  Safe even when the caller itself
-     * runs on `pool`: the loop is cooperative (ThreadPool::startFor),
-     * so progress never depends on free pool capacity.
-     */
-    void setRetimePool(ThreadPool *pool) { retime_pool_ = pool; }
-
-    /** The retime pool (null = serial; see setRetimePool). */
-    ThreadPool *retimePool() const { return retime_pool_; }
-
   private:
     struct RunOutcome {
         EngineResult engine;
@@ -210,13 +197,25 @@ class Simulator
     };
 
     /**
-     * Builds (or re-times) and simulates one iteration with n_micro
-     * micro-batches.  The lookup table is owned by the caller so fast
+     * The kernel-level oracle for one iteration with n_micro
+     * micro-batches: expand every operator into tasks and run the
+     * queue engine.  The lookup table is owned by the caller so fast
      * mode's two capped runs profile each distinct operator once.
      */
-    RunOutcome runOnce(const ModelConfig &model,
-                       const ParallelConfig &parallel, int n_micro,
-                       OperatorToTaskTable &table) const;
+    RunOutcome runOracle(const ModelConfig &model,
+                         const ParallelConfig &parallel, int n_micro,
+                         OperatorToTaskTable &table) const;
+
+    /**
+     * The templated path for validated plans sharing one batch group
+     * (see the file comment).  `batch` names the entry point, which
+     * picks the counter a point ticks: batched_points, or replay_runs /
+     * queue_runs per single-plan pass.  Leaves sim_wall_seconds to the
+     * caller.
+     */
+    std::vector<SimulationResult>
+    simulateGroup(const ModelConfig &model,
+                  std::span<const ParallelConfig> plans, bool batch) const;
 
     /** Builds the operator graph of (model, parallel) with n_micro
      *  micro-batches. */
@@ -230,27 +229,27 @@ class Simulator
                     OperatorToTaskTable &table) const;
 
     /**
-     * One pass of simulateIterationBatch() over a freshly captured
-     * template: a slot table per plan, then one K-wide op-FIFO walk.
-     * Plans whose retime fails are marked in `fell_back`; the others
-     * get their engine result in `out`.
+     * A miss: a slot table per plan, then one K-wide op-FIFO walk over
+     * `tmpl`, a capture made with `table`.
      */
-    void opGroupPass(const GraphTemplate &tmpl,
-                     const std::vector<ParallelConfig> &plans,
-                     OperatorToTaskTable &table, std::vector<char> &fell_back,
-                     std::vector<RunOutcome> &out) const;
-
-    /** opGroupPass() for a cached template: chunked per-task retimes
-     *  (on the retime pool when set) and K-wide schedule replays. */
-    void replayGroupPass(const GraphTemplate &tmpl,
-                         const std::vector<ParallelConfig> &plans,
-                         OperatorToTaskTable &table,
-                         std::vector<char> &fell_back,
-                         std::vector<RunOutcome> &out) const;
+    void opPass(const GraphTemplate &tmpl,
+                std::span<const ParallelConfig> plans,
+                OperatorToTaskTable &table,
+                std::vector<RunOutcome> &out) const;
 
     /**
-     * The shared post-processing of simulateIteration() and the
-     * batched path: extrapolates fast mode's affine tail when `next`
+     * A hit: per-task retimes and K-wide schedule replays, in chunks
+     * of 32 plans.  Returns false, with `out` partly written, when
+     * `tmpl` rejects a retime.
+     */
+    bool replayPass(const GraphTemplate &tmpl,
+                    std::span<const ParallelConfig> plans,
+                    OperatorToTaskTable &table,
+                    std::vector<RunOutcome> &out) const;
+
+    /**
+     * The shared post-processing of the oracle and the templated
+     * path: extrapolates fast mode's affine tail when `next`
      * is non-null, then fills utilization and the projection fields.
      * Never touches sim_wall_seconds.
      */
@@ -265,7 +264,6 @@ class Simulator
     CommModel comm_;
     std::shared_ptr<GraphTemplateCache> templates_;
     std::shared_ptr<EngineCounters> counters_;
-    ThreadPool *retime_pool_ = nullptr; //!< non-owning; may be null
 };
 
 /**

@@ -145,82 +145,6 @@ ThreadPool::stats() const
     return stats;
 }
 
-ThreadPool::ForJob::ForJob(size_t n, size_t grain,
-                           std::function<void(size_t, size_t)> fn)
-    : n_(n), grain_(std::max<size_t>(1, grain)),
-      n_chunks_((n + grain_ - 1) / grain_), fn_(std::move(fn)),
-      unfinished_(n_chunks_)
-{
-}
-
-bool
-ThreadPool::ForJob::runOneChunk()
-{
-    const size_t chunk =
-        next_chunk_.fetch_add(1, std::memory_order_relaxed);
-    if (chunk >= n_chunks_)
-        return false;
-    const size_t begin = chunk * grain_;
-    fn_(begin, std::min(begin + grain_, n_));
-    {
-        util::MutexLock lock(mutex_);
-        --unfinished_;
-        if (unfinished_ == 0)
-            cv_done_.notifyAll();
-    }
-    return true;
-}
-
-void
-ThreadPool::ForJob::finish()
-{
-    while (runOneChunk()) {
-    }
-    util::MutexLock lock(mutex_);
-    while (unfinished_ != 0)
-        cv_done_.wait(mutex_);
-}
-
-std::shared_ptr<ThreadPool::ForJob>
-ThreadPool::startFor(size_t n, size_t grain,
-                     std::function<void(size_t, size_t)> fn)
-{
-    // The private constructor keeps ForJob creation behind the pool;
-    // shared ownership spans the caller and every helper task.
-    std::shared_ptr<ForJob> job(
-        new ForJob(n, grain, std::move(fn)));
-    if (n == 0)
-        return job;
-    // One helper per worker, capped by the chunk count.  Helpers
-    // drain chunks until the cursor runs past the end; a helper that
-    // dequeues after the loop completed exits immediately.
-    const size_t n_helpers =
-        std::min(workers_.size(), job->n_chunks_);
-    for (size_t h = 0; h < n_helpers; ++h)
-        submit([job] {
-            while (job->runOneChunk()) {
-            }
-        });
-    return job;
-}
-
-void
-ThreadPool::parallelFor(size_t n, size_t grain,
-                        std::function<void(size_t, size_t)> fn)
-{
-    startFor(n, grain, std::move(fn))->finish();
-}
-
-void
-ThreadPool::parallelFor(size_t n,
-                        const std::function<void(size_t)> &fn)
-{
-    parallelFor(n, 1, [&fn](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i)
-            fn(i);
-    });
-}
-
 void
 ThreadPool::workerLoop(size_t index)
 {

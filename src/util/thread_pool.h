@@ -7,16 +7,10 @@
  * embarrassingly parallel across CPU cores; ThreadPool provides that
  * parallelism for Explorer::sweep() and SimService.
  *
- * Two execution shapes:
- *
- *   - submit()/wait(): the classic task queue.
- *   - startFor()/parallelFor(): cooperative chunked loops.  The
- *     caller *participates*: it claims and runs index-range chunks
- *     alongside the workers, so a loop completes even when every
- *     worker is busy (or when the caller itself *is* a pool task —
- *     the batched simulator's parallel retimes run exactly that way
- *     without risking the pool-waits-on-itself deadlock that plain
- *     submit()+wait() would).
+ * One execution shape: submit() enqueues a task and wait() blocks
+ * until every submitted task has finished.  Each task a worker runs is
+ * one sample of the wait and run histograms, so those series count
+ * only submitted work.
  *
  * Workers can optionally be pinned to CPUs (Options::pin_threads,
  * Linux only, off by default): serve deployments that dedicate cores
@@ -31,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -100,72 +93,6 @@ class ThreadPool
 
     /** @return pool configuration + the live migration count. */
     PoolStats stats() const;
-
-    /**
-     * A chunked loop in flight (see startFor).  Chunks are claimed
-     * from a shared atomic cursor by pool workers *and* by whoever
-     * calls finish(), so progress never depends on free pool
-     * capacity.
-     */
-    class ForJob
-    {
-      public:
-        /**
-         * Runs remaining chunks on the calling thread, then blocks
-         * until chunks claimed by workers complete.  Call exactly
-         * once; the job is finished on return.
-         */
-        void finish() EXCLUDES(mutex_);
-
-      private:
-        friend class ThreadPool;
-
-        ForJob(size_t n, size_t grain,
-               std::function<void(size_t, size_t)> fn);
-
-        /** Claims and runs one chunk; false when none remain. */
-        bool runOneChunk() EXCLUDES(mutex_);
-
-        const size_t n_;
-        const size_t grain_;
-        const size_t n_chunks_;
-        const std::function<void(size_t, size_t)> fn_;
-        std::atomic<size_t> next_chunk_{0};
-
-        util::Mutex mutex_;
-        util::CondVar cv_done_;
-        size_t unfinished_ GUARDED_BY(mutex_);
-    };
-
-    /**
-     * Starts fn(begin, end) over [0, n) in chunks of `grain` indices
-     * and returns without waiting: the caller can overlap its own
-     * work with the loop and later call finish() (mandatory — it
-     * both helps run chunks and joins the stragglers).  fn runs
-     * concurrently and must not throw.
-     */
-    std::shared_ptr<ForJob>
-    startFor(size_t n, size_t grain,
-             std::function<void(size_t, size_t)> fn) EXCLUDES(mutex_);
-
-    /**
-     * Runs fn(begin, end) over [0, n) in chunks of `grain` indices
-     * and waits (startFor + finish): one closure dispatch per chunk
-     * instead of per index, and safe to call from a task already
-     * running on this pool.
-     */
-    void parallelFor(size_t n, size_t grain,
-                     std::function<void(size_t, size_t)> fn)
-        EXCLUDES(mutex_);
-
-    /**
-     * Runs fn(i) for i in [0, n) across the pool and waits for
-     * completion.  fn must be safe to call concurrently.  Kept for
-     * call sites where per-index dispatch cost does not matter;
-     * hot loops use the chunked overload above.
-     */
-    void parallelFor(size_t n, const std::function<void(size_t)> &fn)
-        EXCLUDES(mutex_);
 
   private:
     /** A queued task plus its enqueue timestamp so the worker can

@@ -9,7 +9,8 @@
  * bit for bit, on every SimulationResult field except the wall clock,
  * through the templated cold call, its warm repeat, and
  * simulateIterationBatch cold and warm at group sizes 1-9 (every
- * lockstep chunk and tail width).  A captured template's replay
+ * lockstep chunk and tail width).  Every extrapolated (fast-mode) draw
+ * must also match the exact-mode oracle within a relative 1e-6.  A captured template's replay
  * schedule must also equal, array for array, the schedule derived
  * from the fully expanded kernel-level topology.
  */
@@ -181,6 +182,19 @@ TEST(DifferentialOracle, SingleCallColdAndWarmMatchTheOracle)
         const uint64_t runs = want.extrapolated ? 2 : 1;
         EXPECT_EQ(stats.queue_runs, runs) << where;
         EXPECT_EQ(stats.replay_runs, runs) << where;
+
+        if (want.extrapolated) {
+            // Fast mode's affine tail against the exact-mode oracle,
+            // within the band of simulator_test.cc's FastExact grid.
+            SimOptions exact_options = c.options;
+            exact_options.fast_mode = false;
+            Simulator exact(c.cluster, exact_options, nullptr);
+            const double exact_seconds =
+                exact.simulateIteration(c.model, c.plan).iteration_seconds;
+            EXPECT_NEAR(want.iteration_seconds, exact_seconds,
+                        1e-6 * exact_seconds)
+                << where << " (fast vs exact)";
+        }
     }
 }
 

@@ -22,6 +22,7 @@
 #include "serve/sim_service.h"
 #include "serve/wire.h"
 #include "sim/simulator.h"
+#include "util/metrics.h"
 
 namespace vtrain {
 namespace {
@@ -450,6 +451,40 @@ TEST(ServeService, BatchRoutesStructuralGroupsThroughBatchedReplay)
         got.sim_wall_seconds = 0.0;
         EXPECT_EQ(want, got) << "batch slot " << i;
     }
+}
+
+TEST(ServeService, PoolMetricsCountOneSamplePerSubmittedUnit)
+{
+    // A uniform group is one pool task, cold or warm, so the pool's
+    // wait and run histograms gain exactly one sample per unit: the
+    // warm group's retimes and replays add no helper tasks.
+    util::MetricRegistry &registry = util::MetricRegistry::global();
+    const util::Histogram *wait =
+        registry.histogram("vtrain_pool_task_wait_seconds");
+    const util::Histogram *run =
+        registry.histogram("vtrain_pool_task_run_seconds");
+    const uint64_t waits_before = wait->snapshot().count;
+    const uint64_t runs_before = run->snapshot().count;
+    {
+        SimService::Options options;
+        options.n_threads = 2;
+        SimService service(options);
+        std::vector<SimRequest> cold, warm;
+        for (int i = 1; i <= 4; ++i) {
+            cold.push_back(requestVariant(i));
+            warm.push_back(requestVariant(i + 4));
+        }
+        (void)service.evaluateBatch(cold);
+        (void)service.evaluateBatch(warm);
+        const ServiceStats stats = service.stats();
+        EXPECT_EQ(stats.computed, 8u);
+        // 8 points x fast mode's two passes, the warm ones on hits.
+        EXPECT_EQ(stats.engine.batched_points, 16u);
+        EXPECT_EQ(stats.graph_templates.hits, 2u);
+    } // joins the workers: every queued task has run and recorded
+    EXPECT_EQ(wait->snapshot().count - waits_before, 2u)
+        << "one wait sample per submitted unit";
+    EXPECT_EQ(run->snapshot().count - runs_before, 2u);
 }
 
 TEST(ServeService, BatchInlineMatchesPooledBatch)

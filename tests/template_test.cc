@@ -17,7 +17,6 @@
 #include "graph/template.h"
 #include "model/zoo.h"
 #include "sim/simulator.h"
-#include "util/thread_pool.h"
 
 namespace vtrain {
 namespace {
@@ -211,12 +210,12 @@ TEST(TemplateGolden, BatchedReplayMatchesPerPlanPath)
     }
 }
 
-TEST(TemplateGolden, ParallelRetimesMatchSerialBatch)
+TEST(TemplateGolden, TwoChunkBatchMatchesPerPlanColdAndWarm)
 {
-    // The in-group parallel-retime pipeline (Simulator::setRetimePool)
-    // must be bit-identical to the serial batch path.  36 plans span
-    // two 32-plan chunks, so the double-buffered duration arena swaps
-    // at least once and the overlap window is actually exercised.
+    // 36 plans span two 32-plan retime chunks, so the warm pass reuses
+    // its duration buffers for a ragged second chunk.  Cold (op FIFO)
+    // and warm (schedule replay) batches must both equal the per-plan
+    // path bit for bit.
     const ModelConfig model = tinyModel();
     const ClusterSpec cluster = makeCluster(64);
     const SimOptions options; // fast mode on
@@ -234,26 +233,25 @@ TEST(TemplateGolden, ParallelRetimesMatchSerialBatch)
         }
     }
 
-    Simulator serial(cluster, options);
-    const std::vector<SimulationResult> want =
-        serial.simulateIterationBatch(model, plans);
+    Simulator individual(cluster, options);
+    std::vector<SimulationResult> want;
+    for (const ParallelConfig &plan : plans)
+        want.push_back(timeless(individual.simulateIteration(model, plan)));
 
-    ThreadPool pool(8);
-    Simulator parallel(cluster, options);
-    parallel.setRetimePool(&pool);
-    EXPECT_EQ(parallel.retimePool(), &pool);
-    const std::vector<SimulationResult> got =
-        parallel.simulateIterationBatch(model, plans);
-
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i)
-        EXPECT_EQ(timeless(want[i]), timeless(got[i])) << "plan " << i;
-
-    // Same counter semantics, not merely the same results.
-    EXPECT_EQ(parallel.engineCounters()->batched_points.load(),
-              serial.engineCounters()->batched_points.load());
-    EXPECT_EQ(parallel.engineCounters()->queue_runs.load(),
-              serial.engineCounters()->queue_runs.load());
+    Simulator batch(cluster, options);
+    for (const char *phase : {"cold", "warm"}) {
+        const std::vector<SimulationResult> got =
+            batch.simulateIterationBatch(model, plans);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(want[i], timeless(got[i]))
+                << phase << " plan " << i;
+    }
+    // Two passes per call (fast mode), every point batched both times.
+    EXPECT_EQ(batch.engineCounters()->batched_points.load(),
+              2 * 2 * plans.size());
+    EXPECT_EQ(batch.engineCounters()->queue_runs.load(), 0u);
+    EXPECT_EQ(batch.engineCounters()->replay_runs.load(), 0u);
 }
 
 TEST(TemplateGolden, BatchedReplayExactModeAndMixedGroupFallBack)
@@ -292,18 +290,6 @@ TEST(TemplateGolden, BatchedReplayExactModeAndMixedGroupFallBack)
             timeless(got[i]))
             << "plan " << i;
     }
-
-    // The same degradation must hold when retimes run on a pool: the
-    // per-plan fallback is taken on the calling thread either way.
-    ThreadPool pool(4);
-    Simulator pooled(cluster, options);
-    pooled.setRetimePool(&pool);
-    const std::vector<SimulationResult> got_pooled =
-        pooled.simulateIterationBatch(model, plans);
-    ASSERT_EQ(got_pooled.size(), got.size());
-    for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(timeless(got[i]), timeless(got_pooled[i]))
-            << "plan " << i;
 }
 
 TEST(TemplateGolden, BatchedReplayTracksEngineCounters)
@@ -335,6 +321,43 @@ TEST(TemplateGolden, BatchedReplayTracksEngineCounters)
     EXPECT_EQ(scratch.engineCounters()->queue_runs.load(), 2u)
         << "the template-less path stays on the queue engine";
     EXPECT_EQ(scratch.engineCounters()->replay_runs.load(), 0u);
+}
+
+TEST(TemplateGolden, EmptyAndSingletonBatchesMatchPerPlanPath)
+{
+    // simulateIteration() is the group routine with one plan, so a
+    // batch of one must give the same result; only the counter it
+    // ticks follows the entry point.  An empty batch does no work.
+    const ModelConfig model = tinyModel();
+    const ClusterSpec cluster = makeCluster(64);
+    ParallelConfig plan;
+    plan.tensor = 2;
+    plan.data = 4;
+    plan.pipeline = 2;
+    plan.micro_batch_size = 1;
+    plan.global_batch_size = 64;
+
+    Simulator batch(cluster, SimOptions{});
+    EXPECT_TRUE(batch.simulateIterationBatch(model, {}).empty());
+    EXPECT_EQ(batch.engineCounters()->batched_points.load(), 0u);
+    EXPECT_EQ(batch.templateCache()->stats().misses, 0u);
+
+    Simulator single(cluster, SimOptions{});
+    for (const char *phase : {"cold", "warm"}) {
+        const std::vector<SimulationResult> got =
+            batch.simulateIterationBatch(model, {plan});
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(timeless(single.simulateIteration(model, plan)),
+                  timeless(got[0]))
+            << phase;
+    }
+    // Fast mode: two simulated micro-batch counts per call.
+    EXPECT_EQ(batch.engineCounters()->batched_points.load(), 4u);
+    EXPECT_EQ(batch.engineCounters()->queue_runs.load(), 0u);
+    EXPECT_EQ(batch.engineCounters()->replay_runs.load(), 0u);
+    EXPECT_EQ(single.engineCounters()->batched_points.load(), 0u);
+    EXPECT_EQ(single.engineCounters()->queue_runs.load(), 2u); // cold
+    EXPECT_EQ(single.engineCounters()->replay_runs.load(), 2u); // warm
 }
 
 TEST(TemplateFingerprint, StructuralFieldsAllChangeTheDigest)

@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <future>
 #include <sstream>
 #include <vector>
 
@@ -248,11 +246,13 @@ TEST(Rng, LognormalPositive)
         EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);
 }
 
-TEST(ThreadPool, ParallelForCoversAll)
+TEST(ThreadPool, SubmitRunsEachTaskOnce)
 {
     ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(100);
-    pool.parallelFor(100, [&](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < hits.size(); ++i)
+        pool.submit([&hits, i] { hits[i].fetch_add(1); });
+    pool.wait();
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
@@ -267,75 +267,45 @@ TEST(ThreadPool, WaitBlocksUntilDone)
     EXPECT_EQ(counter.load(), 50);
 }
 
+TEST(ThreadPool, WaitWithNothingSubmittedReturns)
+{
+    ThreadPool pool(2);
+    pool.wait();
+    pool.wait();
+    SUCCEED();
+}
+
+TEST(ThreadPool, TaskMaySubmitFollowUpWork)
+{
+    // A task that fans out from inside the pool, even on its only
+    // worker, cannot deadlock: submit() never blocks, and the
+    // follow-ups count as in flight before their parent finishes, so
+    // one wait() covers them all.
+    ThreadPool pool(1);
+    std::atomic<int> follow_ups{0};
+    pool.submit([&] {
+        for (int i = 0; i < 8; ++i)
+            pool.submit([&follow_ups] { follow_ups.fetch_add(1); });
+    });
+    pool.wait();
+    EXPECT_EQ(follow_ups.load(), 8);
+}
+
+TEST(ThreadPool, DestructorRunsQueuedTasks)
+{
+    std::atomic<int> count{0};
+    {
+        ThreadPool pool(1);
+        for (int i = 0; i < 32; ++i)
+            pool.submit([&count] { count.fetch_add(1); });
+    } // no wait(): the destructor drains the queue before joining
+    EXPECT_EQ(count.load(), 32);
+}
+
 TEST(ThreadPool, DefaultsToHardwareConcurrency)
 {
     ThreadPool pool;
     EXPECT_GE(pool.numThreads(), 1u);
-}
-
-TEST(ThreadPool, ChunkedParallelForCoversAllAtEveryGrain)
-{
-    // The chunked overload must visit every index exactly once for
-    // grains that divide n, don't divide n (ragged tail), exceed n,
-    // and the degenerate grain 0 (clamped to 1).
-    ThreadPool pool(4);
-    for (const size_t grain : {0u, 1u, 3u, 7u, 32u, 100u, 1000u}) {
-        std::vector<std::atomic<int>> hits(101);
-        pool.parallelFor(101, grain, [&](size_t begin, size_t end) {
-            ASSERT_LT(begin, end);
-            ASSERT_LE(end, 101u);
-            for (size_t i = begin; i < end; ++i)
-                hits[i].fetch_add(1);
-        });
-        for (size_t i = 0; i < hits.size(); ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "grain " << grain
-                                         << " index " << i;
-    }
-}
-
-TEST(ThreadPool, ChunkedParallelForEmptyRangeReturns)
-{
-    ThreadPool pool(2);
-    bool ran = false;
-    pool.parallelFor(0, 8, [&](size_t, size_t) { ran = true; });
-    EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, ForJobFromPoolTaskCannotDeadlock)
-{
-    // The cooperative ForJob claims chunks on the *calling* thread in
-    // finish(), so a task already running on the pool can fan out and
-    // join even when it holds the pool's only worker.
-    ThreadPool pool(1);
-    std::atomic<int> total{0};
-    std::promise<void> done;
-    pool.submit([&] {
-        pool.parallelFor(64, 4, [&](size_t begin, size_t end) {
-            total.fetch_add(static_cast<int>(end - begin));
-        });
-        done.set_value();
-    });
-    auto status =
-        done.get_future().wait_for(std::chrono::seconds(30));
-    ASSERT_EQ(status, std::future_status::ready)
-        << "parallelFor from a pool task deadlocked a 1-thread pool";
-    EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ThreadPool, StartForOverlapsProducerAndConsumer)
-{
-    // startFor() returns a joinable handle: the caller can do other
-    // work between launch and finish(), and finish() helps until all
-    // chunks are done.
-    ThreadPool pool(2);
-    std::vector<std::atomic<int>> hits(40);
-    auto job = pool.startFor(40, 5, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i)
-            hits[i].fetch_add(1);
-    });
-    job->finish();
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, StatsReportThreadsAndPinning)
@@ -358,9 +328,9 @@ TEST(ThreadPool, StatsReportThreadsAndPinning)
         // to one entry; pinned workers never migrate.
         EXPECT_FALSE(stats.cpus.empty());
         std::atomic<int> count{0};
-        pinned.parallelFor(64, 1, [&](size_t begin, size_t end) {
-            count.fetch_add(static_cast<int>(end - begin));
-        });
+        for (int i = 0; i < 64; ++i)
+            pinned.submit([&count] { count.fetch_add(1); });
+        pinned.wait();
         EXPECT_EQ(count.load(), 64);
     }
 #endif
@@ -381,9 +351,9 @@ TEST(ThreadPool, ExplicitCpuSetRoundRobins)
         EXPECT_EQ(stats.cpus, std::vector<int>{0});
     }
     std::atomic<int> count{0};
-    pool.parallelFor(16, 2, [&](size_t begin, size_t end) {
-        count.fetch_add(static_cast<int>(end - begin));
-    });
+    for (int i = 0; i < 16; ++i)
+        pool.submit([&count] { count.fetch_add(1); });
+    pool.wait();
     EXPECT_EQ(count.load(), 16);
 #else
     GTEST_SKIP() << "thread pinning is Linux-only";
