@@ -153,6 +153,67 @@ BENCHMARK(BM_SimulateIteration_MtNlg)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * Per-iteration sums of the library's vtrain_sim_phase_seconds
+ * series over a benchmark's timed loop, reported as counters named
+ * <phase><suffix>.
+ */
+class PhaseCounters
+{
+  public:
+    explicit PhaseCounters(std::vector<std::string> phases)
+        : phases_(std::move(phases))
+    {
+        for (const std::string &phase : phases_) {
+            series_.push_back(util::MetricRegistry::global().histogram(
+                "vtrain_sim_phase_seconds", {{"phase", phase}}));
+            before_.push_back(series_.back()->snapshot().sum);
+        }
+    }
+
+    void
+    report(benchmark::State &state, double scale, const char *suffix) const
+    {
+        const double iterations = static_cast<double>(state.iterations());
+        for (size_t i = 0; i < series_.size(); ++i)
+            state.counters[phases_[i] + suffix] =
+                (series_[i]->snapshot().sum - before_[i]) * scale /
+                iterations;
+    }
+
+  private:
+    std::vector<std::string> phases_;
+    std::vector<util::Histogram *> series_;
+    std::vector<double> before_;
+};
+
+void
+BM_WarmMiss_Gpt3(benchmark::State &state)
+{
+    // A serve_mixed miss in process: GPT-3 175B on 1024 GPUs at p=8,
+    // both capped templates warm (captured, run schedules derived),
+    // and each iteration a global batch size not simulated before, so
+    // it retimes two slot tables and replays two run schedules.
+    // Counters: per-iteration microseconds of those two phases, read
+    // from the library's own vtrain_sim_phase_seconds histograms.
+    setVerbose(false);
+    const ModelConfig model = zoo::gpt3_175b();
+    Simulator sim(makeCluster(1024));
+    ParallelConfig plan = gpt3Plan();
+    (void)sim.simulateIteration(model, plan); // captures
+    (void)sim.simulateIteration(model, plan); // derives the run schedules
+    const PhaseCounters phases({"template_retime", "replay", "queue_run"});
+    int fresh = 0;
+    for (auto _ : state) {
+        plan.global_batch_size =
+            plan.data * plan.micro_batch_size * (97 + fresh++ % 4096);
+        SimulationResult r = sim.simulateIteration(model, plan);
+        benchmark::DoNotOptimize(r.iteration_seconds);
+    }
+    phases.report(state, 1e6, "_us");
+}
+BENCHMARK(BM_WarmMiss_Gpt3)->Unit(benchmark::kMicrosecond);
+
 void
 BM_ColdSweep_Mtnlg(benchmark::State &state)
 {
@@ -174,26 +235,14 @@ BM_ColdSweep_Mtnlg(benchmark::State &state)
     const std::vector<ParallelConfig> plans =
         enumeratePlans(model, cluster, spec);
 
-    static const char *const kPhases[] = {"graph_build", "template_capture",
-                                          "template_retime", "replay",
-                                          "queue_run"};
-    std::vector<util::Histogram *> series;
-    for (const char *phase : kPhases)
-        series.push_back(util::MetricRegistry::global().histogram(
-            "vtrain_sim_phase_seconds", {{"phase", phase}}));
-    std::vector<double> before(series.size());
-    for (size_t i = 0; i < series.size(); ++i)
-        before[i] = series[i]->snapshot().sum;
-
+    const PhaseCounters phases({"graph_build", "template_capture",
+                                "template_retime", "replay", "queue_run"});
     for (auto _ : state) {
         Explorer explorer(cluster, SimOptions{}, 1);
         auto results = explorer.sweep(model, plans);
         benchmark::DoNotOptimize(results.data());
     }
-    const double sweeps = static_cast<double>(state.iterations());
-    for (size_t i = 0; i < series.size(); ++i)
-        state.counters[std::string(kPhases[i]) + "_s"] =
-            (series[i]->snapshot().sum - before[i]) / sweeps;
+    phases.report(state, 1.0, "_s");
     state.counters["plans"] = static_cast<double>(plans.size());
 }
 // Wall time: the sweep blocks on its pool worker.
@@ -279,8 +328,10 @@ BM_BatchedReplay(benchmark::State &state)
     //       warm path before schedule replay existed;
     //   1 = sequential schedule replay (retimeDurations +
     //       replaySimulation), one replay per request;
-    //   2 = batched replay (retimeDurations per point + one K-wide
-    //       replayBatch), the grouped-sweep path.
+    //   2 = batched per-task replay (retimeDurations per point + one
+    //       K-wide replayBatch);
+    //   3 = batched run replay (retimeSlots per point + one K-wide
+    //       replayRuns), the grouped-sweep path.
     setVerbose(false);
     constexpr int kPoints = 64;
     const ModelConfig model = zoo::gpt3_175b();
@@ -297,16 +348,30 @@ BM_BatchedReplay(benchmark::State &state)
     const auto tmpl =
         GraphTemplate::capture(ops, table, ExpandOptions{}, &expanded);
     const ReplaySchedule &schedule = tmpl->schedule(); // build once
+    const RunSchedule *runs = tmpl->runs();
+    if (runs == nullptr) {
+        state.SkipWithError("template keeps no run schedule");
+        return;
+    }
 
     const int mode = static_cast<int>(state.range(0));
-    // Reused across iterations, exactly like the simulator's batched
-    // path reuses its per-chunk buffers: retimeDurations resizes in
-    // place, so steady-state iterations allocate nothing.
     std::vector<std::vector<double>> sets(kPoints);
+    std::vector<const double *> set_ptrs(kPoints);
+    std::vector<EngineResult> results(kPoints);
     for (auto _ : state) {
         double checksum = 0.0;
         bool ok = true;
-        if (mode == 2) {
+        if (mode == 3) {
+            for (int k = 0; ok && k < kPoints; ++k) {
+                ok = tmpl->retimeSlots(table, plan, cluster, comm, &sets[k]);
+                set_ptrs[k] = sets[k].data();
+            }
+            if (ok) {
+                replayRuns(*runs, set_ptrs.data(), kPoints, results.data());
+                for (const EngineResult &r : results)
+                    checksum += r.makespan;
+            }
+        } else if (mode == 2) {
             for (int k = 0; ok && k < kPoints; ++k)
                 ok = tmpl->retimeDurations(table, plan, cluster, comm,
                                            &sets[k]);
@@ -340,13 +405,15 @@ BM_BatchedReplay(benchmark::State &state)
     state.counters["tasks"] = static_cast<double>(tmpl->numTasks());
     state.counters["points"] = kPoints;
 }
-// The batched-sweep acceptance metric: Arg 2 (batched) vs Arg 1
-// (K sequential warm replays) and Arg 0 (K sequential warm queue
+// The batched-sweep acceptance metric: Arg 3 (batched run replay,
+// the simulator's path) vs Arg 2 (batched per-task replay), Arg 1
+// (K sequential per-task replays) and Arg 0 (K sequential queue
 // runs, the pre-replay baseline).
 BENCHMARK(BM_BatchedReplay)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -354,7 +421,7 @@ BM_ReplayKernel(benchmark::State &state)
 {
     // The K-wide max-accumulate inner loop isolated from retiming:
     // K pre-retimed duration vectors over one GPT-3 capped template,
-    // one replayBatchInto per iteration pinned to a kernel.  Arms
+    // one replayBatch per iteration pinned to a kernel.  Arms
     // that name a kernel the binary/host cannot run are skipped, so
     // the suite is portable while still exposing the SIMD roof where
     // the hardware has one.
@@ -384,7 +451,6 @@ BM_ReplayKernel(benchmark::State &state)
     const ReplaySchedule &schedule = tmpl->schedule(); // build once
 
     std::vector<std::vector<double>> sets(k_points);
-    std::vector<const double *> set_ptrs(k_points);
     for (size_t k = 0; k < k_points; ++k) {
         if (!tmpl->retimeDurations(table, plan, cluster, comm,
                                    &sets[k])) {
@@ -394,12 +460,10 @@ BM_ReplayKernel(benchmark::State &state)
         // Perturb per lane so no kernel can shortcut equal columns.
         for (size_t i = 0; i < sets[k].size(); ++i)
             sets[k][i] *= 1.0 + 0.015625 * ((k + i) % 5);
-        set_ptrs[k] = sets[k].data();
     }
-    std::vector<EngineResult> results(k_points);
     for (auto _ : state) {
-        replayBatchInto(schedule, set_ptrs.data(), k_points,
-                        results.data(), kernel);
+        std::vector<EngineResult> results =
+            replayBatch(schedule, sets, kernel);
         benchmark::DoNotOptimize(results.data());
     }
     state.SetItemsProcessed(state.iterations() *

@@ -64,8 +64,8 @@ Explorer::sweep(const ModelConfig &model,
     }
     // evaluateBatch dedups repeated plans, answers seen points from
     // the cache, and groups structurally identical new points into
-    // batched schedule replays (one template + one K-wide engine
-    // pass per group).
+    // batched passes (one template + one K-wide engine pass per
+    // group).
     std::vector<SimulationResult> sims =
         service_->evaluateBatch(requests);
 

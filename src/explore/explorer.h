@@ -14,7 +14,7 @@
  * Within one sweep the service groups structurally identical plans
  * (same task-graph topology, different durations — e.g. a sweep over
  * the data-parallel degree or the cluster interconnect) into a single
- * batched schedule replay, so a K-point group costs one graph
+ * batched pass, so a K-point group costs one graph
  * template plus one K-wide engine pass instead of K simulations.
  */
 #ifndef VTRAIN_EXPLORE_EXPLORER_H

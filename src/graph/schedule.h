@@ -1,7 +1,7 @@
 /**
  * @file
- * Operator-granularity execution order, and the precomputed
- * kernel-level replay schedule derived from it.
+ * Operator-granularity execution order, and the replay schedules
+ * derived from it.
  *
  * The simulation engine's FIFO ready queue (sim/engine.h, Algorithm 1)
  * pops tasks in insertion order, and tasks are inserted exactly when
@@ -19,34 +19,58 @@
  * FIFO walks (walkOpFifo below); it never materializes a per-kernel
  * task, edge or reference count.
  *
- * A ReplaySchedule is that same walk recorded once per topology, with
- * everything the engine touches per task re-arranged into flat arrays
- * laid out in execution order, so a replay (engine.h replaySimulation
- * / replayBatch) is a single linear pass with no queue, no reference
- * counting and no per-task stream branch.  build(OpTopology) derives
- * it from one untimed op-FIFO walk; build(TaskGraph::Topology) runs
- * the kernel-level queue instead and is kept as the reference the
- * derived schedule is tested array-equal against.
+ * A RunSchedule is that walk recorded once per topology in
+ * compressed form, for the warm path (engine.h replayRuns).  The pop
+ * order is cut into runs: edge i -> j joins one run when j is i's
+ * only child, i is j's only parent, both run on one lane, and j is
+ * the next task that lane pops.  For such a j the queue engine's
+ * max(ready, timeline) is i's end on both sides, so a run times as
+ * `end = max(ready, timeline) + d0; end += d1; ...` with no per-task
+ * ready time, bit for bit.  Only a run's last member has children,
+ * and each child heads a run.  A capped GPT-3 or MT-NLG topology
+ * holds 13-240 tasks per run.  Layout (build() derives it from one
+ * untimed op-FIFO walk):
  *
+ *   lane[r], length[r]  run r's timeline lane and member count, runs
+ *                       in head pop order (u16 each; longer chains
+ *                       split, which times identically);
+ *   child_offsets / child_list
+ *                       the runs headed by the children of run r's
+ *                       last member;
+ *   slot[]              every member's slot id (u16), run after run:
+ *                       a duration is slot_table[slot], so replay
+ *                       reads O(slots) per-plan data, never one value
+ *                       per task;
+ *   sum_offsets / sum_slot
+ *                       one pop-order slot sequence per accumulator
+ *                       whose additions interleave across lanes:
+ *                       time_by_tag[t], then busy_comm[device] (a
+ *                       device's comm streams share it).
+ *                       busy_compute needs none: a device has one
+ *                       compute lane, so it rides that lane's runs.
+ *
+ * That is 4-5 bytes per task; a ReplaySchedule takes 21.
+ *
+ * A ReplaySchedule is the uncompressed form: everything the engine
+ * touches per task, in pop order, with one duration per task
+ * (engine.h replaySimulation / replayBatch).  No simulation path
+ * replays it any more.  It remains the reference the run schedule is
+ * tested against.  build(OpTopology) derives it from the op-FIFO
+ * walk; build(TaskGraph::Topology) runs the kernel-level queue
+ * instead, and the derived schedule is tested array-equal to it.
  * Layout (all arrays indexed by schedule position, SoA):
  *   order[i]      the original task id executed i-th — used to gather
  *                 durations and scatter trace spans;
  *   lane[i]       timeline slot, device * kNumStreams + stream;
- *   busy_lane[i]  busy-accounting slot, device * 2 + (stream != Compute),
- *                 kept separate from lane[] so the compute/comm split
- *                 accumulates in exactly the queue engine's order
- *                 (bit-identical floating-point sums);
+ *   busy_lane[i]  busy-accounting slot, device * 2 + (stream != Compute);
  *   tag[i]        TaskTag index for time_by_tag accounting;
  *   child_offsets / child_list
- *                 the CSR child arrays permuted to schedule positions:
- *                 children of the task at position i are the
- *                 *positions* child_list[child_offsets[i] ..
- *                 child_offsets[i+1]).
+ *                 the CSR child arrays permuted to schedule positions.
  *
- * Replays over a schedule are bit-identical to the queue engine: the
- * visit order is the queue's pop order, so every floating-point
- * accumulation (ready-time maxes, busy sums, tag sums) happens in the
- * same sequence on the same values.
+ * Both replays are bit-identical to the queue engine.  Every
+ * floating-point sum happens in the queue's pop order on the same
+ * values.  Ready times and the makespan are maxima, which do not
+ * depend on order.
  */
 #ifndef VTRAIN_GRAPH_SCHEDULE_H
 #define VTRAIN_GRAPH_SCHEDULE_H
@@ -177,7 +201,61 @@ walkOpFifo(const OpTopology &topo, RunKernel &&run_kernel)
     return executed;
 }
 
-/** Execution-order view of one topology (see file doc). */
+/**
+ * The run-compressed replay schedule of an OpTopology's kernel-level
+ * expansion (see file doc): what a warm simulation replays.
+ */
+struct RunSchedule {
+    /** Per run, in head pop order: timeline lane (device *
+     *  kNumStreams + stream) and member count. */
+    std::vector<uint16_t> lane;
+    std::vector<uint16_t> length;
+    /** Per run: the runs headed by the children of its last member
+     *  are child_list[child_offsets[r] .. child_offsets[r+1]). */
+    std::vector<int32_t> child_offsets{0};
+    std::vector<int32_t> child_list;
+    /** Member slot ids, run after run (numTasks() entries). */
+    std::vector<uint16_t> slot;
+    /** The pop-order accumulators, each a slot-id sequence in pop
+     *  order: accumulator a < kNumTaskTags is time_by_tag[a], then
+     *  kNumTaskTags + d is busy_comm[d].  Accumulator a's slots are
+     *  sum_slot[sum_offsets[a] .. sum_offsets[a+1]). */
+    std::vector<int32_t> sum_offsets;
+    std::vector<uint16_t> sum_slot;
+    int num_devices = 1;
+    size_t num_slots = 0; //!< entries of the slot tables it replays
+
+    size_t numRuns() const { return lane.size(); }
+    size_t numTasks() const { return slot.size(); }
+
+    /** Resident size: exactly what build() allocated. */
+    size_t approxBytes() const;
+
+    /**
+     * What approxBytes() will read for a schedule of `runs` runs over
+     * `ops`.  The run count is known only after the walk; the number
+     * of run-to-run edges follows from it (every edge of the
+     * expansion either joins two members of one run or leaves a run's
+     * last member).
+     */
+    static size_t bytesFor(const OpTopology &ops, size_t runs);
+
+    /** @return true when `ops` fits the narrow ids: slots and lanes
+     *  below 2^16. */
+    static bool representable(const OpTopology &ops);
+
+    /**
+     * Derives the run schedule of `ops` from one untimed op-FIFO walk.
+     * Requires representable(ops); fails (throws) on a cyclic
+     * topology, the same condition the engine reports as a deadlock.
+     */
+    static std::shared_ptr<const RunSchedule> build(const OpTopology &ops);
+};
+
+/**
+ * The kernel-level execution-order view of one topology (see file
+ * doc): the reference the run schedule is tested against.
+ */
 struct ReplaySchedule {
     std::vector<int32_t> order;
     std::vector<int32_t> lane;
@@ -190,13 +268,8 @@ struct ReplaySchedule {
     size_t numTasks() const { return order.size(); }
     size_t numEdges() const { return child_list.size(); }
 
-    /** Approximate resident size, for cache byte budgets. */
+    /** Approximate resident size. */
     size_t approxBytes() const;
-
-    /** What build() will allocate for a topology of `num_tasks` tasks
-     *  and `num_edges` edges, without building (the template cache
-     *  budgets schedules before they exist). */
-    static size_t predictBytes(size_t num_tasks, size_t num_edges);
 
     /**
      * Derives the schedule of the kernel-level expansion of `ops` from

@@ -146,12 +146,32 @@ GraphTemplate::capture(const OpGraph &ops, OperatorToTaskTable &table,
     topo.num_slots = static_cast<size_t>(desc_slot[n_descs]) +
                      tmpl->comm_payloads_.size();
 
+    // Budget one run per operator.  Capped GPT-3 and MT-NLG
+    // topologies have 3-28x fewer runs than operators, and a collapsed
+    // expansion (one task per operator) can never exceed it.
+    if (RunSchedule::representable(topo))
+        tmpl->run_budget_ = topo.numOps();
     tmpl->bytes_ =
         sizeof(GraphTemplate) + topo.approxBytes() +
         n_descs * sizeof(OpDesc) + desc_slot.size() * sizeof(int32_t) +
         tmpl->comm_payloads_.size() * sizeof(CommPayload) +
-        ReplaySchedule::predictBytes(topo.num_tasks, topo.numTaskEdges());
+        (tmpl->run_budget_ > 0
+             ? RunSchedule::bytesFor(topo, tmpl->run_budget_)
+             : 0);
     return tmpl;
+}
+
+const RunSchedule *
+GraphTemplate::runs() const
+{
+    std::call_once(runs_once_, [this] {
+        if (run_budget_ == 0)
+            return;
+        auto runs = RunSchedule::build(ops_);
+        if (runs->numRuns() <= run_budget_)
+            runs_ = std::move(runs);
+    });
+    return runs_.get();
 }
 
 const ReplaySchedule &
@@ -213,14 +233,20 @@ GraphTemplate::retimeDurations(OperatorToTaskTable &table,
     std::vector<double> slots;
     if (!retimeSlots(table, parallel, cluster, comm, &slots))
         return false;
-    std::vector<double> &durations = *out;
-    durations.resize(ops_.num_tasks);
+    *out = expandSlots(slots);
+    return true;
+}
+
+std::vector<double>
+GraphTemplate::expandSlots(const std::vector<double> &slots) const
+{
+    std::vector<double> durations(ops_.num_tasks);
     double *task = durations.data();
     for (const OpTopology::Op &op : ops_.ops) {
         std::copy_n(slots.data() + op.slot, op.kernels, task);
         task += op.kernels;
     }
-    return true;
+    return durations;
 }
 
 bool
@@ -229,13 +255,13 @@ GraphTemplate::retime(OperatorToTaskTable &table,
                       const ClusterSpec &cluster, const CommModel &comm,
                       TaskGraph *out) const
 {
-    std::vector<double> durations;
-    if (!retimeDurations(table, parallel, cluster, comm, &durations))
+    std::vector<double> slots;
+    if (!retimeSlots(table, parallel, cluster, comm, &slots))
         return false;
     std::shared_ptr<const TaskGraph::Topology> topo = expanded_.lock();
     if (!topo)
         topo = expandTopology();
-    *out = TaskGraph::fromParts(std::move(durations), std::move(topo));
+    *out = TaskGraph::fromParts(expandSlots(slots), std::move(topo));
     return true;
 }
 

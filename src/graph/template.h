@@ -39,15 +39,26 @@
  * or a profiler whose decomposition changed) fails gracefully and the
  * caller rebuilds from scratch.
  *
- * Two consumers share a template:
+ * Both consumers of a template read only slot tables:
  *
  *   - a cold simulation (the capture's own plan, or a K-wide group of
  *     plans) runs the op-level FIFO (engine.h runOpBatch) over the
- *     OpTopology and its slot tables, never expanding kernels;
- *   - a warm simulation pairs retimeDurations() (slots expanded to
- *     one duration per kernel task) with the engine's linear
- *     replaySimulation()/replayBatch() over schedule(), which is
- *     derived from one untimed op-FIFO walk on first reuse.
+ *     OpTopology, never expanding kernels;
+ *   - a warm simulation replays runs() (engine.h replayRuns), the
+ *     run-compressed schedule derived from one untimed op-FIFO walk
+ *     on the template's first reuse.  A serve-style miss therefore
+ *     costs O(slots) to retime plus one pass over lane runs.
+ *
+ * retimeDurations(), retime() and schedule() expand the same data to
+ * one duration or schedule entry per kernel task.  They exist for the
+ * kernel-level reference paths (tests, benches, external replicas)
+ * and no simulation path calls them.
+ *
+ * The byte budget (approxBytes()) is fixed at capture.  It counts the
+ * operator structure plus runs() at one run per operator, 6.4-6.9
+ * bytes per task on the capped GPT-3 and MT-NLG topologies.  A
+ * topology whose runs outnumber its operators keeps no run schedule
+ * and replays through the op FIFO, so the budget never under-counts.
  */
 #ifndef VTRAIN_GRAPH_TEMPLATE_H
 #define VTRAIN_GRAPH_TEMPLATE_H
@@ -119,11 +130,22 @@ class GraphTemplate
                      std::vector<double> *out) const;
 
     /**
+     * The run-compressed replay schedule (graph/schedule.h), derived
+     * on first use from one untimed op-FIFO walk (cold simulations
+     * never need it) and shared by every later replay of this
+     * template, across threads.  The warm path replays it against
+     * retimeSlots() tables (engine.h replayRuns).  Null when the
+     * topology overflows the schedule's narrow ids or its run count
+     * exceeds the operator count approxBytes() budgets for; the op
+     * FIFO then serves the warm path too.
+     */
+    const RunSchedule *runs() const;
+
+    /**
      * retimeSlots() expanded to one duration per kernel task, in task
-     * id order (the order TaskGraph::expand numbers tasks in).  The
-     * schedule-replay engine consumes exactly this (engine.h
-     * replayBatchInto), and the simulator's warm path collects one
-     * such vector per plan.
+     * id order (the order TaskGraph::expand numbers tasks in): the
+     * input of the kernel-level reference replay (engine.h
+     * replaySimulation over schedule()).
      */
     bool retimeDurations(OperatorToTaskTable &table,
                          const ParallelConfig &parallel,
@@ -132,20 +154,22 @@ class GraphTemplate
                          std::vector<double> *out) const;
 
     /**
-     * retimeDurations() assembled into a TaskGraph.  The graph shares
-     * the kernel-level topology of the graph capture() expanded while
-     * that graph is alive; otherwise the topology is derived from the
-     * operator structure (O(tasks)), since templates do not keep one.
+     * The retimed durations assembled into a TaskGraph.  The graph
+     * shares the kernel-level topology of the graph capture() expanded
+     * while that graph is alive; otherwise the topology is derived
+     * from the operator structure (O(tasks)), since templates do not
+     * keep one.
      */
     bool retime(OperatorToTaskTable &table, const ParallelConfig &parallel,
                 const ClusterSpec &cluster, const CommModel &comm,
                 TaskGraph *out) const;
 
     /**
-     * The execution-order replay schedule of the kernel-level
-     * expansion, derived on first use from one untimed op-FIFO walk
-     * (cold simulations never need it) and shared by every subsequent
-     * replay of this template, across threads.
+     * The kernel-level execution-order schedule, derived on first use
+     * like runs().  No simulation path replays it: it is the
+     * reference runs() is tested against, and what an external
+     * replica of the per-task replay consumes.  Not counted by
+     * approxBytes().
      */
     const ReplaySchedule &schedule() const;
 
@@ -156,9 +180,10 @@ class GraphTemplate
     size_t numTasks() const { return ops_.num_tasks; }
 
     /** Approximate resident size, for the cache's byte budget: the
-     *  operator structure plus the predicted size of schedule(),
-     *  fixed at capture so cache accounting does not shift when the
-     *  schedule materializes. */
+     *  operator structure plus the largest runs() this template keeps
+     *  (one run per operator; RunSchedule::bytesFor).  Fixed at
+     *  capture, so cache accounting does not shift when the run
+     *  schedule materializes, and never below what it allocates. */
     size_t approxBytes() const { return bytes_; }
 
   private:
@@ -173,6 +198,10 @@ class GraphTemplate
     /** The kernel-level topology TaskGraph::expand would build. */
     std::shared_ptr<const TaskGraph::Topology> expandTopology() const;
 
+    /** A slot table expanded to one duration per task, in task id
+     *  order. */
+    std::vector<double> expandSlots(const std::vector<double> &slots) const;
+
     OpTopology ops_;
     std::vector<OpDesc> descs_; //!< interned descriptors, by id
     /** Slots of descriptor d: [desc_slot_[d], desc_slot_[d+1]). */
@@ -181,14 +210,19 @@ class GraphTemplate
     std::vector<CommPayload> comm_payloads_;
     bool collapse_ = false;
     size_t bytes_ = 0;
+    /** Most runs runs() keeps; 0 when the topology is not
+     *  representable (RunSchedule::representable). */
+    size_t run_budget_ = 0;
     /** The graph capture() expanded, observed but not owned. */
     std::weak_ptr<const TaskGraph::Topology> expanded_;
 
     // call_once publication, not a mutex: std::once_flag needs no
     // thread-safety annotations (call_once's own synchronization
-    // guarantees schedule_ is written exactly once, before any read
-    // through the returned reference), and lint.py's naked-mutex rule
-    // deliberately leaves once_flag alone.
+    // guarantees each schedule is written exactly once, before any
+    // read through the returned pointer or reference), and lint.py's
+    // naked-mutex rule deliberately leaves once_flag alone.
+    mutable std::once_flag runs_once_;
+    mutable std::shared_ptr<const RunSchedule> runs_;
     mutable std::once_flag schedule_once_;
     mutable std::shared_ptr<const ReplaySchedule> schedule_;
 };
@@ -228,7 +262,14 @@ class GraphTemplateCache
   public:
     struct Options {
         size_t max_entries = 32;
-        size_t max_bytes = 256u << 20; //!< 256 MiB
+        /** 128 MiB.  A template is charged ~13 bytes per task (its
+         *  operator arrays plus a run-schedule budget) and holds about
+         *  that much whether or not it is ever reused, so this caps
+         *  what a sweep of single-use topologies keeps alive: 11
+         *  templates on the MT-NLG design-space sweep (~134 MB peak
+         *  RSS), while the serve hot set of 24 templates is charged
+         *  28 MB. */
+        size_t max_bytes = 128u << 20;
     };
 
     GraphTemplateCache() : GraphTemplateCache(Options{}) {}

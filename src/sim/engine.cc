@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "sim/replay_kernels.h"
 #include "util/cpu_features.h"
@@ -187,13 +188,15 @@ replayImpl(const ReplaySchedule &schedule, const double *const durations,
 constexpr size_t kMaxReplayWidth = 4;
 
 /**
- * Widest lockstep lane count of runOpBatch.  The op FIFO's per-pop
- * queue work (ring, cursor, reference counts) is shared by every lane,
- * so wider chunks amortize more of it than replay's do: eight lanes
- * took 15-30% less time per point than four on MT-NLG p=35 and
- * p=105.  A throughput knob only; every width is bit-identical.
+ * Widest lockstep lane count of runOpBatch and replayRuns.  The op
+ * FIFO's per-pop queue work (ring, cursor, reference counts) is shared
+ * by every lane, so wider chunks amortize more of it than the
+ * per-task replay's do: eight lanes took 15-30% less time per point
+ * than four on MT-NLG p=35 and p=105.  A run replay reads only slot
+ * tables and per-run ready times, which stay in L1/L2 at this width.
+ * A throughput knob only; every width is bit-identical.
  */
-constexpr size_t kMaxOpWidth = 8;
+constexpr size_t kMaxSlotWidth = 8;
 
 /**
  * One K-wide lockstep pass over the schedule (see replayBatch).  K is
@@ -271,11 +274,54 @@ replayChunk(const ReplaySchedule &schedule,
 }
 
 /**
+ * A slot-major copy of `count` slot tables, K contiguous durations
+ * per slot.  Lanes past `count` repeat the last table (their results
+ * are never reported), so a group of 3 or 5 points pays for one
+ * K-wide pass.
+ */
+template <size_t K>
+std::vector<double>
+slotMajor(size_t num_slots, const double *const *slot_tables, size_t count)
+{
+    std::vector<double> slots(num_slots * K);
+    for (size_t s = 0; s < num_slots; ++s)
+        for (size_t j = 0; j < K; ++j)
+            slots[s * K + j] = slot_tables[std::min(j, count - 1)][s];
+    return slots;
+}
+
+/**
+ * Runs `chunk(width, begin, n)` over `count` points: full
+ * kMaxSlotWidth-wide chunks, then one chunk of the narrowest width
+ * that holds the rest (padded; see slotMajor).  `width` is a
+ * std::integral_constant, so each chunk body is compiled per width.
+ * The per-pop (or per-run) bookkeeping is shared by every lane, so
+ * the fewest passes win; results do not depend on the split.
+ */
+template <typename Chunk>
+void
+forEachSlotChunk(size_t count, Chunk &&chunk)
+{
+    static_assert(kMaxSlotWidth == 8,
+                  "update the tail dispatch below with the width table");
+    size_t begin = 0;
+    for (; count - begin >= kMaxSlotWidth; begin += kMaxSlotWidth)
+        chunk(std::integral_constant<size_t, 8>{}, begin, kMaxSlotWidth);
+    const size_t rest = count - begin;
+    if (rest > 4)
+        chunk(std::integral_constant<size_t, 8>{}, begin, rest);
+    else if (rest > 2)
+        chunk(std::integral_constant<size_t, 4>{}, begin, rest);
+    else if (rest == 2)
+        chunk(std::integral_constant<size_t, 2>{}, begin, rest);
+    else if (rest == 1)
+        chunk(std::integral_constant<size_t, 1>{}, begin, rest);
+}
+
+/**
  * One K-wide lockstep walk of the operator-level FIFO (see
  * runOpBatch).  The per-kernel body is replayChunk's, fed from a
- * slot-major copy of the K slot tables (K contiguous durations per
- * slot).  Lanes past `count` repeat the last table and are not
- * reported, so a group of 3 or 5 points pays for one walk.
+ * slot-major copy of the K slot tables.
  */
 template <size_t K>
 void
@@ -283,10 +329,8 @@ opChunk(const OpTopology &topo, const double *const *slot_tables,
         size_t count, EngineResult *results)
 {
     const int n_devices = topo.num_devices;
-    std::vector<double> slots_vec(topo.num_slots * K);
-    for (size_t s = 0; s < topo.num_slots; ++s)
-        for (size_t j = 0; j < K; ++j)
-            slots_vec[s * K + j] = slot_tables[std::min(j, count - 1)][s];
+    const std::vector<double> slots_vec =
+        slotMajor<K>(topo.num_slots, slot_tables, count);
     std::vector<double> timeline_vec(
         static_cast<size_t>(n_devices) * kNumStreams * K, 0.0);
     std::vector<double> busy_vec(
@@ -325,31 +369,135 @@ opChunk(const OpTopology &topo, const double *const *slot_tables,
     std::move(padded, padded + count, results);
 }
 
+/**
+ * One K-wide lockstep replay of a run schedule (see replayRuns).
+ *
+ * Timing pass, runs in head pop order: a run starts at
+ * max(ready, lane timeline) like the queue engine's head task, and
+ * each member adds its duration to the running end -- for a chained
+ * member the queue's max(ready, timeline) is the previous member's
+ * end on both sides, so the sum is the queue's own arithmetic.
+ * busy_compute rides the same chain (one compute lane per device,
+ * and runs on a lane are consecutive pops).  The last member's end
+ * moves the lane, the makespan (ends only grow within a run) and the
+ * child runs' ready times.
+ *
+ * Sum pass: time_by_tag and busy_comm accumulate across lanes in pop
+ * order, so each sums its own pop-order slot sequence in a register.
+ */
+template <size_t K>
+void
+runChunk(const RunSchedule &runs, const double *const *slot_tables,
+         size_t count, EngineResult *results)
+{
+    const int n_devices = runs.num_devices;
+    const size_t n_runs = runs.numRuns();
+    const std::vector<double> slots_vec =
+        slotMajor<K>(runs.num_slots, slot_tables, count);
+    std::vector<double> ready_vec(n_runs * K, 0.0);
+    std::vector<double> timeline_vec(
+        static_cast<size_t>(n_devices) * kNumStreams * K, 0.0);
+    std::vector<double> busy_vec(
+        static_cast<size_t>(n_devices) * 2 * K, 0.0);
+    std::vector<double> tags_vec(
+        static_cast<size_t>(kNumTaskTags) * K, 0.0);
+    const double *__restrict const slots = slots_vec.data();
+    double *__restrict const ready = ready_vec.data();
+    double *__restrict const timeline = timeline_vec.data();
+    double *__restrict const busy = busy_vec.data();
+    double *__restrict const tags = tags_vec.data();
+    const uint16_t *const run_lane = runs.lane.data();
+    const uint16_t *const run_length = runs.length.data();
+    const int32_t *const child_offsets = runs.child_offsets.data();
+    const int32_t *const child_list = runs.child_list.data();
+    double makespan[K] = {};
+    // A comm run's chained busy sum lands here and is dropped: the sum
+    // pass computes busy_comm in pop order instead.
+    double comm_scratch[K] = {};
+
+    const uint16_t *member = runs.slot.data();
+    for (size_t r = 0; r < n_runs; ++r) {
+        const size_t lane = run_lane[r];
+        const uint16_t *const member_end = member + run_length[r];
+        double *__restrict const lane_base = timeline + lane * K;
+        const double *__restrict const run_ready = ready + r * K;
+        double *__restrict const busy_base =
+            lane % kNumStreams == static_cast<size_t>(StreamKind::Compute)
+                ? busy + lane / kNumStreams * 2 * K
+                : comm_scratch;
+        double end[K];
+        double acc[K];
+        for (size_t j = 0; j < K; ++j) {
+            end[j] = std::max(run_ready[j], lane_base[j]);
+            acc[j] = busy_base[j];
+        }
+        for (; member != member_end; ++member) {
+            const double *__restrict const d =
+                slots + static_cast<size_t>(*member) * K;
+            for (size_t j = 0; j < K; ++j) {
+                end[j] += d[j];
+                acc[j] += d[j];
+            }
+        }
+        for (size_t j = 0; j < K; ++j) {
+            busy_base[j] = acc[j];
+            lane_base[j] = end[j];
+            makespan[j] = std::max(makespan[j], end[j]);
+        }
+        for (const int32_t *c = child_list + child_offsets[r],
+                           *const c_end = child_list + child_offsets[r + 1];
+             c != c_end; ++c) {
+            double *__restrict const child_ready =
+                ready + static_cast<size_t>(*c) * K;
+            for (size_t j = 0; j < K; ++j)
+                child_ready[j] = std::max(child_ready[j], end[j]);
+        }
+    }
+
+    const int32_t *const sum_offsets = runs.sum_offsets.data();
+    const uint16_t *const sum_slot = runs.sum_slot.data();
+    for (int a = 0; a < kNumTaskTags + n_devices; ++a) {
+        double acc[K] = {};
+        for (const uint16_t *s = sum_slot + sum_offsets[a],
+                            *const s_end = sum_slot + sum_offsets[a + 1];
+             s != s_end; ++s) {
+            const double *__restrict const d =
+                slots + static_cast<size_t>(*s) * K;
+            for (size_t j = 0; j < K; ++j)
+                acc[j] += d[j];
+        }
+        double *__restrict const dest =
+            a < kNumTaskTags
+                ? tags + static_cast<size_t>(a) * K
+                : busy + (static_cast<size_t>(a - kNumTaskTags) * 2 + 1) * K;
+        for (size_t j = 0; j < K; ++j)
+            dest[j] = acc[j];
+    }
+
+    EngineResult padded[K];
+    detail::unpackChunkResults(K, runs.numTasks(), n_devices, busy, tags,
+                               makespan, padded);
+    std::move(padded, padded + count, results);
+}
+
 } // namespace
 
 void
 runOpBatch(const OpTopology &ops, const double *const *slot_tables,
            size_t count, EngineResult *results)
 {
-    // The per-pop queue work is shared by every lane, so the fewest
-    // walks win: full-width chunks, then one chunk of the narrowest
-    // width that holds the rest (padded; see opChunk).  Results do not
-    // depend on the split.
-    static_assert(kMaxOpWidth == 8,
-                  "update the tail dispatch below with the width table");
-    size_t begin = 0;
-    for (; count - begin >= kMaxOpWidth; begin += kMaxOpWidth)
-        opChunk<kMaxOpWidth>(ops, slot_tables + begin, kMaxOpWidth,
-                             results + begin);
-    const size_t rest = count - begin;
-    if (rest > 4)
-        opChunk<8>(ops, slot_tables + begin, rest, results + begin);
-    else if (rest > 2)
-        opChunk<4>(ops, slot_tables + begin, rest, results + begin);
-    else if (rest == 2)
-        opChunk<2>(ops, slot_tables + begin, rest, results + begin);
-    else if (rest == 1)
-        opChunk<1>(ops, slot_tables + begin, rest, results + begin);
+    forEachSlotChunk(count, [&](auto width, size_t begin, size_t n) {
+        opChunk<decltype(width)::value>(ops, slot_tables + begin, n, results + begin);
+    });
+}
+
+void
+replayRuns(const RunSchedule &runs, const double *const *slot_tables,
+           size_t count, EngineResult *results)
+{
+    forEachSlotChunk(count, [&](auto width, size_t begin, size_t n) {
+        runChunk<decltype(width)::value>(runs, slot_tables + begin, n, results + begin);
+    });
 }
 
 EngineResult
@@ -414,50 +562,6 @@ activeReplayKernel()
     return kernel;
 }
 
-void
-replayBatchInto(const ReplaySchedule &schedule,
-                const double *const *duration_sets, size_t count,
-                EngineResult *results, ReplayKernel kernel)
-{
-    VTRAIN_CHECK(replayKernelUsable(kernel), "replay kernel '",
-                 replayKernelName(kernel),
-                 "' is not usable on this host (not compiled in, or "
-                 "the CPU lacks the ISA)");
-
-    // Greedy widest-first dispatch: full-width chunks of the selected
-    // kernel, then progressively narrower tail chunks.  Results do
-    // not depend on the split — every point is bit-identical to its
-    // own replaySimulation() run at any width and under any kernel
-    // (see replay_kernels.h).
-    std::vector<double> ready;
-    size_t begin = 0;
-    if (kernel == ReplayKernel::Avx2) {
-        while (count - begin >= detail::kAvx2ReplayWidth) {
-            detail::replayChunkAvx2(schedule, duration_sets + begin,
-                                    ready, results + begin);
-            begin += detail::kAvx2ReplayWidth;
-        }
-    }
-    static_assert(kMaxReplayWidth == 4,
-                  "update the dispatch below with the width table");
-    while (count - begin >= 4) {
-        replayChunk<4>(schedule, duration_sets + begin, ready,
-                       results + begin);
-        begin += 4;
-    }
-    if (count - begin >= 2) {
-        replayChunk<2>(schedule, duration_sets + begin, ready,
-                       results + begin);
-        begin += 2;
-    }
-    // A lone point takes the one-vector pass: at width 1 the chunk's
-    // K-wide bookkeeping only costs (~15% slower on an 88.7k-task
-    // GPT-3 schedule), and every warm single-plan simulation ends here.
-    if (count - begin == 1)
-        results[begin] =
-            replayImpl<false>(schedule, duration_sets[begin], nullptr);
-}
-
 std::vector<EngineResult>
 replayBatch(const ReplaySchedule &schedule,
             const std::vector<std::vector<double>> &duration_sets)
@@ -470,18 +574,53 @@ replayBatch(const ReplaySchedule &schedule,
             const std::vector<std::vector<double>> &duration_sets,
             ReplayKernel kernel)
 {
+    VTRAIN_CHECK(replayKernelUsable(kernel), "replay kernel '",
+                 replayKernelName(kernel),
+                 "' is not usable on this host (not compiled in, or "
+                 "the CPU lacks the ISA)");
     const size_t n = schedule.numTasks();
     for (const std::vector<double> &set : duration_sets)
         VTRAIN_CHECK(set.size() == n,
                      "replay durations (", set.size(),
                      ") do not match the schedule (", n, " tasks)");
-
-    std::vector<EngineResult> results(duration_sets.size());
-    std::vector<const double *> set_ptrs(duration_sets.size());
-    for (size_t j = 0; j < duration_sets.size(); ++j)
+    const size_t count = duration_sets.size();
+    std::vector<EngineResult> results(count);
+    std::vector<const double *> set_ptrs(count);
+    for (size_t j = 0; j < count; ++j)
         set_ptrs[j] = duration_sets[j].data();
-    replayBatchInto(schedule, set_ptrs.data(), set_ptrs.size(),
-                    results.data(), kernel);
+    const double *const *const sets = set_ptrs.data();
+
+    // Greedy widest-first dispatch: full-width chunks of the selected
+    // kernel, then progressively narrower tail chunks.  Results do
+    // not depend on the split — every point is bit-identical to its
+    // own replaySimulation() run at any width and under any kernel
+    // (see replay_kernels.h).
+    std::vector<double> ready;
+    size_t begin = 0;
+    if (kernel == ReplayKernel::Avx2) {
+        while (count - begin >= detail::kAvx2ReplayWidth) {
+            detail::replayChunkAvx2(schedule, sets + begin, ready,
+                                    results.data() + begin);
+            begin += detail::kAvx2ReplayWidth;
+        }
+    }
+    static_assert(kMaxReplayWidth == 4,
+                  "update the dispatch below with the width table");
+    while (count - begin >= 4) {
+        replayChunk<4>(schedule, sets + begin, ready,
+                       results.data() + begin);
+        begin += 4;
+    }
+    if (count - begin >= 2) {
+        replayChunk<2>(schedule, sets + begin, ready,
+                       results.data() + begin);
+        begin += 2;
+    }
+    // A lone point takes the one-vector pass: at width 1 the chunk's
+    // K-wide bookkeeping only costs (~15% slower on an 88.7k-task
+    // GPT-3 schedule).
+    if (count - begin == 1)
+        results[begin] = replayImpl<false>(schedule, sets[begin], nullptr);
     return results;
 }
 

@@ -8,7 +8,7 @@
  * 9-20 of Algorithm 1 with the computation/communication-overlap
  * refinement the paper describes for gradient bucketing (Fig. 5).
  *
- * Three execution modes share that semantics bit for bit:
+ * Four execution modes share that semantics bit for bit:
  *
  *   - runSimulation(): the kernel-level queue engine.  Works on any
  *     TaskGraph and detects cycles.  It serves the template-less
@@ -21,16 +21,18 @@
  *     while kernels are never materialized as tasks: durations come
  *     from a per-plan slot table (GraphTemplate::retimeSlots), and K
  *     plans advance in lockstep through one walk.
- *   - replayBatch() / replaySimulation(): schedule replay, the warm
- *     path.  The FIFO pop order is a pure function of the topology
- *     (durations cannot reorder a FIFO), so a ReplaySchedule recorded
- *     once per topology turns every later run into a single linear
- *     pass: no queue, no reference counting, no per-task stream
- *     branch.  replayBatch() simulates K duration vectors over one
- *     shared schedule in a cache-friendly K-wide pass; the simulator
- *     runs every warm hit through its core (replayBatchInto), a
- *     single plan at K=1.  Once a schedule exists the linear pass
- *     beats the op FIFO about 2x, which is why warm hits stay on it.
+ *   - replayRuns(): run replay, the warm path.  The FIFO pop order is
+ *     a pure function of the topology (durations cannot reorder a
+ *     FIFO), so a RunSchedule recorded once per topology turns every
+ *     later run into a pass over merged lane runs -- chains of tasks
+ *     timed as one unit with no queue and no per-task ready time --
+ *     plus one pop-order slot sequence per order-dependent sum, all
+ *     read from the same slot tables the op FIFO uses, K plans wide.
+ *   - replaySimulation() / replayBatch(): the per-task schedule
+ *     replay over a ReplaySchedule and one duration per task.  No
+ *     simulation path runs it; it is the reference the run replay is
+ *     tested against, and what an external replica of the per-task
+ *     path calls.
  */
 #ifndef VTRAIN_SIM_ENGINE_H
 #define VTRAIN_SIM_ENGINE_H
@@ -113,6 +115,20 @@ void runOpBatch(const OpTopology &ops, const double *const *slot_tables,
                 size_t count, EngineResult *results);
 
 /**
+ * Replays a run schedule for `count` plans in lockstep (see the file
+ * comment and graph/schedule.h).  Each result is bit-identical to
+ * runSimulation() over the kernel-level expansion timed with the
+ * same slot table, and so to runOpBatch() over the topology the
+ * schedule was built from.
+ *
+ * @param slot_tables `count` tables of runs.num_slots durations each
+ *                    (GraphTemplate::retimeSlots; not validated).
+ * @param results     receives one EngineResult per table.
+ */
+void replayRuns(const RunSchedule &runs, const double *const *slot_tables,
+                size_t count, EngineResult *results);
+
+/**
  * The chunk kernel replayBatch() runs its lockstep passes with.
  * Scalar is the portable fallback (compile-time-width chunks the
  * compiler autovectorizes at the build's baseline ISA); Avx2 is the
@@ -159,7 +175,7 @@ replayBatch(const ReplaySchedule &schedule,
 
 /**
  * replayBatch() pinned to one kernel (tests and benches compare
- * kernels with this; production callers use the auto overload).
+ * kernels with this; other callers use the auto overload).
  * Aborts when the kernel is not usable on this host.
  */
 std::vector<EngineResult>
@@ -168,31 +184,18 @@ replayBatch(const ReplaySchedule &schedule,
             ReplayKernel kernel);
 
 /**
- * The allocation-lean core of replayBatch: `count` duration vectors
- * given as raw pointers (each schedule.numTasks() doubles, original
- * task id order — not validated), results written into
- * `results[0..count)`.  The simulator's warm path replays its reused
- * retime buffers through this without copying, up to 32 plans at a
- * time and a single plan at count 1.
- */
-void replayBatchInto(const ReplaySchedule &schedule,
-                     const double *const *duration_sets, size_t count,
-                     EngineResult *results, ReplayKernel kernel);
-
-/**
  * Engine-mode counters.  The simulator ticks them as it chooses an
  * execution mode per run; the serve layer aggregates one shared
  * instance across requests and reports it on GET /statz.
  */
 struct EngineCounters {
-    /** Single-plan warm runs: a schedule replay (replayBatchInto())
-     *  at K=1. */
+    /** Single-plan warm runs: a run replay (replayRuns()) at K=1. */
     std::atomic<uint64_t> replay_runs{0};
     /** Single-plan cold runs: runSimulation() (the template-less
      *  oracle), or runOpBatch() at K=1. */
     std::atomic<uint64_t> queue_runs{0};
     /** Points of simulateIterationBatch() group passes, over the
-     *  schedule replay or the op FIFO. */
+     *  run replay or the op FIFO. */
     std::atomic<uint64_t> batched_points{0};
 };
 

@@ -292,69 +292,16 @@ batchGroupKey(const ModelConfig &model, const ParallelConfig &parallel,
     return h.digest();
 }
 
-void
-Simulator::opPass(const GraphTemplate &tmpl,
-                  std::span<const ParallelConfig> plans,
-                  OperatorToTaskTable &table,
-                  std::vector<RunOutcome> &out) const
-{
-    // A slot table is a few dozen doubles, so the whole group retimes
-    // up front and walks the op FIFO once, K points in lockstep.
-    const size_t n = plans.size();
-    std::vector<std::vector<double>> slots(n);
-    std::vector<const double *> table_ptrs(n);
-    {
-        Phase phase(Phase::TemplateRetime);
-        for (size_t j = 0; j < n; ++j) {
-            VTRAIN_CHECK(tmpl.retimeSlots(table, plans[j], cluster_, comm_,
-                                          &slots[j]),
-                         "a fresh capture must retime with its own table");
-            table_ptrs[j] = slots[j].data();
-        }
-    }
-    std::vector<EngineResult> engines(n);
-    {
-        Phase phase(Phase::QueueRun);
-        runOpBatch(tmpl.ops(), table_ptrs.data(), n, engines.data());
-    }
-    for (size_t j = 0; j < n; ++j)
-        out[j].engine = std::move(engines[j]);
-}
-
 bool
-Simulator::replayPass(const GraphTemplate &tmpl,
-                      std::span<const ParallelConfig> plans,
-                      OperatorToTaskTable &table,
-                      std::vector<RunOutcome> &out) const
+Simulator::retimePlans(const GraphTemplate &tmpl,
+                       std::span<const ParallelConfig> plans,
+                       OperatorToTaskTable &table,
+                       std::vector<std::vector<double>> &slots) const
 {
-    // Bounds the number of duration vectors alive at once, so a
-    // 512-point sweep over a 400k-task topology does not hold
-    // 512 * 400k doubles.  retimeDurations resizes in place, so the
-    // buffers are reused across chunks without reallocating.
-    constexpr size_t kPlanChunk = 32;
-    const size_t n = plans.size();
-    std::vector<std::vector<double>> durations(std::min(n, kPlanChunk));
-    std::vector<const double *> duration_ptrs(durations.size());
-    std::vector<EngineResult> engines(durations.size());
-    for (size_t begin = 0; begin < n; begin += kPlanChunk) {
-        const size_t count = std::min(kPlanChunk, n - begin);
-        {
-            Phase phase(Phase::TemplateRetime);
-            for (size_t s = 0; s < count; ++s) {
-                if (!tmpl.retimeDurations(table, plans[begin + s],
-                                          cluster_, comm_, &durations[s]))
-                    return false;
-                duration_ptrs[s] = durations[s].data();
-            }
-        }
-        {
-            Phase phase(Phase::Replay);
-            replayBatchInto(tmpl.schedule(), duration_ptrs.data(), count,
-                            engines.data(), activeReplayKernel());
-        }
-        for (size_t s = 0; s < count; ++s)
-            out[begin + s].engine = std::move(engines[s]);
-    }
+    Phase phase(Phase::TemplateRetime);
+    for (size_t j = 0; j < plans.size(); ++j)
+        if (!tmpl.retimeSlots(table, plans[j], cluster_, comm_, &slots[j]))
+            return false;
     return true;
 }
 
@@ -374,32 +321,52 @@ Simulator::simulateGroup(const ModelConfig &model,
     const MicroBatchRuns runs = microBatchRuns(plans[0], options_);
     std::vector<RunOutcome> base(n);
     std::vector<RunOutcome> next(runs.fast ? n : 0);
+    // A slot table is a few dozen doubles, so the whole group retimes
+    // up front and the engine times all K plans in one pass.
+    std::vector<std::vector<double>> slots(n);
+    std::vector<const double *> slot_ptrs(n);
+    std::vector<EngineResult> engines(n);
     for (int pass = 0; pass < runs.passes(); ++pass) {
         const int n_micro = runs.simulated(pass);
         const uint64_t fp = structuralFingerprint(
             model, plans[0], n_micro, options_.collapse_operators,
             options_.attention);
-        std::vector<RunOutcome> &out = pass == 0 ? base : next;
         std::shared_ptr<const GraphTemplate> tmpl = templates_->get(fp);
-        const bool hit = tmpl && replayPass(*tmpl, plans, table, out);
+        const bool hit = tmpl && retimePlans(*tmpl, plans, table, slots);
         if (!hit) {
             // A miss, or a table that disagrees with the cached
-            // template: capture at operator granularity and walk the
-            // op FIFO.  The replay schedule is derived only on a
-            // template's first reuse, so a sweep that thrashes the
-            // cache with single-use topologies never pays for one.
+            // template: capture at operator granularity.
             tmpl = captureTemplate(model, plans[0], n_micro, fp, table);
-            opPass(*tmpl, plans, table, out);
+            VTRAIN_CHECK(retimePlans(*tmpl, plans, table, slots),
+                         "a fresh capture must retime with its own table");
+        }
+        for (size_t j = 0; j < n; ++j)
+            slot_ptrs[j] = slots[j].data();
+
+        // A hit replays the template's run schedule, derived on its
+        // first reuse; a miss walks the op FIFO, so a sweep that
+        // thrashes the cache with single-use topologies never pays
+        // for a schedule.
+        const RunSchedule *schedule = hit ? tmpl->runs() : nullptr;
+        if (schedule) {
+            Phase phase(Phase::Replay);
+            replayRuns(*schedule, slot_ptrs.data(), n, engines.data());
+        } else {
+            Phase phase(Phase::QueueRun);
+            runOpBatch(tmpl->ops(), slot_ptrs.data(), n, engines.data());
         }
         if (batch)
             counters_->batched_points.fetch_add(n,
                                                 std::memory_order_relaxed);
         else
-            (hit ? counters_->replay_runs : counters_->queue_runs)
+            (schedule ? counters_->replay_runs : counters_->queue_runs)
                 .fetch_add(1, std::memory_order_relaxed);
 
         // Table statistics after this pass's (re)timing work.
-        for (RunOutcome &outcome : out) {
+        std::vector<RunOutcome> &out = pass == 0 ? base : next;
+        for (size_t j = 0; j < n; ++j) {
+            RunOutcome &outcome = out[j];
+            outcome.engine = std::move(engines[j]);
             outcome.num_operators = tmpl->numOperators();
             outcome.num_tasks = tmpl->numTasks();
             outcome.distinct_profiled = table.numEntries();

@@ -29,11 +29,13 @@
  *     one op-level FIFO walk with the K plans in lockstep (sim/engine.h
  *     runOpBatch).  No kernel task is materialized and no replay
  *     schedule is built.
- *   - hit: expand each plan's slot table to per-task durations and
- *     replay the template's execution-order schedule (derived on first
- *     reuse) in one K-wide linear pass, 32 plans at a time.  A retime
- *     the cached template rejects (fingerprint collision) recaptures
- *     and takes the miss outcome instead.
+ *   - hit: fill a slot table per plan (O(slots)) and replay the
+ *     template's run schedule (graph/schedule.h RunSchedule, derived
+ *     on first reuse) K plans wide (sim/engine.h replayRuns).  Nothing
+ *     per task is built per plan.  A retime the cached template
+ *     rejects (fingerprint collision) recaptures and takes the miss
+ *     outcome instead; a template that keeps no run schedule walks
+ *     the op FIFO.
  *
  * The cache can be shared across Simulator instances (the serve layer
  * passes one cache to every request) and is skipped for perturbed or
@@ -129,7 +131,7 @@ class Simulator
      * cache disables the template path entirely: every simulation
      * builds its graphs from scratch and replays them through the
      * queue engine (golden tests use this to check the template +
-     * schedule-replay path bit-identical to it).  A non-null
+     * run-replay path bit-identical to it).  A non-null
      * `counters` shares engine-mode counters the same way (the serve
      * layer reports them on /statz); null keeps private counters.
      */
@@ -146,7 +148,7 @@ class Simulator
      * pass: the topology is captured (or fetched) once per simulated
      * micro-batch count, each plan contributes only its re-timed
      * durations, and the engine simulates all plans in lockstep, over
-     * the op-level FIFO on a miss and over the shared replay schedule
+     * the op-level FIFO on a miss and over the shared run schedule
      * on a hit (see the file comment).  One shared lookup table
      * profiles each distinct operator once for the whole group.
      *
@@ -229,23 +231,14 @@ class Simulator
                     OperatorToTaskTable &table) const;
 
     /**
-     * A miss: a slot table per plan, then one K-wide op-FIFO walk over
-     * `tmpl`, a capture made with `table`.
+     * Fills `slots[j]` with plan j's slot table over `tmpl`.  @return
+     * false, with `slots` partly written, when `tmpl` rejects a
+     * retime.
      */
-    void opPass(const GraphTemplate &tmpl,
-                std::span<const ParallelConfig> plans,
-                OperatorToTaskTable &table,
-                std::vector<RunOutcome> &out) const;
-
-    /**
-     * A hit: per-task retimes and K-wide schedule replays, in chunks
-     * of 32 plans.  Returns false, with `out` partly written, when
-     * `tmpl` rejects a retime.
-     */
-    bool replayPass(const GraphTemplate &tmpl,
-                    std::span<const ParallelConfig> plans,
-                    OperatorToTaskTable &table,
-                    std::vector<RunOutcome> &out) const;
+    bool retimePlans(const GraphTemplate &tmpl,
+                     std::span<const ParallelConfig> plans,
+                     OperatorToTaskTable &table,
+                     std::vector<std::vector<double>> &slots) const;
 
     /**
      * The shared post-processing of the oracle and the templated

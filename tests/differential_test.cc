@@ -12,10 +12,14 @@
  * lockstep chunk and tail width).  Every extrapolated (fast-mode) draw
  * must also match the exact-mode oracle within a relative 1e-6.  A captured template's replay
  * schedule must also equal, array for array, the schedule derived
- * from the fully expanded kernel-level topology.
+ * from the fully expanded kernel-level topology.  Its run schedule
+ * must partition that schedule into exactly the runs the four merge
+ * conditions define, and replay bit-identically to both the per-task
+ * replay and the queue engine at every lockstep width.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -25,6 +29,7 @@
 
 #include "graph/builder.h"
 #include "graph/template.h"
+#include "sim/engine.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -276,6 +281,242 @@ TEST(DifferentialSchedule, CapturedScheduleEqualsKernelLevelBuild)
                                  expanded.durations().data(),
                                  durations.size() * sizeof(double)))
             << where;
+    }
+}
+
+/** Every EngineResult field, compared by bytes. */
+void
+expectSameEngine(const EngineResult &want, const EngineResult &got,
+                 const std::string &where)
+{
+    EXPECT_EQ(0, std::memcmp(&want.makespan, &got.makespan, sizeof(double)))
+        << where << ": makespan";
+    EXPECT_EQ(want.executed, got.executed) << where;
+    ASSERT_EQ(want.busy_compute.size(), got.busy_compute.size()) << where;
+    ASSERT_EQ(want.busy_comm.size(), got.busy_comm.size()) << where;
+    EXPECT_EQ(0, std::memcmp(want.busy_compute.data(),
+                             got.busy_compute.data(),
+                             want.busy_compute.size() * sizeof(double)))
+        << where << ": busy_compute";
+    EXPECT_EQ(0, std::memcmp(want.busy_comm.data(), got.busy_comm.data(),
+                             want.busy_comm.size() * sizeof(double)))
+        << where << ": busy_comm";
+    EXPECT_EQ(0, std::memcmp(want.time_by_tag.data(), got.time_by_tag.data(),
+                             sizeof(want.time_by_tag)))
+        << where << ": time_by_tag";
+}
+
+/** A drawn case's operator graph at its own micro-batch count,
+ *  captured with `table` (and expanded into `expanded`). */
+std::shared_ptr<const GraphTemplate>
+captureCase(const Case &c, OperatorToTaskTable &table, TaskGraph *expanded)
+{
+    CommModel comm(c.cluster);
+    GraphBuilder builder(c.model, c.plan, c.cluster, comm);
+    ExpandOptions expand;
+    expand.collapse_operators = c.options.collapse_operators;
+    return GraphTemplate::capture(builder.build(), table, expand, expanded);
+}
+
+TEST(DifferentialRuns, RunReplayMatchesPerTaskReplayAndOracleAtEveryWidth)
+{
+    Rng rng(kSeed + 3);
+    for (int i = 0; i < 16; ++i) {
+        const Case c = drawCase(rng);
+        const std::string where = "case " + std::to_string(i) + " " +
+                                  describe(c);
+        SyntheticProfiler profiler(c.cluster.node.gpu, c.plan.precision,
+                                   c.options.attention);
+        OperatorToTaskTable table(profiler);
+        const auto tmpl = captureCase(c, table, nullptr);
+        const RunSchedule *runs = tmpl->runs();
+        ASSERT_NE(runs, nullptr) << where;
+
+        // Per plan: the oracle (queue engine over the retimed
+        // kernel-level graph) and the per-task schedule replay.
+        CommModel comm(c.cluster);
+        const std::vector<ParallelConfig> plans = variants(c, 9);
+        std::vector<std::vector<double>> slots(plans.size());
+        std::vector<const double *> slot_ptrs;
+        std::vector<EngineResult> oracle;
+        std::vector<EngineResult> per_task;
+        for (size_t j = 0; j < plans.size(); ++j) {
+            ASSERT_TRUE(tmpl->retimeSlots(table, plans[j], c.cluster, comm,
+                                          &slots[j]))
+                << where;
+            slot_ptrs.push_back(slots[j].data());
+            TaskGraph graph;
+            ASSERT_TRUE(tmpl->retime(table, plans[j], c.cluster, comm,
+                                     &graph))
+                << where;
+            oracle.push_back(runSimulation(graph));
+            std::vector<double> durations;
+            ASSERT_TRUE(tmpl->retimeDurations(table, plans[j], c.cluster,
+                                              comm, &durations))
+                << where;
+            per_task.push_back(
+                replaySimulation(tmpl->schedule(), durations));
+        }
+
+        // Cold (the op FIFO) then warm (the run replay), K = 1..9.
+        for (size_t k = 1; k <= plans.size(); ++k) {
+            for (const char *phase : {"cold", "warm"}) {
+                std::vector<EngineResult> got(k);
+                if (phase[0] == 'c')
+                    runOpBatch(tmpl->ops(), slot_ptrs.data(), k, got.data());
+                else
+                    replayRuns(*runs, slot_ptrs.data(), k, got.data());
+                for (size_t j = 0; j < k; ++j) {
+                    const std::string at = where + " K=" +
+                                           std::to_string(k) + " point " +
+                                           std::to_string(j) + " (" +
+                                           phase + ")";
+                    expectSameEngine(oracle[j], got[j], at + " vs oracle");
+                    expectSameEngine(per_task[j], got[j],
+                                     at + " vs per-task replay");
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The runs of a kernel-level schedule, derived per task straight from
+ * the four merge conditions: edge p -> i merges when i is p's only
+ * child, p is i's only parent, both share a lane, and p is the last
+ * task the lane ran before i.  Runs are numbered by head position.
+ */
+struct ReferenceRuns {
+    std::vector<int32_t> run_of; //!< per schedule position
+    std::vector<std::vector<int32_t>> members; //!< positions, per run
+};
+
+ReferenceRuns
+referenceRuns(const ReplaySchedule &schedule)
+{
+    const size_t n = schedule.numTasks();
+    std::vector<int32_t> parents(n, 0);
+    std::vector<int32_t> parent(n, -1);
+    for (size_t p = 0; p < n; ++p)
+        for (int32_t e = schedule.child_offsets[p];
+             e < schedule.child_offsets[p + 1]; ++e) {
+            ++parents[schedule.child_list[e]];
+            parent[schedule.child_list[e]] = static_cast<int32_t>(p);
+        }
+    std::vector<int32_t> lane_last(
+        static_cast<size_t>(schedule.num_devices) * kNumStreams, -1);
+    ReferenceRuns runs;
+    runs.run_of.assign(n, -1);
+    for (size_t i = 0; i < n; ++i) {
+        const int32_t p = parent[i];
+        const bool merged =
+            parents[i] == 1 &&
+            schedule.child_offsets[p + 1] - schedule.child_offsets[p] == 1 &&
+            schedule.lane[p] == schedule.lane[i] &&
+            lane_last[schedule.lane[i]] == p;
+        if (merged) {
+            runs.run_of[i] = runs.run_of[p];
+        } else {
+            runs.run_of[i] = static_cast<int32_t>(runs.members.size());
+            runs.members.emplace_back();
+        }
+        runs.members[runs.run_of[i]].push_back(static_cast<int32_t>(i));
+        lane_last[schedule.lane[i]] = static_cast<int32_t>(i);
+    }
+    return runs;
+}
+
+TEST(DifferentialRuns, RunsPartitionTheScheduleByTheFourMergeConditions)
+{
+    Rng rng(kSeed + 4);
+    for (int i = 0; i < 32; ++i) {
+        const Case c = drawCase(rng);
+        const std::string where = "case " + std::to_string(i) + " " +
+                                  describe(c);
+        SyntheticProfiler profiler(c.cluster.node.gpu, c.plan.precision,
+                                   c.options.attention);
+        OperatorToTaskTable table(profiler);
+        const auto tmpl = captureCase(c, table, nullptr);
+        const ReplaySchedule &schedule = tmpl->schedule();
+        const RunSchedule *runs = tmpl->runs();
+        ASSERT_NE(runs, nullptr) << where;
+        const ReferenceRuns want = referenceRuns(schedule);
+
+        // Every position lies in exactly one reference run, in pop
+        // order, and every merged edge meets the four conditions (by
+        // construction above); the library's runs must be the same.
+        const size_t n = schedule.numTasks();
+        std::vector<int32_t> seen(n, 0);
+        for (const std::vector<int32_t> &members : want.members)
+            for (size_t m = 0; m < members.size(); ++m) {
+                ++seen[members[m]];
+                if (m > 0) {
+                    EXPECT_LT(members[m - 1], members[m]) << where;
+                }
+            }
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                  static_cast<std::ptrdiff_t>(n))
+            << where;
+
+        // Each task's slot, by task id (TaskGraph::expand numbering).
+        const OpTopology &ops = tmpl->ops();
+        std::vector<int32_t> task_slot;
+        for (const OpTopology::Op &op : ops.ops)
+            for (int k = 0; k < op.kernels; ++k)
+                task_slot.push_back(op.slot + k);
+        const auto slot_at = [&](int32_t pos) {
+            return task_slot[schedule.order[pos]];
+        };
+
+        ASSERT_EQ(runs->numRuns(), want.members.size()) << where;
+        ASSERT_EQ(runs->numTasks(), n) << where;
+        size_t member = 0;
+        for (size_t r = 0; r < want.members.size(); ++r) {
+            const std::vector<int32_t> &members = want.members[r];
+            ASSERT_EQ(runs->lane[r], schedule.lane[members[0]])
+                << where << " run " << r;
+            ASSERT_EQ(runs->length[r], members.size())
+                << where << " run " << r;
+            for (const int32_t pos : members)
+                ASSERT_EQ(runs->slot[member++], slot_at(pos))
+                    << where << " run " << r;
+            std::vector<int32_t> want_children;
+            const int32_t last = members.back();
+            for (int32_t e = schedule.child_offsets[last];
+                 e < schedule.child_offsets[last + 1]; ++e)
+                want_children.push_back(
+                    want.run_of[schedule.child_list[e]]);
+            std::vector<int32_t> got_children(
+                runs->child_list.begin() + runs->child_offsets[r],
+                runs->child_list.begin() + runs->child_offsets[r + 1]);
+            std::sort(want_children.begin(), want_children.end());
+            std::sort(got_children.begin(), got_children.end());
+            EXPECT_EQ(want_children, got_children) << where << " run " << r;
+        }
+
+        // The pop-order sums: each tag, then each device's comm
+        // streams.
+        const int accumulators = kNumTaskTags + schedule.num_devices;
+        ASSERT_EQ(runs->sum_offsets.size(),
+                  static_cast<size_t>(accumulators) + 1)
+            << where;
+        for (int a = 0; a < accumulators; ++a) {
+            std::vector<uint16_t> want_slots;
+            for (size_t pos = 0; pos < n; ++pos) {
+                const bool in =
+                    a < kNumTaskTags
+                        ? schedule.tag[pos] == a
+                        : schedule.busy_lane[pos] ==
+                              (a - kNumTaskTags) * 2 + 1;
+                if (in)
+                    want_slots.push_back(static_cast<uint16_t>(
+                        slot_at(static_cast<int32_t>(pos))));
+            }
+            const std::vector<uint16_t> got_slots(
+                runs->sum_slot.begin() + runs->sum_offsets[a],
+                runs->sum_slot.begin() + runs->sum_offsets[a + 1]);
+            EXPECT_EQ(want_slots, got_slots) << where << " sum " << a;
+        }
     }
 }
 

@@ -8,8 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -100,6 +102,23 @@ TEST_P(TemplateGolden, BitIdenticalToFromScratchBuild)
         timeless(warm.simulateIteration(model, plan));
     EXPECT_EQ(want, got_warm);
     EXPECT_GT(cache->stats().hits, 0u);
+}
+
+/**
+ * Prints a case as its fields (e.g. t2_d2_p2_m1_b32_gpipe_nobucket_z0_fast).
+ * ctest names each grid case after this printout, so without it the
+ * names would be gtest's raw byte dump of the struct, padding
+ * included, which differs from build to build.
+ */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << 't' << c.t << "_d" << c.d << "_p" << c.p << "_m" << c.m << "_b"
+        << c.batch
+        << (c.schedule == PipelineSchedule::GPipe ? "_gpipe" : "_1f1b")
+        << (c.bucketing ? "_bucket" : "_nobucket") << "_z" << c.zero_stage
+        << (c.fast_mode ? "_fast" : "_exact")
+        << (c.collapse ? "_collapse" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -696,7 +715,7 @@ TEST(TemplateCache, ByteBudgetEvictsButKeepsNewest)
 
 TEST(TemplateCache, ApproxBytesCoverOpArraysAndDerivedSchedule)
 {
-    // The byte budget is fixed at capture, before the replay schedule
+    // The byte budget is fixed at capture, before the run schedule
     // exists, and must not under-count it once it does.
     const ClusterSpec cluster = makeCluster(64);
     const ParallelConfig plan = planOf(GoldenCase{2, 2, 2, 1, 32});
@@ -706,13 +725,38 @@ TEST(TemplateCache, ApproxBytesCoverOpArraysAndDerivedSchedule)
     const auto tmpl = captureTiny(AttentionImpl::Megatron, &expanded,
                                   cluster, plan, table);
     const size_t before = tmpl->approxBytes();
-    const ReplaySchedule &schedule = tmpl->schedule();
+    const RunSchedule *runs = tmpl->runs();
+    ASSERT_NE(runs, nullptr);
     EXPECT_EQ(tmpl->approxBytes(), before) << "accounting must not shift";
     EXPECT_GE(tmpl->approxBytes(),
-              schedule.approxBytes() + tmpl->ops().approxBytes());
-    EXPECT_EQ(schedule.approxBytes(),
-              ReplaySchedule::predictBytes(schedule.numTasks(),
-                                           schedule.numEdges()));
+              runs->approxBytes() + tmpl->ops().approxBytes());
+    EXPECT_EQ(runs->approxBytes(),
+              RunSchedule::bytesFor(tmpl->ops(), runs->numRuns()));
+}
+
+TEST(TemplateCache, RunScheduleOverItsBudgetIsNotKept)
+{
+    // Two independent multi-kernel operators on one lane interleave
+    // in the FIFO (a0 b0 a1 b1 ...), so no chain edge merges: more
+    // runs than the one-per-operator budget approxBytes() counted.
+    // The template must keep no run schedule (the op FIFO serves its
+    // warm path) rather than hold more than it budgeted.
+    OpGraph ops;
+    const OpDesc desc = OpDesc::forModel(OpKind::MhaFwd, tinyModel(), 1, 1);
+    ops.addCompute(0, 0, desc);
+    ops.addCompute(0, 1, desc);
+    ops.finalize();
+    const ClusterSpec cluster = makeCluster(64);
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    const auto tmpl = GraphTemplate::capture(ops, table, {}, nullptr);
+    ASSERT_GT(tmpl->numTasks(), 2 * tmpl->numOperators());
+
+    const size_t before = tmpl->approxBytes();
+    EXPECT_EQ(tmpl->runs(), nullptr);
+    EXPECT_EQ(tmpl->approxBytes(), before);
+    const auto runs = RunSchedule::build(tmpl->ops());
+    EXPECT_EQ(runs->numRuns(), tmpl->numTasks());
 }
 
 TEST(TemplateCache, ClearDropsEntriesKeepsCounters)
@@ -771,6 +815,60 @@ TEST(TemplateCache, BypassedForAblationsAndPerturbedRuns)
     (void)testbed.simulateIteration(model, plan);
     stats = testbed.templateCache()->stats();
     EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
+}
+
+TEST(TemplateConcurrency, FirstReuseDerivesOneRunScheduleAcrossThreads)
+{
+    // Eight threads reach a fresh template's first reuse together:
+    // the run schedule is derived once, every thread gets that one,
+    // and every replay over it times like the queue engine.
+    const ClusterSpec cluster = makeCluster(64);
+    const ParallelConfig plan = planOf(GoldenCase{2, 2, 2, 1, 32});
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    TaskGraph expanded;
+    const auto tmpl = captureTiny(AttentionImpl::Megatron, &expanded,
+                                  cluster, plan, table);
+    CommModel comm(cluster);
+    std::vector<double> slots;
+    ASSERT_TRUE(tmpl->retimeSlots(table, plan, cluster, comm, &slots));
+    const EngineResult want = runSimulation(expanded);
+
+    constexpr int kThreads = 8;
+    std::atomic<int> arriving{kThreads};
+    std::vector<const RunSchedule *> seen(kThreads, nullptr);
+    std::vector<EngineResult> got(kThreads);
+    {
+        std::vector<std::thread> threads;
+        threads.reserve(kThreads);
+        for (int thread_id = 0; thread_id < kThreads; ++thread_id) {
+            threads.emplace_back([&, thread_id] {
+                arriving.fetch_sub(1);
+                while (arriving.load() > 0)
+                    std::this_thread::yield();
+                seen[thread_id] = tmpl->runs();
+                if (seen[thread_id] != nullptr) {
+                    const double *table_ptr = slots.data();
+                    replayRuns(*seen[thread_id], &table_ptr, 1,
+                               &got[thread_id]);
+                }
+            });
+        }
+        for (auto &t : threads)
+            t.join();
+    }
+    ASSERT_NE(seen[0], nullptr);
+    for (int thread_id = 0; thread_id < kThreads; ++thread_id) {
+        SCOPED_TRACE(::testing::Message() << "thread " << thread_id);
+        EXPECT_EQ(seen[thread_id], seen[0]);
+        const EngineResult &r = got[thread_id];
+        EXPECT_EQ(0, std::memcmp(&want.makespan, &r.makespan,
+                                 sizeof(double)));
+        EXPECT_EQ(want.busy_compute, r.busy_compute);
+        EXPECT_EQ(want.busy_comm, r.busy_comm);
+        EXPECT_EQ(want.time_by_tag, r.time_by_tag);
+        EXPECT_EQ(want.executed, r.executed);
+    }
 }
 
 TEST(TemplateConcurrency, SharedCacheServesParallelSimulations)
