@@ -178,13 +178,15 @@ GraphBuilder::buildForwardBlock(OpGraph &g, const BuildCtx &ctx, int stage,
 
 GraphBuilder::Block
 GraphBuilder::buildBackwardBlock(OpGraph &g, const BuildCtx &ctx,
-                                 int stage, int mb) const
+                                 int stage, int mb,
+                                 GradReady *grad_ready) const
 {
     Block block;
     const auto device = static_cast<int16_t>(stage);
     const bool recompute = parallel_.activation_recompute;
     const int first_layer = stageFirstLayer(stage);
-    block.grad_ready.reserve(static_cast<size_t>(layersPerStage()) + 1);
+    if (grad_ready)
+        grad_ready->reserve(static_cast<size_t>(layersPerStage()) + 1);
 
     if (stage == parallel_.pipeline - 1)
         chain(g, block, g.addCompute(device, mb, ctx.lm_bwd));
@@ -201,12 +203,14 @@ GraphBuilder::buildBackwardBlock(OpGraph &g, const BuildCtx &ctx,
         const auto mha_bwd = g.addCompute(device, mb, ctx.mha_bwd);
         chain(g, block, mha_bwd);
         addTpAllReduce(g, ctx, block, stage, mb);
-        block.grad_ready.emplace_back(first_layer + l, mha_bwd);
+        if (grad_ready)
+            grad_ready->emplace_back(first_layer + l, mha_bwd);
     }
     if (stage == 0) {
         const auto embed_bwd = g.addCompute(device, mb, ctx.embed_bwd);
         chain(g, block, embed_bwd);
-        block.grad_ready.emplace_back(-1, embed_bwd);
+        if (grad_ready)
+            grad_ready->emplace_back(-1, embed_bwd);
     }
     return block;
 }
@@ -242,9 +246,74 @@ GraphBuilder::stageSchedule(int stage, int n_micro) const
     return order;
 }
 
+std::vector<int32_t>
+GraphBuilder::waveOrder(
+    const std::vector<std::vector<std::pair<bool, int>>> &orders,
+    int n_micro)
+{
+    const int p = static_cast<int>(orders.size());
+    const size_t n_blocks =
+        static_cast<size_t>(p) * static_cast<size_t>(n_micro);
+    const auto id = [n_blocks, n_micro](bool is_fwd, int stage, int mb) {
+        return static_cast<int32_t>((is_fwd ? 0 : n_blocks) +
+                                    static_cast<size_t>(stage) * n_micro +
+                                    static_cast<size_t>(mb));
+    };
+
+    // The block graph: each block's schedule successor on its stage,
+    // then its P2P neighbour -- the order in which the operator graph
+    // lists a block's last operator's children.
+    std::vector<int32_t> next(2 * n_blocks, -1);
+    std::vector<int32_t> in_degree(2 * n_blocks, 0);
+    for (int stage = 0; stage < p; ++stage) {
+        int32_t prev = -1;
+        for (const auto &[is_fwd, mb] : orders[stage]) {
+            const int32_t b = id(is_fwd, stage, mb);
+            if (prev >= 0) {
+                next[prev] = b;
+                ++in_degree[b];
+            }
+            prev = b;
+        }
+    }
+    for (int stage = 0; stage + 1 < p; ++stage) {
+        for (int mb = 0; mb < n_micro; ++mb) {
+            ++in_degree[id(true, stage + 1, mb)];
+            ++in_degree[id(false, stage, mb)];
+        }
+    }
+
+    std::vector<int32_t> wave;
+    wave.reserve(2 * n_blocks);
+    for (size_t b = 0; b < 2 * n_blocks; ++b)
+        if (in_degree[b] == 0)
+            wave.push_back(static_cast<int32_t>(b));
+    const auto release = [&](int32_t b) {
+        if (--in_degree[b] == 0)
+            wave.push_back(b);
+    };
+    for (size_t head = 0; head < wave.size(); ++head) {
+        const int32_t b = wave[head];
+        if (next[b] >= 0)
+            release(next[b]);
+        const bool is_fwd = static_cast<size_t>(b) < n_blocks;
+        const size_t i = is_fwd ? b : b - n_blocks;
+        const int stage = static_cast<int>(i / n_micro);
+        const int mb = static_cast<int>(i % n_micro);
+        if (is_fwd && stage + 1 < p)
+            release(id(true, stage + 1, mb));
+        else if (!is_fwd && stage > 0)
+            release(id(false, stage - 1, mb));
+    }
+    VTRAIN_CHECK(wave.size() == 2 * n_blocks,
+                 "pipeline schedule has a cyclic block order");
+    return wave;
+}
+
 void
 GraphBuilder::addGradReduceAndUpdate(OpGraph &g, int stage,
-                                     const Block &final_bwd) const
+                                     const Block &final_bwd,
+                                     const GradReady &grad_ready) const
 {
     const int d = parallel_.data;
     const int t = parallel_.tensor;
@@ -323,12 +392,12 @@ GraphBuilder::addGradReduceAndUpdate(OpGraph &g, int stage,
     // order; each bucket's All-Reduce launches as soon as its last
     // layer gradient is ready and overlaps with the remaining
     // backward compute on the NCCL stream.
-    VTRAIN_CHECK(!final_bwd.grad_ready.empty(),
+    VTRAIN_CHECK(!grad_ready.empty(),
                  "backward block produced no gradients");
     double pending = 0.0;
     OpGraph::NodeId pending_ready = -1;
     bool first_entry = true;
-    for (const auto &[layer, ready] : final_bwd.grad_ready) {
+    for (const auto &[layer, ready] : grad_ready) {
         double bytes = (layer < 0) ? embed_grad_bytes : layer_grad_bytes;
         if (first_entry && stage == parallel_.pipeline - 1)
             bytes += lm_head_grad_bytes;
@@ -383,66 +452,90 @@ GraphBuilder::build(const BuildOptions &options) const
 
     const BuildCtx ctx = makeCtx(g);
 
-    // 1. Build every (stage, micro-batch) forward/backward block.
-    std::vector<Block> fwd(static_cast<size_t>(p) *
-                           static_cast<size_t>(n_micro));
-    std::vector<Block> bwd(fwd.size());
+    // Blocks are indexed fwd(stage, mb) = stage * n_micro + mb and
+    // bwd(stage, mb) = n_blocks + fwd(stage, mb).
+    const size_t n_blocks =
+        static_cast<size_t>(p) * static_cast<size_t>(n_micro);
     const auto at = [n_micro](int stage, int mb) {
         return static_cast<size_t>(stage) * static_cast<size_t>(n_micro) +
                static_cast<size_t>(mb);
     };
-    for (int stage = 0; stage < p; ++stage) {
-        for (int mb = 0; mb < n_micro; ++mb) {
-            fwd[at(stage, mb)] = buildForwardBlock(g, ctx, stage, mb);
-            bwd[at(stage, mb)] = buildBackwardBlock(g, ctx, stage, mb);
-        }
-    }
-
-    // 2. Intra-GPU execution-order chains per the pipeline schedule.
+    std::vector<std::vector<std::pair<bool, int>>> orders(p);
     std::vector<int> final_bwd_mb(p, n_micro - 1);
     for (int stage = 0; stage < p; ++stage) {
-        const auto order = stageSchedule(stage, n_micro);
+        orders[stage] = stageSchedule(stage, n_micro);
+        for (const auto &[is_fwd, mb] : orders[stage])
+            if (!is_fwd)
+                final_bwd_mb[stage] = mb;
+    }
+
+    // 1. Node ids in wave order: create every block, and each P2P send
+    //    right after its source block, in the order a block-level FIFO
+    //    pops them (see file comment).  Chain edges are added here;
+    //    every other edge is added below in phase order, so each
+    //    node's CSR child order does not depend on the ids.
+    std::vector<Block> blocks(2 * n_blocks);
+    std::vector<OpGraph::NodeId> sends(2 * n_blocks, -1);
+    std::vector<GradReady> grad_ready(p);
+    CommOpDesc p2p;
+    double p2p_latency = 0.0;
+    if (p > 1) {
+        p2p = commDescFor(CommKind::PipeSendRecv, activationBytes(),
+                          parallel_, cluster_);
+        p2p_latency = comm_.latencySeconds(p2p);
+    }
+    for (const int32_t b : waveOrder(orders, n_micro)) {
+        const bool is_fwd = static_cast<size_t>(b) < n_blocks;
+        const size_t i = is_fwd ? b : b - n_blocks;
+        const int stage = static_cast<int>(i / n_micro);
+        const int mb = static_cast<int>(i % n_micro);
+        if (is_fwd) {
+            blocks[b] = buildForwardBlock(g, ctx, stage, mb);
+        } else {
+            blocks[b] = buildBackwardBlock(
+                g, ctx, stage, mb,
+                mb == final_bwd_mb[stage] ? &grad_ready[stage] : nullptr);
+        }
+        // Forward activations flow stage -> stage+1, backward
+        // gradients stage -> stage-1.
+        if (is_fwd ? stage + 1 < p : stage > 0)
+            sends[b] = g.addComm(static_cast<int16_t>(stage), mb, p2p.kind,
+                                 p2p_latency, 2, p2p.scope, 1,
+                                 StreamKind::Comm, p2p.bytes);
+    }
+    const Block *const fwd = blocks.data();
+    const Block *const bwd = blocks.data() + n_blocks;
+
+    // 2. Intra-GPU execution-order chains per the pipeline schedule.
+    for (int stage = 0; stage < p; ++stage) {
         const Block *prev = nullptr;
-        for (const auto &[is_fwd, mb] : order) {
+        for (const auto &[is_fwd, mb] : orders[stage]) {
             const Block &cur =
                 is_fwd ? fwd[at(stage, mb)] : bwd[at(stage, mb)];
             if (prev)
                 g.addEdge(prev->last, cur.first);
             prev = &cur;
-            if (!is_fwd)
-                final_bwd_mb[stage] = mb;
         }
     }
 
-    // 3. Cross-stage micro-batch dependencies through P2P Send-Receive
-    //    operators at each stage boundary.
-    if (p > 1) {
-        const CommOpDesc p2p = commDescFor(
-            CommKind::PipeSendRecv, activationBytes(), parallel_, cluster_);
-        const double latency = comm_.latencySeconds(p2p);
-        for (int stage = 0; stage + 1 < p; ++stage) {
-            for (int mb = 0; mb < n_micro; ++mb) {
-                // Forward: activations flow stage -> stage+1.
-                const auto send_fwd = g.addComm(
-                    static_cast<int16_t>(stage), mb, p2p.kind, latency,
-                    2, p2p.scope, 1, StreamKind::Comm, p2p.bytes);
-                g.addEdge(fwd[at(stage, mb)].last, send_fwd);
-                g.addEdge(send_fwd, fwd[at(stage + 1, mb)].first);
-                // Backward: gradients flow stage+1 -> stage.
-                const auto send_bwd = g.addComm(
-                    static_cast<int16_t>(stage + 1), mb, p2p.kind,
-                    latency, 2, p2p.scope, 1, StreamKind::Comm,
-                    p2p.bytes);
-                g.addEdge(bwd[at(stage + 1, mb)].last, send_bwd);
-                g.addEdge(send_bwd, bwd[at(stage, mb)].first);
-            }
+    // 3. Cross-stage micro-batch dependencies through the P2P
+    //    Send-Receive operators at each stage boundary.
+    for (int stage = 0; stage + 1 < p; ++stage) {
+        for (int mb = 0; mb < n_micro; ++mb) {
+            const size_t lo = at(stage, mb);
+            const size_t hi = at(stage + 1, mb);
+            g.addEdge(fwd[lo].last, sends[lo]);
+            g.addEdge(sends[lo], fwd[hi].first);
+            g.addEdge(bwd[hi].last, sends[n_blocks + hi]);
+            g.addEdge(sends[n_blocks + hi], bwd[lo].first);
         }
     }
 
     // 4. Data-parallel gradient reduction and weight update per stage.
     for (int stage = 0; stage < p; ++stage)
         addGradReduceAndUpdate(g, stage,
-                               bwd[at(stage, final_bwd_mb[stage])]);
+                               bwd[at(stage, final_bwd_mb[stage])],
+                               grad_ready[stage]);
 
     g.finalize();
     return g;

@@ -17,6 +17,24 @@
  *    bucket overlapped with the remaining backward pass (Fig. 5(a),
  *    PyTorch-DDP-style bucketing) or a single one at the end
  *    (Fig. 5(b)); the weight-update operator waits for all of them.
+ *
+ * Node ids follow pipeline wave order.  A FIFO over the block graph
+ * (one block per (stage, micro-batch, direction); edges are each
+ * stage's schedule chain and the P2P hops between neighbouring
+ * stages) fixes the order blocks are created in, and each P2P send is
+ * created right after its source block; the per-stage gradient
+ * reduction and weight update come last.  Blocks the engine's FIFO
+ * runs concurrently therefore sit close together in id space, which
+ * keeps the op-FIFO walk, the run-schedule derivation and the
+ * kernel-level expansion cache- and TLB-local.
+ *
+ * The ids are a layout choice only.  Edges are added in a fixed phase
+ * order (block chains, schedule chains, P2P, data parallelism), so a
+ * node's children keep the same order whatever its id, and the graph
+ * has a single root, fwd(stage 0, micro-batch 0).  The FIFO pop
+ * sequence depends on nothing else, so every simulation result is
+ * independent of the labelling (differential-tested under seeded
+ * random relabellings).
  */
 #ifndef VTRAIN_GRAPH_BUILDER_H
 #define VTRAIN_GRAPH_BUILDER_H
@@ -66,10 +84,12 @@ class GraphBuilder
     struct Block {
         OpGraph::NodeId first = -1;
         OpGraph::NodeId last = -1;
-        /** For backward blocks: per-layer MHA-backward node (the op
-         *  whose completion finishes that layer's gradients). */
-        std::vector<std::pair<int, OpGraph::NodeId>> grad_ready;
     };
+
+    /** Per-layer (layer, MHA-backward node) of one backward block, in
+     *  backward order: the op whose completion finishes that layer's
+     *  gradients (layer -1 is the embedding). */
+    using GradReady = std::vector<std::pair<int, OpGraph::NodeId>>;
 
     /** Per-build() constants hoisted out of the block loops: interned
      *  operator-descriptor ids and the (shape-invariant) tensor-
@@ -91,8 +111,11 @@ class GraphBuilder
 
     Block buildForwardBlock(OpGraph &g, const BuildCtx &ctx, int stage,
                             int mb) const;
+    /** Records the block's gradient-ready nodes into `grad_ready`
+     *  when non-null (only a stage's final backward block needs
+     *  them). */
     Block buildBackwardBlock(OpGraph &g, const BuildCtx &ctx, int stage,
-                             int mb) const;
+                             int mb, GradReady *grad_ready) const;
 
     /** Appends node to the block chain (edge from previous last). */
     static void chain(OpGraph &g, Block &block, OpGraph::NodeId node);
@@ -105,9 +128,21 @@ class GraphBuilder
     std::vector<std::pair<bool, int>> stageSchedule(int stage,
                                                     int n_micro) const;
 
+    /**
+     * The order build() creates blocks in: a FIFO over the block graph
+     * (each stage's `orders` chain plus the P2P edges between
+     * neighbouring stages) from fwd(0, 0).  Ids are fwd(stage, mb) =
+     * stage * n_micro + mb and bwd(stage, mb) = p * n_micro +
+     * fwd(stage, mb).
+     */
+    static std::vector<int32_t>
+    waveOrder(const std::vector<std::vector<std::pair<bool, int>>> &orders,
+              int n_micro);
+
     /** Gradient-reduction + weight-update ops for one stage. */
     void addGradReduceAndUpdate(OpGraph &g, int stage,
-                                const Block &final_bwd) const;
+                                const Block &final_bwd,
+                                const GradReady &grad_ready) const;
 
     /** First layer index owned by a stage. */
     int stageFirstLayer(int stage) const;

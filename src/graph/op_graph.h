@@ -15,6 +15,14 @@
  * and edges, then finalize() freezes the edge list into a CSR
  * adjacency that task-graph expansion iterates without per-node heap
  * indirection.  GraphBuilder finalizes the graphs it returns.
+ *
+ * Id contract.  The engine's FIFO pushes every in-degree-0 node in id
+ * order and then each finished node's children in CSR order, which
+ * is the order addEdge() was called per source node.  Node ids
+ * therefore affect memory layout, not results, as long as a node's
+ * children keep their order and the root set is fixed.  GraphBuilder
+ * emits exactly one root and allocates ids in pipeline wave order
+ * (graph/builder.h), so consecutive FIFO pops touch nearby records.
  */
 #ifndef VTRAIN_GRAPH_OP_GRAPH_H
 #define VTRAIN_GRAPH_OP_GRAPH_H

@@ -15,13 +15,16 @@
  * from the fully expanded kernel-level topology.  Its run schedule
  * must partition that schedule into exactly the runs the four merge
  * conditions define, and replay bit-identically to both the per-task
- * replay and the queue engine at every lockstep width.
+ * replay and the queue engine at every lockstep width.  Node ids are
+ * a layout choice: a seeded relabelling that keeps each node's child
+ * order must simulate bit-identically on every path.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -516,6 +519,125 @@ TEST(DifferentialRuns, RunsPartitionTheScheduleByTheFourMergeConditions)
                 runs->sum_slot.begin() + runs->sum_offsets[a],
                 runs->sum_slot.begin() + runs->sum_offsets[a + 1]);
             EXPECT_EQ(want_slots, got_slots) << where << " sum " << a;
+        }
+    }
+}
+
+/**
+ * `g` with its node ids shuffled by `rng`: node u becomes perm[u].
+ * Descriptors keep their ids and every node keeps its children in CSR
+ * order; a relabelling cannot change in-degrees, so the root set is
+ * the same too.
+ */
+OpGraph
+relabelled(const OpGraph &g, Rng &rng)
+{
+    const size_t n = g.numNodes();
+    std::vector<OpGraph::NodeId> perm(n);
+    std::iota(perm.begin(), perm.end(), 0);
+    for (size_t i = n; i > 1; --i)
+        std::swap(perm[i - 1],
+                  perm[rng.uniformInt(0, static_cast<int64_t>(i) - 1)]);
+    std::vector<OpGraph::NodeId> node_at(n);
+    for (size_t u = 0; u < n; ++u)
+        node_at[perm[u]] = static_cast<OpGraph::NodeId>(u);
+
+    OpGraph out;
+    out.setNumDevices(g.numDevices());
+    for (const OpDesc &desc : g.descs())
+        out.internDesc(desc);
+    for (const OpGraph::NodeId u : node_at) {
+        const OpNode &node = g.nodes()[u];
+        if (node.type == OpNodeType::Compute)
+            out.addCompute(node.device, node.micro_batch, node.desc_id);
+        else
+            out.addComm(node.device, node.micro_batch, node.comm_kind,
+                        node.comm_latency, node.comm_workers,
+                        node.comm_scope, node.comm_concurrent_groups,
+                        node.stream, node.comm_bytes);
+    }
+    for (size_t u = 0; u < n; ++u) {
+        const auto id = static_cast<OpGraph::NodeId>(u);
+        for (const OpGraph::NodeId *c = g.childBegin(id),
+                                   *end = g.childEnd(id);
+             c != end; ++c)
+            out.addEdge(perm[u], perm[*c]);
+    }
+    out.finalize();
+    return out;
+}
+
+TEST(DifferentialRelabel, PermutedNodeIdsSimulateBitIdentically)
+{
+    Rng rng(kSeed + 5);
+    for (int i = 0; i < 16; ++i) {
+        const Case c = drawCase(rng);
+        const std::string where = "case " + std::to_string(i) + " " +
+                                  describe(c);
+        CommModel comm(c.cluster);
+        const OpGraph ops =
+            GraphBuilder(c.model, c.plan, c.cluster, comm).build();
+        const OpGraph shuffled = relabelled(ops, rng);
+        SyntheticProfiler profiler(c.cluster.node.gpu, c.plan.precision,
+                                   c.options.attention);
+        OperatorToTaskTable table(profiler);
+        ExpandOptions expand;
+        expand.collapse_operators = c.options.collapse_operators;
+        const std::shared_ptr<const GraphTemplate> tmpls[] = {
+            GraphTemplate::capture(ops, table, expand, nullptr),
+            GraphTemplate::capture(shuffled, table, expand, nullptr)};
+        const RunSchedule *runs[2];
+        for (int side = 0; side < 2; ++side) {
+            runs[side] = tmpls[side]->runs();
+            ASSERT_NE(runs[side], nullptr) << where;
+        }
+
+        // Per side and plan: a slot table and the queue engine over
+        // the retimed kernel-level graph.
+        const std::vector<ParallelConfig> plans = variants(c, 9);
+        std::vector<double> slots[2][9];
+        const double *slot_ptrs[2][9];
+        for (int side = 0; side < 2; ++side) {
+            for (size_t j = 0; j < plans.size(); ++j) {
+                ASSERT_TRUE(tmpls[side]->retimeSlots(
+                    table, plans[j], c.cluster, comm, &slots[side][j]))
+                    << where;
+                slot_ptrs[side][j] = slots[side][j].data();
+            }
+        }
+        for (size_t j = 0; j < plans.size(); ++j) {
+            EngineResult oracle[2];
+            for (int side = 0; side < 2; ++side) {
+                TaskGraph graph;
+                ASSERT_TRUE(tmpls[side]->retime(table, plans[j], c.cluster,
+                                                comm, &graph))
+                    << where;
+                oracle[side] = runSimulation(graph);
+            }
+            expectSameEngine(oracle[0], oracle[1],
+                             where + " point " + std::to_string(j) +
+                                 " (queue engine)");
+        }
+
+        // The op FIFO and the run replay, K = 1..9.
+        for (size_t k = 1; k <= plans.size(); ++k) {
+            for (const char *phase : {"cold", "warm"}) {
+                std::vector<EngineResult> got[2];
+                for (int side = 0; side < 2; ++side) {
+                    got[side].resize(k);
+                    if (phase[0] == 'c')
+                        runOpBatch(tmpls[side]->ops(), slot_ptrs[side], k,
+                                   got[side].data());
+                    else
+                        replayRuns(*runs[side], slot_ptrs[side], k,
+                                   got[side].data());
+                }
+                for (size_t j = 0; j < k; ++j)
+                    expectSameEngine(got[0][j], got[1][j],
+                                     where + " K=" + std::to_string(k) +
+                                         " point " + std::to_string(j) +
+                                         " (" + phase + ")");
+            }
         }
     }
 }

@@ -7,11 +7,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <map>
+#include <ostream>
 
 #include "comm/comm_model.h"
 #include "graph/builder.h"
+#include "graph/template.h"
 #include "model/zoo.h"
+#include "profiling/synthetic_profiler.h"
 
 namespace vtrain {
 namespace {
@@ -149,6 +154,33 @@ TEST_P(GraphGrid, DeterministicConstruction)
         EXPECT_DOUBLE_EQ(a.nodes()[i].comm_latency,
                          b.nodes()[i].comm_latency);
     }
+}
+
+TEST_P(GraphGrid, SingleRoot)
+{
+    // The op FIFO pushes every in-degree-0 operator in id order before
+    // its first pop; with exactly one root, the pop sequence depends
+    // only on each node's child order, never on the ids themselves.
+    const OpGraph g = buildGraph(GetParam(), makeCluster(64), tinyModel());
+    std::vector<int> in_degree(g.numNodes(), 0);
+    for (size_t u = 0; u < g.numNodes(); ++u)
+        for (const OpGraph::NodeId *c = g.childBegin(u),
+                                   *end = g.childEnd(u);
+             c != end; ++c)
+            ++in_degree[*c];
+    EXPECT_EQ(std::count(in_degree.begin(), in_degree.end(), 0), 1);
+}
+
+/** Names each case by its fields (gtest otherwise prints the raw
+ *  bytes, struct padding included, which differs between builds). */
+void
+PrintTo(const GraphCase &c, std::ostream *os)
+{
+    *os << 't' << c.t << "_d" << c.d << "_p" << c.p << "_m" << c.m << "_b"
+        << c.batch
+        << (c.schedule == PipelineSchedule::GPipe ? "_gpipe" : "_1f1b")
+        << (c.bucketing ? "_bucket" : "_nobucket")
+        << (c.recompute ? "_recompute" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -293,6 +325,48 @@ TEST(GraphBuilder, DevicesSpanPipelineStages)
         seen[node.device] = true;
     for (bool s : seen)
         EXPECT_TRUE(s);
+}
+
+TEST(GraphBuilder, WaveOrderKeepsOpFifoPopsLocal)
+{
+    // Capped MT-NLG 530B at (8, 2, 35), m = 1: fast mode's 2p + 2 = 72
+    // micro-batches.  Node ids follow pipeline wave order, so the op
+    // FIFO's consecutive pops stay close in id space (stage-major ids
+    // put them a median ~2200 apart).
+    const ModelConfig model = zoo::mtNlg530b();
+    const ClusterSpec cluster = makeCluster(560);
+    ParallelConfig plan;
+    plan.tensor = 8;
+    plan.data = 2;
+    plan.pipeline = 35;
+    plan.micro_batch_size = 1;
+    plan.global_batch_size = 1920;
+    CommModel comm(cluster);
+    BuildOptions options;
+    options.n_micro_override = 2 * plan.pipeline + 2;
+    const OpGraph g = GraphBuilder(model, plan, cluster, comm).build(options);
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    const auto tmpl =
+        GraphTemplate::capture(g, table, ExpandOptions{}, nullptr);
+
+    std::vector<int32_t> deltas;
+    deltas.reserve(tmpl->numTasks());
+    int32_t prev = -1;
+    const size_t popped = walkOpFifo<0>(
+        tmpl->ops(),
+        [&](int32_t op, int32_t, const OpTopology::Op &, const double *,
+            double *) {
+            if (prev >= 0)
+                deltas.push_back(std::abs(op - prev));
+            prev = op;
+        });
+    ASSERT_EQ(popped, tmpl->numTasks());
+    std::nth_element(deltas.begin(), deltas.begin() + deltas.size() / 2,
+                     deltas.end());
+    const int32_t median = deltas[deltas.size() / 2];
+    RecordProperty("median_pop_delta", median);
+    EXPECT_LE(median, 128);
 }
 
 TEST(OpGraph, RejectsSelfEdge)

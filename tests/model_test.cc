@@ -5,6 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "model/model_config.h"
 #include "model/zoo.h"
 
@@ -38,6 +42,16 @@ TEST_P(ZooParams, ParameterCountMatchesName)
     const auto &[model, expected] = GetParam();
     EXPECT_NEAR(model.numParameters() / 1e9, expected,
                 0.02 * expected);
+}
+
+/** Names each case by its fields (gtest otherwise prints the raw
+ *  bytes, struct padding included, which differs between builds). */
+void
+PrintTo(const ZooCase &c, std::ostream *os)
+{
+    std::string name = c.model.name;
+    std::replace(name.begin(), name.end(), ' ', '_');
+    *os << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

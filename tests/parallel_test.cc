@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "hw/cluster_spec.h"
 #include "model/zoo.h"
 #include "parallel/memory_model.h"
@@ -68,6 +70,16 @@ TEST_P(InvalidPlans, RejectedWithReason)
         GetParam().config.valid(zoo::mtNlg530b(), cluster, &why));
     EXPECT_NE(why.find(GetParam().why_substring), std::string::npos)
         << "actual reason: " << why;
+}
+
+/** Names each case by its fields (gtest otherwise prints the raw
+ *  bytes, struct padding included, which differs between builds). */
+void
+PrintTo(const InvalidCase &c, std::ostream *os)
+{
+    const ParallelConfig &p = c.config;
+    *os << 't' << p.tensor << "_d" << p.data << "_p" << p.pipeline << "_m"
+        << p.micro_batch_size << "_b" << p.global_batch_size;
 }
 
 INSTANTIATE_TEST_SUITE_P(

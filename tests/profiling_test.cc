@@ -7,12 +7,24 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "model/zoo.h"
 #include "profiling/op_task_table.h"
 #include "profiling/operator.h"
 #include "profiling/synthetic_profiler.h"
 
 namespace vtrain {
+
+/** Names ProfilerKinds cases by kind (gtest otherwise dumps the enum's
+ *  raw bytes).  Declared in vtrain itself so that argument-dependent
+ *  lookup finds it for OpKind. */
+void
+PrintTo(OpKind kind, std::ostream *os)
+{
+    *os << toString(kind);
+}
+
 namespace {
 
 const ModelConfig kModel = zoo::scaled18_4b();

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "comm/comm_model.h"
@@ -154,6 +155,14 @@ TEST_P(ScheduleProps, ForwardsArriveInMicroBatchOrderDownstream)
     }
     for (int mb = 1; mb < n_micro; ++mb)
         EXPECT_GE(first_fwd[mb], first_fwd[mb - 1]);
+}
+
+/** Names each case by its fields (gtest otherwise prints the raw
+ *  bytes, struct padding included, which differs between builds). */
+void
+PrintTo(const ScheduleCase &c, std::ostream *os)
+{
+    *os << 'p' << c.p << "_micro" << c.n_micro;
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, ScheduleProps,

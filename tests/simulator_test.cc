@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "model/zoo.h"
 #include "sim/simulator.h"
@@ -67,6 +68,17 @@ TEST_P(FastExact, ExtrapolationMatchesExactSimulation)
     ASSERT_FALSE(r_exact.extrapolated);
     EXPECT_NEAR(r_fast.iteration_seconds, r_exact.iteration_seconds,
                 1e-6 * r_exact.iteration_seconds);
+}
+
+/** Names each case by its fields (gtest otherwise prints the raw
+ *  bytes, struct padding included, which differs between builds). */
+void
+PrintTo(const FastExactCase &c, std::ostream *os)
+{
+    *os << 't' << c.t << "_d" << c.d << "_p" << c.p << "_m" << c.m << "_b"
+        << c.batch
+        << (c.schedule == PipelineSchedule::GPipe ? "_gpipe" : "_1f1b")
+        << (c.bucketing ? "_bucket" : "_nobucket");
 }
 
 INSTANTIATE_TEST_SUITE_P(
