@@ -252,6 +252,84 @@ BENCHMARK(BM_ColdSweep_Mtnlg)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_OpPair_Mtnlg(benchmark::State &state)
+{
+    // Fast mode's cold pair on capped MT-NLG 530B: the cap = 2p + 2
+    // and cap + 1 graphs timed for K plans (t = 8, d = 2 .. K + 1,
+    // m = 1).  Args: p, K, and 0 = two runOpBatch walks or 1 = one
+    // runOpPair that walks their shared prefix once.  Counter
+    // shared_pop_frac: the pops the pair shares over the cap + 1
+    // graph's pops.
+    setVerbose(false);
+    const ModelConfig model = zoo::mtNlg530b();
+    const ClusterSpec cluster = makeCluster(2048);
+    const int pipeline = static_cast<int>(state.range(0));
+    const auto k = static_cast<size_t>(state.range(1));
+    const bool pair = state.range(2) != 0;
+    CommModel comm(cluster);
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    std::vector<ParallelConfig> plans(k);
+    for (size_t j = 0; j < k; ++j) {
+        plans[j].tensor = 8;
+        plans[j].data = 2 + static_cast<int>(j);
+        plans[j].pipeline = pipeline;
+        plans[j].micro_batch_size = 1;
+        plans[j].global_batch_size = 1920;
+    }
+    std::shared_ptr<const GraphTemplate> tmpls[2];
+    std::vector<std::vector<double>> slots[2];
+    for (int pass = 0; pass < 2; ++pass) {
+        BuildOptions options;
+        options.n_micro_override = 2 * pipeline + 2 + pass;
+        tmpls[pass] = GraphTemplate::capture(
+            GraphBuilder(model, plans[0], cluster, comm).build(options),
+            table, ExpandOptions{}, nullptr);
+        slots[pass].resize(k);
+        for (size_t j = 0; j < k; ++j)
+            if (!tmpls[pass]->retimeSlots(table, plans[j], cluster, comm,
+                                          &slots[pass][j])) {
+                state.SkipWithError("retime rejected the table");
+                return;
+            }
+    }
+    if (slots[0] != slots[1]) {
+        state.SkipWithError("the pair's slot tables differ");
+        return;
+    }
+    std::vector<const double *> slot_ptrs;
+    for (const std::vector<double> &t : slots[0])
+        slot_ptrs.push_back(t.data());
+
+    std::vector<EngineResult> results[2] = {std::vector<EngineResult>(k),
+                                            std::vector<EngineResult>(k)};
+    size_t shared = 0;
+    for (auto _ : state) {
+        if (pair) {
+            shared = runOpPair(tmpls[0]->ops(), tmpls[1]->ops(),
+                               slot_ptrs.data(), k, results[0].data(),
+                               results[1].data());
+        } else {
+            for (int pass = 0; pass < 2; ++pass)
+                runOpBatch(tmpls[pass]->ops(), slot_ptrs.data(), k,
+                           results[pass].data());
+        }
+        benchmark::DoNotOptimize(results[1][0].makespan);
+    }
+    state.counters["shared_pop_frac"] =
+        static_cast<double>(shared) /
+        static_cast<double>(tmpls[1]->numTasks());
+    state.counters["pops"] = static_cast<double>(
+        tmpls[0]->numTasks() + tmpls[1]->numTasks() - shared);
+}
+BENCHMARK(BM_OpPair_Mtnlg)
+    ->Args({35, 5, 0})
+    ->Args({35, 5, 1})
+    ->Args({105, 1, 0})
+    ->Args({105, 1, 1})
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_SimulateIteration_Gpt3(benchmark::State &state)
 {
     setVerbose(false);

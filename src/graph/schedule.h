@@ -16,7 +16,7 @@
  * entries: popping an entry runs one kernel, re-appends the operator
  * while it has kernels left, and after its last kernel releases the
  * operator's children in CSR order.  OpTopology is the structure that
- * FIFO walks (walkOpFifo below); it never materializes a per-kernel
+ * FIFO walks (OpFifoWalk below); it never materializes a per-kernel
  * task, edge or reference count.
  *
  * A RunSchedule is that walk recorded once per topology in
@@ -101,6 +101,8 @@ struct OpTopology {
         int32_t busy_lane = 0; //!< device * 2 + (stream != Compute)
         uint16_t kernels = 1;  //!< tasks this operator expands into
         uint8_t tag = 0;       //!< TaskTag
+
+        bool operator==(const Op &) const = default;
     };
 
     std::vector<Op> ops;
@@ -125,80 +127,210 @@ struct OpTopology {
 };
 
 /**
- * Walks the operator-level FIFO (see file comment) for K points in
- * lockstep and @return the number of kernels popped; a result below
- * topo.num_tasks means a cycle.  Per pop it calls
- * `run_kernel(op, k, rec, ready, end)` for kernel k of operator `op`:
- * `ready` holds the K data-ready times of that kernel, and the
+ * The operator-level FIFO (see file comment) for K points in lockstep,
+ * as a walk that can pause and resume.  start() queues a topology's
+ * roots; run() pops until the queue empties or `stop(op, k)` holds
+ * for the entry at its head, kernel k of operator `op`, which then
+ * stays queued.  Per pop run() calls `run_kernel(op, k, rec, ready,
+ * end)`: `ready` holds the K data-ready times of that kernel, and the
  * callback stores the K end times into `end`.  The walk itself does
  * the queue's dependency work: a continuation's ready time is
  * max(0, end), exactly what the kernel-level queue stores for kernel
  * k+1's only parent, and an operator's last kernel raises each CSR
  * child's ready time to its end before the child's reference count
  * drops.  K = 0 walks the order alone.
+ *
+ * A paused walk can fork onto a second topology (engine.h runOpPair):
+ * frontier() saves what a later pop can still read -- the queue in
+ * order, plus each queued or partly released operator's released
+ * parent count, kernel cursor and ready times -- and resume(), on the
+ * same walk or a fresh one, starts the second topology from it.  A reference count rebases as
+ * in_degree - released, so the fork is exact whenever every pop so
+ * far released the same children in both topologies.  Every other
+ * operator is either finished (no later pop touches it) or untouched.
+ */
+template <size_t K>
+class OpFifoWalk
+{
+  public:
+    /** The paused state resume() carries over (see class comment). */
+    struct Frontier {
+        /** The queued operators, head first, then the partly
+         *  released ones. */
+        std::vector<int32_t> op;
+        size_t queued = 0;             //!< leading entries of op queued
+        std::vector<int32_t> released; //!< per op: parents released
+        std::vector<int32_t> cursor;   //!< per op: next kernel
+        std::vector<double> ready;     //!< per op: K ready times
+        size_t executed = 0;
+    };
+
+    /** Starts a walk of `topo` (alive while the walk runs) at its
+     *  roots, in id order. */
+    void
+    start(const OpTopology &topo)
+    {
+        const size_t n = topo.numOps();
+        topo_ = &topo;
+        ring_.assign(std::max<size_t>(n, 1), 0);
+        ref_.assign(topo.in_degree.begin(), topo.in_degree.end());
+        cursor_.assign(n, 0);
+        ready_.assign(n * K, 0.0);
+        head_ = tail_ = queued_ = executed_ = 0;
+        for (size_t i = 0; i < n; ++i)
+            if (ref_[i] == 0)
+                ring_[tail_++] = static_cast<int32_t>(i);
+        queued_ = tail_;
+        tail_ %= ring_.size();
+    }
+
+    /** Pops until the queue empties or `stop(op, k)` holds for its
+     *  head.  @return the kernels popped since start(); below
+     *  num_tasks on an empty queue means a cycle. */
+    template <typename RunKernel, typename Stop>
+    size_t
+    run(RunKernel &&run_kernel, Stop &&stop)
+    {
+        const OpTopology::Op *const ops = topo_->ops.data();
+        const int32_t *const child_offsets = topo_->child_offsets.data();
+        const int32_t *const child_list = topo_->child_list.data();
+        int32_t *const ref = ref_.data();
+        int32_t *const cursor = cursor_.data();
+        double *const ready = ready_.data();
+        // An operator is queued at most once at a time (it re-enters
+        // only after its entry pops), so a ring of one id per operator
+        // holds the whole queue.  Entries stay 4 bytes on purpose:
+        // carrying the operator record and ready times in them
+        // measured slower on large topologies.
+        int32_t *const ring = ring_.data();
+        const size_t wrap = ring_.size();
+        size_t head = head_;
+        size_t tail = tail_;
+        size_t queued = queued_;
+        size_t executed = executed_;
+        const auto push = [&](int32_t op) {
+            ring[tail] = op;
+            tail = tail + 1 == wrap ? 0 : tail + 1;
+            ++queued;
+        };
+
+        std::array<double, K> end{};
+        while (queued > 0) {
+            const int32_t op = ring[head];
+            const int32_t k = cursor[op];
+            if (stop(op, k))
+                break;
+            head = head + 1 == wrap ? 0 : head + 1;
+            --queued;
+            const OpTopology::Op &rec = ops[op];
+            double *const op_ready = ready + static_cast<size_t>(op) * K;
+            run_kernel(op, k, rec, op_ready, end.data());
+            ++executed;
+            if (k + 1 < rec.kernels) {
+                cursor[op] = k + 1;
+                for (size_t j = 0; j < K; ++j)
+                    op_ready[j] = std::max(0.0, end[j]);
+                push(op);
+                continue;
+            }
+            for (const int32_t *c = child_list + child_offsets[op],
+                               *const c_end =
+                                   child_list + child_offsets[op + 1];
+                 c != c_end; ++c) {
+                double *const child_ready =
+                    ready + static_cast<size_t>(*c) * K;
+                for (size_t j = 0; j < K; ++j)
+                    child_ready[j] = std::max(child_ready[j], end[j]);
+                if (--ref[*c] == 0)
+                    push(*c);
+            }
+        }
+        head_ = head;
+        tail_ = tail;
+        queued_ = queued;
+        executed_ = executed;
+        return executed;
+    }
+
+    /** run() to the end of the walk. */
+    template <typename RunKernel>
+    size_t
+    run(RunKernel &&run_kernel)
+    {
+        return run(run_kernel, [](int32_t, int32_t) { return false; });
+    }
+
+    /** The paused walk as a Frontier: O(operators). */
+    Frontier
+    frontier() const
+    {
+        const OpTopology &topo = *topo_;
+        Frontier f;
+        f.queued = queued_;
+        f.executed = executed_;
+        const auto keep = [&](int32_t op, int32_t released) {
+            f.op.push_back(op);
+            f.released.push_back(released);
+            f.cursor.push_back(cursor_[op]);
+            const double *const r = ready_.data() + static_cast<size_t>(op) * K;
+            f.ready.insert(f.ready.end(), r, r + K);
+        };
+        for (size_t i = 0, at = head_; i < queued_; ++i) {
+            const int32_t op = ring_[at];
+            keep(op, topo.in_degree[op]);
+            at = at + 1 == ring_.size() ? 0 : at + 1;
+        }
+        for (size_t i = 0; i < topo.numOps(); ++i)
+            if (ref_[i] > 0 && ref_[i] < topo.in_degree[i])
+                keep(static_cast<int32_t>(i), topo.in_degree[i] - ref_[i]);
+        return f;
+    }
+
+    /** Starts a walk of `topo` from `f`: its queue and operators
+     *  replace the roots (see class comment).  `topo` must release
+     *  the same children as the paused topology for every pop so
+     *  far. */
+    void
+    resume(const OpTopology &topo, const Frontier &f)
+    {
+        start(topo);
+        for (size_t i = 0; i < f.op.size(); ++i) {
+            const int32_t op = f.op[i];
+            ref_[op] = topo.in_degree[op] - f.released[i];
+            cursor_[op] = f.cursor[i];
+            std::copy_n(f.ready.begin() + static_cast<std::ptrdiff_t>(i * K),
+                        K, ready_.begin() + static_cast<std::ptrdiff_t>(op) * K);
+        }
+        std::copy_n(f.op.begin(), f.queued, ring_.begin());
+        head_ = 0;
+        queued_ = f.queued;
+        tail_ = queued_ % ring_.size();
+        executed_ = f.executed;
+    }
+
+  private:
+    const OpTopology *topo_ = nullptr;
+    std::vector<int32_t> ref_;
+    std::vector<int32_t> cursor_;
+    std::vector<double> ready_;
+    std::vector<int32_t> ring_;
+    size_t head_ = 0;
+    size_t tail_ = 0;
+    size_t queued_ = 0;
+    size_t executed_ = 0;
+};
+
+/**
+ * One whole OpFifoWalk of `topo`: @return the number of kernels
+ * popped; a result below topo.num_tasks means a cycle.
  */
 template <size_t K, typename RunKernel>
 size_t
 walkOpFifo(const OpTopology &topo, RunKernel &&run_kernel)
 {
-    const size_t n = topo.ops.size();
-    const OpTopology::Op *const ops = topo.ops.data();
-    const int32_t *const child_offsets = topo.child_offsets.data();
-    const int32_t *const child_list = topo.child_list.data();
-    std::vector<int32_t> ref_vec = topo.in_degree;
-    std::vector<int32_t> cursor_vec(n, 0);
-    std::vector<double> ready_vec(n * K, 0.0);
-    // An operator is queued at most once at a time (it re-enters only
-    // after its entry pops), so an n-entry ring of operator ids holds
-    // the whole queue.  Entries stay 4 bytes on purpose: carrying the
-    // operator record and ready times in them measured slower on
-    // large topologies.
-    std::vector<int32_t> ring_vec(n);
-    int32_t *const ref = ref_vec.data();
-    int32_t *const cursor = cursor_vec.data();
-    double *const ready = ready_vec.data();
-    int32_t *const ring = ring_vec.data();
-    size_t head = 0;
-    size_t tail = 0;
-    size_t queued = 0;
-    const auto push = [&](int32_t op) {
-        ring[tail] = op;
-        tail = tail + 1 == n ? 0 : tail + 1;
-        ++queued;
-    };
-    for (size_t i = 0; i < n; ++i)
-        if (ref[i] == 0)
-            push(static_cast<int32_t>(i));
-
-    size_t executed = 0;
-    std::array<double, K> end{};
-    while (queued > 0) {
-        const int32_t op = ring[head];
-        head = head + 1 == n ? 0 : head + 1;
-        --queued;
-        const OpTopology::Op &rec = ops[op];
-        const int32_t k = cursor[op];
-        double *const op_ready = ready + static_cast<size_t>(op) * K;
-        run_kernel(op, k, rec, op_ready, end.data());
-        ++executed;
-        if (k + 1 < rec.kernels) {
-            cursor[op] = k + 1;
-            for (size_t j = 0; j < K; ++j)
-                op_ready[j] = std::max(0.0, end[j]);
-            push(op);
-            continue;
-        }
-        for (const int32_t *c = child_list + child_offsets[op],
-                           *const c_end = child_list + child_offsets[op + 1];
-             c != c_end; ++c) {
-            double *const child_ready = ready + static_cast<size_t>(*c) * K;
-            for (size_t j = 0; j < K; ++j)
-                child_ready[j] = std::max(child_ready[j], end[j]);
-            if (--ref[*c] == 0)
-                push(*c);
-        }
-    }
-    return executed;
+    OpFifoWalk<K> walk;
+    walk.start(topo);
+    return walk.run(run_kernel);
 }
 
 /**

@@ -42,8 +42,9 @@
  * Both consumers of a template read only slot tables:
  *
  *   - a cold simulation (the capture's own plan, or a K-wide group of
- *     plans) runs the op-level FIFO (engine.h runOpBatch) over the
- *     OpTopology, never expanding kernels;
+ *     plans) runs the op-level FIFO (engine.h runOpBatch, or
+ *     runOpPair for fast mode's two graphs) over the OpTopology,
+ *     never expanding kernels;
  *   - a warm simulation replays runs() (engine.h replayRuns), the
  *     run-compressed schedule derived from one untimed op-FIFO walk
  *     on the template's first reuse.  A serve-style miss therefore

@@ -319,18 +319,60 @@ forEachSlotChunk(size_t count, Chunk &&chunk)
 }
 
 /**
+ * Whether popping operator `op` of `a` does the same work in a walk of
+ * `b`: the id is below both operator counts, and the 16-byte record,
+ * the CSR children and each child's in-degree are the same in both.
+ * Checked at each operator's first pop inside the walk, so the pair
+ * allocates nothing per operator beyond the walk state.
+ */
+bool
+shareable(const OpTopology &a, const OpTopology &b, int32_t op)
+{
+    const auto i = static_cast<size_t>(op);
+    if (i >= b.numOps() || !(a.ops[i] == b.ops[i]))
+        return false;
+    const int32_t begin = a.child_offsets[i];
+    const int32_t end = a.child_offsets[i + 1];
+    if (b.child_offsets[i + 1] - b.child_offsets[i] != end - begin)
+        return false;
+    const int32_t *other = b.child_list.data() + b.child_offsets[i];
+    for (int32_t e = begin; e < end; ++e, ++other) {
+        const int32_t c = a.child_list[e];
+        if (*other != c || a.in_degree[c] != b.in_degree[c])
+            return false;
+    }
+    return true;
+}
+
+/** @return true when `a` and `b` have the same roots. */
+bool
+sameRoots(const OpTopology &a, const OpTopology &b)
+{
+    const auto root = [](const OpTopology &t, size_t i) {
+        return i < t.numOps() && t.in_degree[i] == 0;
+    };
+    for (size_t i = 0; i < std::max(a.numOps(), b.numOps()); ++i)
+        if (root(a, i) != root(b, i))
+            return false;
+    return true;
+}
+
+/**
  * One K-wide lockstep walk of the operator-level FIFO (see
- * runOpBatch).  The per-kernel body is replayChunk's, fed from a
- * slot-major copy of the K slot tables.
+ * runOpBatch), or a forked pair walk (see runOpPair) when `b` is
+ * non-null; the pair needs sameRoots(a, *b).  The per-kernel body is
+ * replayChunk's, fed from a slot-major copy of the K slot tables.
+ * @return the pops the pair shared.
  */
 template <size_t K>
-void
-opChunk(const OpTopology &topo, const double *const *slot_tables,
-        size_t count, EngineResult *results)
+size_t
+opChunk(const OpTopology &a, const OpTopology *b,
+        const double *const *slot_tables, size_t count,
+        EngineResult *results_a, EngineResult *results_b)
 {
-    const int n_devices = topo.num_devices;
+    const int n_devices = a.num_devices;
     const std::vector<double> slots_vec =
-        slotMajor<K>(topo.num_slots, slot_tables, count);
+        slotMajor<K>(a.num_slots, slot_tables, count);
     std::vector<double> timeline_vec(
         static_cast<size_t>(n_devices) * kNumStreams * K, 0.0);
     std::vector<double> busy_vec(
@@ -343,30 +385,74 @@ opChunk(const OpTopology &topo, const double *const *slot_tables,
     double *__restrict const tags = tags_vec.data();
     double makespan[K] = {};
 
-    const size_t executed = walkOpFifo<K>(
-        topo, [&](int32_t, int32_t k, const OpTopology::Op &rec,
-                  const double *__restrict ready, double *__restrict end) {
-            const double *__restrict const duration =
-                slots + static_cast<size_t>(rec.slot + k) * K;
-            double *__restrict const lane_base = timeline + rec.lane * K;
-            double *__restrict const busy_base = busy + rec.busy_lane * K;
-            double *__restrict const tag_base = tags + rec.tag * K;
-            for (size_t j = 0; j < K; ++j) {
-                const double start = std::max(ready[j], lane_base[j]);
-                end[j] = start + duration[j];
-                lane_base[j] = end[j];
-                busy_base[j] += duration[j];
-                tag_base[j] += duration[j];
-                makespan[j] = std::max(makespan[j], end[j]);
-            }
+    const auto run_kernel = [&](int32_t, int32_t k,
+                                const OpTopology::Op &rec,
+                                const double *__restrict ready,
+                                double *__restrict end) {
+        const double *__restrict const duration =
+            slots + static_cast<size_t>(rec.slot + k) * K;
+        double *__restrict const lane_base = timeline + rec.lane * K;
+        double *__restrict const busy_base = busy + rec.busy_lane * K;
+        double *__restrict const tag_base = tags + rec.tag * K;
+        for (size_t j = 0; j < K; ++j) {
+            const double start = std::max(ready[j], lane_base[j]);
+            end[j] = start + duration[j];
+            lane_base[j] = end[j];
+            busy_base[j] += duration[j];
+            tag_base[j] += duration[j];
+            makespan[j] = std::max(makespan[j], end[j]);
+        }
+    };
+    const auto finish = [&](const OpTopology &topo, size_t executed,
+                            EngineResult *results) {
+        VTRAIN_CHECK(executed == topo.num_tasks,
+                     "simulation deadlock: executed ", executed, " of ",
+                     topo.num_tasks, " tasks (cyclic dependency?)");
+        EngineResult padded[K];
+        detail::unpackChunkResults(K, executed, n_devices, busy, tags,
+                                   makespan, padded);
+        std::move(padded, padded + count, results);
+    };
+
+    // The pair: walk a up to the first pop b would do differently,
+    // keep the fork, finish a, then finish b from the fork.  The
+    // clocks are saved and restored through the body's own pointers.
+    const std::pair<double *, size_t> clocks[] = {
+        {timeline, timeline_vec.size()},
+        {busy, busy_vec.size()},
+        {tags, tags_vec.size()},
+        {makespan, K}};
+    typename OpFifoWalk<K>::Frontier fork;
+    std::vector<double> fork_clocks;
+    {
+        OpFifoWalk<K> walk;
+        walk.start(a);
+        if (!b) {
+            finish(a, walk.run(run_kernel), results_a);
+            return 0;
+        }
+        walk.run(run_kernel, [&](int32_t op, int32_t k) {
+            return k == 0 && !shareable(a, *b, op);
         });
-    VTRAIN_CHECK(executed == topo.num_tasks, "simulation deadlock: executed ",
-                 executed, " of ", topo.num_tasks,
-                 " tasks (cyclic dependency?)");
-    EngineResult padded[K];
-    detail::unpackChunkResults(K, executed, n_devices, busy, tags, makespan,
-                               padded);
-    std::move(padded, padded + count, results);
+        fork = walk.frontier();
+        for (const auto &[clock, size] : clocks)
+            fork_clocks.insert(fork_clocks.end(), clock, clock + size);
+        finish(a, walk.run(run_kernel), results_a);
+    }
+
+    // b's walk state is allocated after a's is freed.  One state
+    // sized for both graphs timed the same, but left the allocator's
+    // arenas holding ~40 MB more on repeated MT-NLG sweeps (perfbench
+    // mtnlg_dse peak RSS 190 against 150-154 MB).
+    const double *saved = fork_clocks.data();
+    for (const auto &[clock, size] : clocks) {
+        std::copy_n(saved, size, clock);
+        saved += size;
+    }
+    OpFifoWalk<K> walk;
+    walk.resume(*b, fork);
+    finish(*b, walk.run(run_kernel), results_b);
+    return fork.executed;
 }
 
 /**
@@ -487,8 +573,31 @@ runOpBatch(const OpTopology &ops, const double *const *slot_tables,
            size_t count, EngineResult *results)
 {
     forEachSlotChunk(count, [&](auto width, size_t begin, size_t n) {
-        opChunk<decltype(width)::value>(ops, slot_tables + begin, n, results + begin);
+        opChunk<decltype(width)::value>(ops, nullptr, slot_tables + begin,
+                                        n, results + begin, nullptr);
     });
+}
+
+size_t
+runOpPair(const OpTopology &a, const OpTopology &b,
+          const double *const *slot_tables, size_t count,
+          EngineResult *results_a, EngineResult *results_b)
+{
+    VTRAIN_CHECK(a.num_slots == b.num_slots &&
+                     a.num_devices == b.num_devices,
+                 "an op pair shares one slot table per plan");
+    if (!sameRoots(a, b)) {
+        runOpBatch(a, slot_tables, count, results_a);
+        runOpBatch(b, slot_tables, count, results_b);
+        return 0;
+    }
+    size_t shared = 0;
+    forEachSlotChunk(count, [&](auto width, size_t begin, size_t n) {
+        shared = opChunk<decltype(width)::value>(
+            a, &b, slot_tables + begin, n, results_a + begin,
+            results_b + begin);
+    });
+    return shared;
 }
 
 void

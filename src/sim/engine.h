@@ -8,7 +8,7 @@
  * 9-20 of Algorithm 1 with the computation/communication-overlap
  * refinement the paper describes for gradient bucketing (Fig. 5).
  *
- * Four execution modes share that semantics bit for bit:
+ * Five execution modes share that semantics bit for bit:
  *
  *   - runSimulation(): the kernel-level queue engine.  Works on any
  *     TaskGraph and detects cycles.  It serves the template-less
@@ -17,10 +17,24 @@
  *   - runOpBatch(): the same queue at operator granularity, the cold
  *     path of the templated simulator.  A FIFO of (operator, kernel
  *     cursor) entries pops one kernel at a time (graph/schedule.h
- *     walkOpFifo), so the pop order equals the kernel-level queue's,
+ *     OpFifoWalk), so the pop order equals the kernel-level queue's,
  *     while kernels are never materialized as tasks: durations come
  *     from a per-plan slot table (GraphTemplate::retimeSlots), and K
  *     plans advance in lockstep through one walk.
+ *   - runOpPair(): runOpBatch() over fast mode's two capped graphs
+ *     (cap and cap + 1 micro-batches) in one forked walk.  Operator
+ *     i is *shareable* when i is below both operator counts, its
+ *     16-byte record and CSR child list are the same in both graphs,
+ *     and every child has the same in-degree in both.  With equal
+ *     root sets, every pop before the first pop of an unshareable
+ *     operator (the fork F) does the same work in both walks, so the
+ *     queue, reference counts, ready times, lane clocks and
+ *     accumulators at F are equal.  The pair walks the cap graph to
+ *     F, saves the fork frontier (graph/schedule.h OpFifoWalk),
+ *     finishes it, and finishes the cap + 1 graph from the frontier:
+ *     F + (|A| - F) + (|B| - F) pops instead of |A| + |B|.  On the
+ *     capped MT-NLG topologies F is about 67% of the cap + 1 walk.
+ *     Unequal roots give F = 0, two plain walks.
  *   - replayRuns(): run replay, the warm path.  The FIFO pop order is
  *     a pure function of the topology (durations cannot reorder a
  *     FIFO), so a RunSchedule recorded once per topology turns every
@@ -113,6 +127,19 @@ EngineResult replaySimulation(const ReplaySchedule &schedule,
  */
 void runOpBatch(const OpTopology &ops, const double *const *slot_tables,
                 size_t count, EngineResult *results);
+
+/**
+ * runOpBatch() over two topologies timed with the same slot tables,
+ * in one forked walk (see the file comment): `results_a` and
+ * `results_b` are bit-identical to runOpBatch() over `a` and over
+ * `b`.  Requires equal num_slots and num_devices.  Fails (throws)
+ * like runOpBatch() on a cyclic topology.
+ *
+ * @return the pops the two walks shared (F), at most b.num_tasks.
+ */
+size_t runOpPair(const OpTopology &a, const OpTopology &b,
+                 const double *const *slot_tables, size_t count,
+                 EngineResult *results_a, EngineResult *results_b);
 
 /**
  * Replays a run schedule for `count` plans in lockstep (see the file

@@ -321,57 +321,85 @@ Simulator::simulateGroup(const ModelConfig &model,
     const MicroBatchRuns runs = microBatchRuns(plans[0], options_);
     std::vector<RunOutcome> base(n);
     std::vector<RunOutcome> next(runs.fast ? n : 0);
-    // A slot table is a few dozen doubles, so the whole group retimes
-    // up front and the engine times all K plans in one pass.
-    std::vector<std::vector<double>> slots(n);
-    std::vector<const double *> slot_ptrs(n);
-    std::vector<EngineResult> engines(n);
+    // Per pass: the template and its slot tables.  A slot table is a
+    // few dozen doubles, so the whole group retimes up front and the
+    // engine times all K plans in one pass.
+    std::shared_ptr<const GraphTemplate> tmpls[2];
+    bool hits[2] = {};
+    std::vector<std::vector<double>> slots[2];
     for (int pass = 0; pass < runs.passes(); ++pass) {
         const int n_micro = runs.simulated(pass);
         const uint64_t fp = structuralFingerprint(
             model, plans[0], n_micro, options_.collapse_operators,
             options_.attention);
-        std::shared_ptr<const GraphTemplate> tmpl = templates_->get(fp);
-        const bool hit = tmpl && retimePlans(*tmpl, plans, table, slots);
-        if (!hit) {
+        std::shared_ptr<const GraphTemplate> &tmpl = tmpls[pass];
+        slots[pass].resize(n);
+        tmpl = templates_->get(fp);
+        hits[pass] = tmpl && retimePlans(*tmpl, plans, table, slots[pass]);
+        if (!hits[pass]) {
             // A miss, or a table that disagrees with the cached
             // template: capture at operator granularity.
             tmpl = captureTemplate(model, plans[0], n_micro, fp, table);
-            VTRAIN_CHECK(retimePlans(*tmpl, plans, table, slots),
+            VTRAIN_CHECK(retimePlans(*tmpl, plans, table, slots[pass]),
                          "a fresh capture must retime with its own table");
         }
-        for (size_t j = 0; j < n; ++j)
-            slot_ptrs[j] = slots[j].data();
-
-        // A hit replays the template's run schedule, derived on its
-        // first reuse; a miss walks the op FIFO, so a sweep that
-        // thrashes the cache with single-use topologies never pays
-        // for a schedule.
-        const RunSchedule *schedule = hit ? tmpl->runs() : nullptr;
-        if (schedule) {
-            Phase phase(Phase::Replay);
-            replayRuns(*schedule, slot_ptrs.data(), n, engines.data());
-        } else {
-            Phase phase(Phase::QueueRun);
-            runOpBatch(tmpl->ops(), slot_ptrs.data(), n, engines.data());
-        }
-        if (batch)
-            counters_->batched_points.fetch_add(n,
-                                                std::memory_order_relaxed);
-        else
-            (schedule ? counters_->replay_runs : counters_->queue_runs)
-                .fetch_add(1, std::memory_order_relaxed);
 
         // Table statistics after this pass's (re)timing work.
-        std::vector<RunOutcome> &out = pass == 0 ? base : next;
-        for (size_t j = 0; j < n; ++j) {
-            RunOutcome &outcome = out[j];
-            outcome.engine = std::move(engines[j]);
+        for (RunOutcome &outcome : pass == 0 ? base : next) {
             outcome.num_operators = tmpl->numOperators();
             outcome.num_tasks = tmpl->numTasks();
             outcome.distinct_profiled = table.numEntries();
             outcome.profiler_calls = table.numProfilerCalls();
         }
+    }
+
+    std::vector<EngineResult> engines[2] = {
+        std::vector<EngineResult>(n),
+        std::vector<EngineResult>(runs.fast ? n : 0)};
+    std::vector<const double *> slot_ptrs(n);
+    const auto tables = [&](int pass) {
+        for (size_t j = 0; j < n; ++j)
+            slot_ptrs[j] = slots[pass][j].data();
+        return slot_ptrs.data();
+    };
+    const auto tick = [&](std::atomic<uint64_t> &single_runs) {
+        if (batch)
+            counters_->batched_points.fetch_add(n,
+                                                std::memory_order_relaxed);
+        else
+            single_runs.fetch_add(1, std::memory_order_relaxed);
+    };
+    if (runs.fast && !(hits[0] && hits[1]) && slots[0] == slots[1]) {
+        // A cold fast-mode pair: the cap and cap + 1 graphs walk their
+        // common prefix once (engine.h runOpPair).
+        Phase phase(Phase::QueueRun);
+        runOpPair(tmpls[0]->ops(), tmpls[1]->ops(), tables(0), n,
+                  engines[0].data(), engines[1].data());
+        tick(counters_->queue_runs);
+        tick(counters_->queue_runs);
+    } else {
+        for (int pass = 0; pass < runs.passes(); ++pass) {
+            // A hit replays the template's run schedule, derived on
+            // its first reuse; a miss walks the op FIFO, so a sweep
+            // that thrashes the cache with single-use topologies never
+            // pays for a schedule.
+            const RunSchedule *schedule =
+                hits[pass] ? tmpls[pass]->runs() : nullptr;
+            if (schedule) {
+                Phase phase(Phase::Replay);
+                replayRuns(*schedule, tables(pass), n, engines[pass].data());
+            } else {
+                Phase phase(Phase::QueueRun);
+                runOpBatch(tmpls[pass]->ops(), tables(pass), n,
+                           engines[pass].data());
+            }
+            tick(schedule ? counters_->replay_runs : counters_->queue_runs);
+        }
+    }
+    for (size_t j = 0; j < n; ++j) {
+        base[j].engine = std::move(engines[0][j]);
+        if (runs.fast)
+            next[j].engine = std::move(engines[1][j]);
     }
 
     std::vector<SimulationResult> results(n);

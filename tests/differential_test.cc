@@ -17,7 +17,11 @@
  * conditions define, and replay bit-identically to both the per-task
  * replay and the queue engine at every lockstep width.  Node ids are
  * a layout choice: a seeded relabelling that keeps each node's child
- * order must simulate bit-identically on every path.
+ * order must simulate bit-identically on every path.  Fast mode's
+ * forked pair walk (runOpPair) over the cap and cap + 1 graphs must
+ * match two independent op-FIFO walks and the queue engine at every
+ * width, relabelled too, and degrade to two walks when the roots
+ * differ.
  */
 #include <gtest/gtest.h>
 
@@ -523,33 +527,47 @@ TEST(DifferentialRuns, RunsPartitionTheScheduleByTheFourMergeConditions)
     }
 }
 
-/**
- * `g` with its node ids shuffled by `rng`: node u becomes perm[u].
- * Descriptors keep their ids and every node keeps its children in CSR
- * order; a relabelling cannot change in-degrees, so the root set is
- * the same too.
- */
-OpGraph
-relabelled(const OpGraph &g, Rng &rng)
+/** A seeded shuffle of the ids 0 .. n-1. */
+std::vector<OpGraph::NodeId>
+shuffledIds(size_t n, Rng &rng)
 {
-    const size_t n = g.numNodes();
     std::vector<OpGraph::NodeId> perm(n);
     std::iota(perm.begin(), perm.end(), 0);
     for (size_t i = n; i > 1; --i)
         std::swap(perm[i - 1],
                   perm[rng.uniformInt(0, static_cast<int64_t>(i) - 1)]);
+    return perm;
+}
+
+/**
+ * `g` with node u renumbered perm[u].  Every node keeps its children
+ * in CSR order; a relabelling cannot change in-degrees, so the root
+ * set is the same too.  Descriptors keep their ids, or are interned
+ * in reverse when `reverse_descs` is set, which permutes a captured
+ * template's slot table and changes nothing else.
+ */
+OpGraph
+relabelled(const OpGraph &g, const std::vector<OpGraph::NodeId> &perm,
+           bool reverse_descs = false)
+{
+    const size_t n = g.numNodes();
     std::vector<OpGraph::NodeId> node_at(n);
     for (size_t u = 0; u < n; ++u)
         node_at[perm[u]] = static_cast<OpGraph::NodeId>(u);
+    const auto n_descs = static_cast<int32_t>(g.descs().size());
+    const auto desc_id = [&](int32_t d) {
+        return reverse_descs ? n_descs - 1 - d : d;
+    };
 
     OpGraph out;
     out.setNumDevices(g.numDevices());
-    for (const OpDesc &desc : g.descs())
-        out.internDesc(desc);
+    for (int32_t d = 0; d < n_descs; ++d)
+        out.internDesc(g.descs()[desc_id(d)]);
     for (const OpGraph::NodeId u : node_at) {
         const OpNode &node = g.nodes()[u];
         if (node.type == OpNodeType::Compute)
-            out.addCompute(node.device, node.micro_batch, node.desc_id);
+            out.addCompute(node.device, node.micro_batch,
+                           desc_id(node.desc_id));
         else
             out.addComm(node.device, node.micro_batch, node.comm_kind,
                         node.comm_latency, node.comm_workers,
@@ -577,7 +595,8 @@ TEST(DifferentialRelabel, PermutedNodeIdsSimulateBitIdentically)
         CommModel comm(c.cluster);
         const OpGraph ops =
             GraphBuilder(c.model, c.plan, c.cluster, comm).build();
-        const OpGraph shuffled = relabelled(ops, rng);
+        const OpGraph shuffled =
+            relabelled(ops, shuffledIds(ops.numNodes(), rng));
         SyntheticProfiler profiler(c.cluster.node.gpu, c.plan.precision,
                                    c.options.attention);
         OperatorToTaskTable table(profiler);
@@ -640,6 +659,247 @@ TEST(DifferentialRelabel, PermutedNodeIdsSimulateBitIdentically)
             }
         }
     }
+}
+
+/** A drawn case's operator graph at `n_micro` micro-batches. */
+OpGraph
+buildAt(const Case &c, int n_micro)
+{
+    CommModel comm(c.cluster);
+    BuildOptions options;
+    options.n_micro_override = n_micro;
+    return GraphBuilder(c.model, c.plan, c.cluster, comm).build(options);
+}
+
+/**
+ * Captures `a` and `b` with `table`, retimes both for every plan, and
+ * checks runOpPair over them against two runOpBatch walks and the
+ * queue engine over each retimed kernel-level graph, at K = 1 .. the
+ * plan count.  The slot tables must agree, as the simulator requires
+ * before it pairs.  `*shared` receives the pops the pair shared,
+ * which must not depend on K.
+ */
+void
+expectPairMatches(const Case &c, const OpGraph &a, const OpGraph &b,
+                  const std::vector<ParallelConfig> &plans,
+                  OperatorToTaskTable &table, const std::string &where,
+                  size_t *shared)
+{
+    CommModel comm(c.cluster);
+    ExpandOptions expand;
+    expand.collapse_operators = c.options.collapse_operators;
+    const std::shared_ptr<const GraphTemplate> tmpls[] = {
+        GraphTemplate::capture(a, table, expand, nullptr),
+        GraphTemplate::capture(b, table, expand, nullptr)};
+    const size_t n = plans.size();
+    std::vector<std::vector<double>> slots[2];
+    std::vector<EngineResult> oracle[2];
+    for (int side = 0; side < 2; ++side) {
+        slots[side].resize(n);
+        for (size_t j = 0; j < n; ++j) {
+            ASSERT_TRUE(tmpls[side]->retimeSlots(table, plans[j], c.cluster,
+                                                 comm, &slots[side][j]))
+                << where;
+            TaskGraph graph;
+            ASSERT_TRUE(tmpls[side]->retime(table, plans[j], c.cluster, comm,
+                                            &graph))
+                << where;
+            oracle[side].push_back(runSimulation(graph));
+        }
+    }
+    ASSERT_EQ(slots[0], slots[1]) << where << ": slot tables differ";
+    std::vector<const double *> slot_ptrs;
+    for (const std::vector<double> &table_j : slots[0])
+        slot_ptrs.push_back(table_j.data());
+
+    for (size_t k = 1; k <= n; ++k) {
+        std::vector<EngineResult> pair[2] = {std::vector<EngineResult>(k),
+                                             std::vector<EngineResult>(k)};
+        const size_t popped =
+            runOpPair(tmpls[0]->ops(), tmpls[1]->ops(), slot_ptrs.data(), k,
+                      pair[0].data(), pair[1].data());
+        if (k == 1)
+            *shared = popped;
+        EXPECT_EQ(popped, *shared) << where << " K=" << k;
+        EXPECT_LE(popped, std::min(tmpls[0]->numTasks(),
+                                   tmpls[1]->numTasks()))
+            << where;
+        for (int side = 0; side < 2; ++side) {
+            std::vector<EngineResult> walk(k);
+            runOpBatch(tmpls[side]->ops(), slot_ptrs.data(), k, walk.data());
+            for (size_t j = 0; j < k; ++j) {
+                const std::string at = where + " K=" + std::to_string(k) +
+                                       " graph " + "ab"[side] + " point " +
+                                       std::to_string(j);
+                expectSameEngine(walk[j], pair[side][j], at + " vs walk");
+                expectSameEngine(oracle[side][j], pair[side][j],
+                                 at + " vs oracle");
+            }
+        }
+    }
+}
+
+TEST(DifferentialPair, ForkedPairMatchesTwoWalksAndOracleAtEveryWidth)
+{
+    Rng rng(kSeed + 6);
+    for (int i = 0; i < 16; ++i) {
+        const Case c = drawCase(rng);
+        const std::string where = "case " + std::to_string(i) + " " +
+                                  describe(c);
+        const int cap = std::max(2 * c.plan.pipeline + 2, 4);
+        const OpGraph a = buildAt(c, cap);
+        const OpGraph b = buildAt(c, cap + 1);
+        SyntheticProfiler profiler(c.cluster.node.gpu, c.plan.precision,
+                                   c.options.attention);
+        OperatorToTaskTable table(profiler);
+        const std::vector<ParallelConfig> plans = variants(c, 9);
+        size_t shared = 0;
+        expectPairMatches(c, a, b, plans, table, where, &shared);
+        EXPECT_GT(shared, 0u) << where;
+
+        // The same pair under one seeded shuffle of the ids that are
+        // compute operators in both graphs.  Comm ids stay put, so
+        // each comm payload keeps its slot and the slot tables stay
+        // equal.  Both walks pop the same operators under new ids, so
+        // neither the fork nor any result may move.
+        std::vector<OpGraph::NodeId> movable;
+        for (size_t u = 0; u < a.numNodes(); ++u)
+            if (a.nodes()[u].type == OpNodeType::Compute &&
+                b.nodes()[u].type == OpNodeType::Compute)
+                movable.push_back(static_cast<OpGraph::NodeId>(u));
+        const std::vector<OpGraph::NodeId> shuffle =
+            shuffledIds(movable.size(), rng);
+        std::vector<OpGraph::NodeId> perm_b(b.numNodes());
+        std::iota(perm_b.begin(), perm_b.end(), 0);
+        for (size_t m = 0; m < movable.size(); ++m)
+            perm_b[movable[m]] = movable[shuffle[m]];
+        const std::vector<OpGraph::NodeId> perm_a(
+            perm_b.begin(), perm_b.begin() + a.numNodes());
+        size_t shared_relabelled = 0;
+        expectPairMatches(c, relabelled(a, perm_a), relabelled(b, perm_b),
+                          plans, table, where + " (relabelled)",
+                          &shared_relabelled);
+        EXPECT_EQ(shared_relabelled, shared) << where;
+    }
+}
+
+/** One fixed fast-mode case: p = 2, 16 micro-batches. */
+Case
+fastCase()
+{
+    Case c;
+    c.model = makeModel(512, 4, 8, 256, 8192);
+    c.plan.tensor = 2;
+    c.plan.data = 2;
+    c.plan.pipeline = 2;
+    c.plan.micro_batch_size = 1;
+    c.plan.global_batch_size = 32;
+    c.cluster = makeCluster(8);
+    return c;
+}
+
+TEST(DifferentialPair, ExtraRootInBSharesNothing)
+{
+    const Case c = fastCase();
+    const OpGraph a = buildAt(c, 6);
+    // b is a plus one root: a compute node feeding a's last node.
+    OpGraph b = a;
+    const OpGraph::NodeId root = b.addCompute(0, 0, 0);
+    b.addEdge(root, static_cast<OpGraph::NodeId>(a.numNodes() - 1));
+    b.finalize();
+    SyntheticProfiler profiler(c.cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    size_t shared = 1;
+    expectPairMatches(c, a, b, variants(c, 3), table, "extra root", &shared);
+    EXPECT_EQ(shared, 0u);
+}
+
+TEST(DifferentialPair, IdenticalGraphsShareTheWholeWalk)
+{
+    const Case c = fastCase();
+    const OpGraph a = buildAt(c, 6);
+    SyntheticProfiler profiler(c.cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    size_t shared = 0;
+    expectPairMatches(c, a, a, variants(c, 9), table, "a == b", &shared);
+    EXPECT_EQ(shared, GraphTemplate::capture(a, table, ExpandOptions{},
+                                             nullptr)
+                          ->numTasks());
+}
+
+TEST(DifferentialPair, ForkRebasesPartlyReleasedOperators)
+{
+    // r -> {x, y} -> j, one kernel per operator.  b's y runs another
+    // descriptor, so the fork F falls after r and x: j has one of its
+    // two parents released, and b's walk must start from that count
+    // (the capped pipeline graphs above rarely fork with such an
+    // operator; MT-NLG at p = 35 does).
+    Case c = fastCase();
+    c.options.collapse_operators = true;
+    const OpDesc mha = OpDesc::forModel(OpKind::MhaFwd, c.model, 1, 2);
+    const OpDesc ffn = OpDesc::forModel(OpKind::FfnFwd, c.model, 1, 2);
+    const auto diamond = [&](const OpDesc &y_desc) {
+        OpGraph g;
+        const OpGraph::NodeId r = g.addCompute(0, 0, mha);
+        const OpGraph::NodeId x = g.addCompute(0, 0, mha);
+        const OpGraph::NodeId y = g.addCompute(1, 0, y_desc);
+        const OpGraph::NodeId j = g.addCompute(0, 0, ffn);
+        g.setNumDevices(2);
+        g.addEdge(r, x);
+        g.addEdge(r, y);
+        g.addEdge(x, j);
+        g.addEdge(y, j);
+        g.finalize();
+        return g;
+    };
+    SyntheticProfiler profiler(c.cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    size_t shared = 0;
+    expectPairMatches(c, diamond(mha), diamond(ffn), variants(c, 3), table,
+                      "diamond", &shared);
+    EXPECT_EQ(shared, 2u);
+}
+
+TEST(DifferentialPair, SimulatorWalksColdPairsOnceAndFallsBackOnUnequalSlots)
+{
+    const Case c = fastCase();
+    Simulator oracle(c.cluster, c.options, nullptr);
+    const SimulationResult want = oracle.simulateIteration(c.model, c.plan);
+    ASSERT_TRUE(want.extrapolated);
+    const int cap = want.simulated_micro_batches;
+
+    // Both graphs cold: one forked pair walk, counted as two runs.
+    {
+        Simulator sim(c.cluster, c.options,
+                      std::make_shared<GraphTemplateCache>());
+        expectBitIdentical(want, sim.simulateIteration(c.model, c.plan),
+                           "cold pair");
+        const EngineStats stats = snapshot(*sim.engineCounters());
+        EXPECT_EQ(stats.queue_runs, 2u);
+        EXPECT_EQ(stats.replay_runs, 0u);
+    }
+
+    // A cached cap + 1 template with its descriptors interned in
+    // reverse: it retimes, but its slot table is a permutation of the
+    // cap graph's, so the pair cannot share a walk.  The cap graph
+    // walks cold and the cap + 1 graph replays.
+    SyntheticProfiler profiler(c.cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    const OpGraph b = buildAt(c, cap + 1);
+    std::vector<OpGraph::NodeId> identity(b.numNodes());
+    std::iota(identity.begin(), identity.end(), 0);
+    auto cache = std::make_shared<GraphTemplateCache>();
+    cache->put(structuralFingerprint(c.model, c.plan, cap + 1,
+                                     c.options.collapse_operators,
+                                     c.options.attention),
+               GraphTemplate::capture(relabelled(b, identity, true), table,
+                                      ExpandOptions{}, nullptr));
+    Simulator sim(c.cluster, c.options, cache);
+    expectBitIdentical(want, sim.simulateIteration(c.model, c.plan),
+                       "unequal slot tables");
+    const EngineStats stats = snapshot(*sim.engineCounters());
+    EXPECT_EQ(stats.queue_runs, 1u);
+    EXPECT_EQ(stats.replay_runs, 1u);
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include "graph/template.h"
 #include "model/zoo.h"
 #include "profiling/synthetic_profiler.h"
+#include "sim/engine.h"
 
 namespace vtrain {
 namespace {
@@ -367,6 +368,54 @@ TEST(GraphBuilder, WaveOrderKeepsOpFifoPopsLocal)
     const int32_t median = deltas[deltas.size() / 2];
     RecordProperty("median_pop_delta", median);
     EXPECT_LE(median, 128);
+}
+
+TEST(GraphBuilder, FastModePairSharesTwoThirdsOfTheWalk)
+{
+    // Fast mode's two graphs for capped MT-NLG 530B at (8, 2, 35),
+    // m = 1: 72 and 73 micro-batches.  Wave-order ids make the two
+    // agree operator for operator until the extra micro-batch first
+    // matters, so runOpPair walks about two thirds of the cap + 1
+    // graph's pops once for both.  An id change that breaks that
+    // correspondence keeps results bit-identical but loses the share.
+    const ModelConfig model = zoo::mtNlg530b();
+    const ClusterSpec cluster = makeCluster(560);
+    ParallelConfig plan;
+    plan.tensor = 8;
+    plan.data = 2;
+    plan.pipeline = 35;
+    plan.micro_batch_size = 1;
+    plan.global_batch_size = 1920;
+    CommModel comm(cluster);
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    std::shared_ptr<const GraphTemplate> tmpls[2];
+    std::vector<double> slots[2];
+    for (int pass = 0; pass < 2; ++pass) {
+        BuildOptions options;
+        options.n_micro_override = 2 * plan.pipeline + 2 + pass;
+        tmpls[pass] = GraphTemplate::capture(
+            GraphBuilder(model, plan, cluster, comm).build(options), table,
+            ExpandOptions{}, nullptr);
+        ASSERT_TRUE(tmpls[pass]->retimeSlots(table, plan, cluster, comm,
+                                             &slots[pass]));
+    }
+    ASSERT_EQ(slots[0], slots[1]);
+
+    const double *const slot_table = slots[0].data();
+    EngineResult pair[2];
+    const size_t shared = runOpPair(tmpls[0]->ops(), tmpls[1]->ops(),
+                                    &slot_table, 1, &pair[0], &pair[1]);
+    const double share = static_cast<double>(shared) /
+                         static_cast<double>(tmpls[1]->numTasks());
+    RecordProperty("shared_pops", std::to_string(shared));
+    EXPECT_GE(share, 0.66) << shared << " of " << tmpls[1]->numTasks();
+    for (int pass = 0; pass < 2; ++pass) {
+        EngineResult walk;
+        runOpBatch(tmpls[pass]->ops(), &slot_table, 1, &walk);
+        EXPECT_EQ(walk.makespan, pair[pass].makespan) << "pass " << pass;
+        EXPECT_EQ(walk.executed, pair[pass].executed) << "pass " << pass;
+    }
 }
 
 TEST(OpGraph, RejectsSelfEdge)
