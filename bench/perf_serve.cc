@@ -1,20 +1,13 @@
 /**
  * @file
- * Google-benchmark microbenchmarks of the serve layer (src/serve/):
- * cold vs. warm evaluateBatch() throughput across worker-thread
- * counts, request fingerprinting, and the JSON wire format.
+ * Google-benchmark microbenchmarks of the serve layer's per-request
+ * pieces (src/serve/): request fingerprinting, the JSON wire format,
+ * and a result-cache hit.
  *
- * The headline pair is the repeated 512-point MT-NLG sweep: cold runs
- * simulate every point; warm runs answer the identical batch from the
- * sharded result cache, which is the production serving scenario
- * (many users asking overlapping "how long/how much" queries).
- * Compare the cold and warm items_per_second counters in
- * BENCH_serve.json.
+ * Whole sweeps through SimService::evaluateBatch are timed end to end
+ * by perfbench's mtnlg_dse and mtnlg_batch workloads, not here.
  */
 #include <benchmark/benchmark.h>
-
-#include <map>
-#include <memory>
 
 #include "vtrain/vtrain.h"
 
@@ -22,184 +15,28 @@ namespace {
 
 using namespace vtrain;
 
-/**
- * Builds `count` distinct requests from a design-space sweep.  The
- * base sweep enumerates (t, d, p, m) plans; further requests reuse the
- * plans at scaled global batch sizes (scaling preserves validity and,
- * thanks to fast-mode extrapolation, per-point simulation cost).
- */
-std::vector<SimRequest>
-sweepRequests(const ModelConfig &model, const ClusterSpec &cluster,
-              const SweepSpec &spec, size_t count)
-{
-    const auto plans = enumeratePlans(model, cluster, spec);
-    std::vector<SimRequest> requests;
-    requests.reserve(count);
-    for (size_t i = 0; requests.size() < count; ++i) {
-        SimRequest r;
-        r.model = model;
-        r.cluster = cluster;
-        r.parallel = plans[i % plans.size()];
-        r.parallel.global_batch_size *=
-            static_cast<int>(1 + i / plans.size());
-        requests.push_back(std::move(r));
-    }
-    return requests;
-}
-
-std::vector<SimRequest>
-mtNlgRequests(size_t count)
-{
-    SweepSpec spec;
-    spec.global_batch_size = 1920;
-    spec.max_tensor = 8;
-    spec.max_data = 32;
-    spec.max_pipeline = 35;
-    spec.micro_batch_sizes = {1, 2};
-    spec.max_gpus = 2048;
-    return sweepRequests(zoo::mtNlg530b(), makeCluster(2048), spec,
-                         count);
-}
-
-/** A cheap sweep (3.6B model) for the 1-16 thread scaling scan. */
-std::vector<SimRequest>
-scaledModelRequests(size_t count)
+/** One request from a cheap (3.6B model) design-space sweep. */
+SimRequest
+scaledModelRequest()
 {
     SweepSpec spec;
     spec.global_batch_size = 512;
     spec.max_data = 16;
     spec.micro_batch_sizes = {1, 2, 4};
-    return sweepRequests(zoo::scaled3_6b(), makeCluster(64), spec,
-                         count);
+    SimRequest r;
+    r.model = zoo::scaled3_6b();
+    r.cluster = makeCluster(64);
+    r.parallel = enumeratePlans(r.model, r.cluster, spec).front();
+    return r;
 }
-
-SimService::Options
-serviceOptions(size_t n_threads)
-{
-    SimService::Options options;
-    options.n_threads = n_threads;
-    return options;
-}
-
-/** Cold 512-point MT-NLG sweep: every point simulates. */
-void
-BM_ServeBatch512MtNlg_Cold(benchmark::State &state)
-{
-    setVerbose(false);
-    const auto requests = mtNlgRequests(512);
-    for (auto _ : state) {
-        // A fresh service per iteration: empty cache, cold pool.
-        SimService service(
-            serviceOptions(static_cast<size_t>(state.range(0))));
-        auto results = service.evaluateBatch(requests);
-        benchmark::DoNotOptimize(results.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(requests.size()));
-}
-BENCHMARK(BM_ServeBatch512MtNlg_Cold)
-    ->Arg(1)
-    ->Arg(16)
-    ->Iterations(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kSecond);
-
-/**
- * Warm 512-point MT-NLG sweep: identical batch, cache-resident.  The
- * primed service is kept across benchmark re-invocations (the harness
- * calls the function several times while calibrating iteration
- * counts, and priming costs a full cold sweep).
- */
-SimService &
-primedMtNlgService(size_t n_threads,
-                   const std::vector<SimRequest> &requests)
-{
-    static std::map<size_t, std::unique_ptr<SimService>> services;
-    auto &slot = services[n_threads];
-    if (!slot) {
-        slot = std::make_unique<SimService>(serviceOptions(n_threads));
-        (void)slot->evaluateBatch(requests);
-    }
-    return *slot;
-}
-
-void
-BM_ServeBatch512MtNlg_Warm(benchmark::State &state)
-{
-    setVerbose(false);
-    const auto requests = mtNlgRequests(512);
-    SimService &service = primedMtNlgService(
-        static_cast<size_t>(state.range(0)), requests);
-    for (auto _ : state) {
-        auto results = service.evaluateBatch(requests);
-        benchmark::DoNotOptimize(results.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(requests.size()));
-    state.counters["hit_rate"] = service.stats().cache.hitRate();
-}
-BENCHMARK(BM_ServeBatch512MtNlg_Warm)
-    ->Arg(1)
-    ->Arg(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/** Thread-scaling scan on a cheap model, cold cache per iteration. */
-void
-BM_ServeSweep3_6b_Cold(benchmark::State &state)
-{
-    setVerbose(false);
-    const auto requests = scaledModelRequests(64);
-    for (auto _ : state) {
-        SimService service(
-            serviceOptions(static_cast<size_t>(state.range(0))));
-        auto results = service.evaluateBatch(requests);
-        benchmark::DoNotOptimize(results.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(requests.size()));
-}
-BENCHMARK(BM_ServeSweep3_6b_Cold)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/** Thread-scaling scan, warm cache. */
-void
-BM_ServeSweep3_6b_Warm(benchmark::State &state)
-{
-    setVerbose(false);
-    const auto requests = scaledModelRequests(64);
-    SimService service(
-        serviceOptions(static_cast<size_t>(state.range(0))));
-    (void)service.evaluateBatch(requests);
-    for (auto _ : state) {
-        auto results = service.evaluateBatch(requests);
-        benchmark::DoNotOptimize(results.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(requests.size()));
-}
-BENCHMARK(BM_ServeSweep3_6b_Warm)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 /** Canonical fingerprint cost (hashes the whole request). */
 void
 BM_RequestFingerprint(benchmark::State &state)
 {
-    const auto requests = scaledModelRequests(1);
+    const SimRequest request = scaledModelRequest();
     for (auto _ : state)
-        benchmark::DoNotOptimize(requests[0].fingerprint());
+        benchmark::DoNotOptimize(request.fingerprint());
 }
 BENCHMARK(BM_RequestFingerprint);
 
@@ -207,9 +44,9 @@ BENCHMARK(BM_RequestFingerprint);
 void
 BM_RequestJsonRoundTrip(benchmark::State &state)
 {
-    const auto requests = scaledModelRequests(1);
+    const SimRequest request = scaledModelRequest();
     for (auto _ : state) {
-        const std::string wire = wire::v1::encode(requests[0]).dump();
+        const std::string wire = wire::v1::encode(request).dump();
         SimRequest decoded;
         const bool ok = wire::v1::decode(wire, &decoded);
         benchmark::DoNotOptimize(ok);

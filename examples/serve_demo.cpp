@@ -3,10 +3,10 @@
  * Serving-API walkthrough: answer training-plan queries through the
  * concurrent SimService instead of driving the Simulator directly.
  *
- * Shows the three request paths (synchronous, async future, batched
- * with dedup), the effect of the result cache on a repeated sweep,
- * and the JSON wire format that lets requests cross process
- * boundaries.
+ * Shows the two request paths (one request on the calling thread, a
+ * batch with dedup that also spreads over the worker pool), the effect
+ * of the result cache on a repeated sweep, and the JSON wire format
+ * that lets requests cross process boundaries.
  *
  *   ./serve_demo [n_threads]
  */
@@ -82,10 +82,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(stats.cache.misses),
                 100.0 * stats.cache.hitRate(), stats.cache.entries);
 
-    // --- async: submit now, collect later --------------------------
-    auto future = service.evaluateAsync(batch[1]);
-    std::printf("\nasync result (cache hit): iter=%.3fs\n",
-                future.get().iteration_seconds);
+    // --- one request: answered on the calling thread --------------
+    const SimulationResult single = service.evaluate(batch[1]);
+    std::printf("\nsingle request (cache hit): iter=%.3fs\n",
+                single.iteration_seconds);
 
     // --- JSON: requests and results cross process boundaries -------
     const std::string wire = wire::v1::encode(batch[0]).dump();

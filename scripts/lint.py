@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint rules for the vtrain tree.
 
-Seven rules, each targeting a defect class the compilers cannot (or
+Six rules, each targeting a defect class the compilers cannot (or
 do not) catch:
 
   naked-mutex         std::mutex / std::lock_guard / std::unique_lock /
@@ -18,13 +18,6 @@ do not) catch:
                       provably protects nothing is either dead weight or
                       unannotated discipline), and `...Locked()` method
                       declarations without a REQUIRES(...) clause.
-
-  pool-blocking       Calls that block on work queued to the
-                      SimService's own ThreadPool from code that itself
-                      runs *on* that pool (the evaluateBatchInline
-                      self-deadlock class fixed by hand in PR 5).
-                      Checked in the files listed in POOL_CONTEXT_FILES;
-                      extend the list when new handlers run on the pool.
 
   file-naming         tests/*.cc must be <suite>_test.cc; bench sources
                       must be fig<N>_*/table<N>_*/perf_*/ablation_*/
@@ -76,28 +69,6 @@ import os
 import re
 import sys
 import tempfile
-
-# Files whose handlers execute on the SimService ThreadPool: blocking
-# on work queued to that same pool from here can self-deadlock once the
-# pool is saturated.
-POOL_CONTEXT_FILES = [
-    os.path.join("src", "serve", "http_frontend.cc"),
-    os.path.join("src", "serve", "http_frontend.h"),
-]
-
-# Blocking-on-the-pool patterns banned inside pool-context files.  The
-# non-blocking spellings (evaluateBatchInline, evaluate) stay legal:
-# they compute on the calling thread.
-POOL_BLOCKING_PATTERNS = [
-    (re.compile(r"\bevaluateBatch\s*\("),
-     "evaluateBatch() blocks on pool tasks; use evaluateBatchInline() "
-     "from code already running on the service pool"),
-    (re.compile(r"\bevaluateAsync\s*\("),
-     "evaluateAsync() queues to the pool; joining its future from a "
-     "pool task can self-deadlock -- compute inline instead"),
-    (re.compile(r"\bpool\s*\(\s*\)\s*\.\s*wait\s*\(|\bpool_\s*\.\s*wait\s*\("),
-     "ThreadPool::wait() from a pool task deadlocks a saturated pool"),
-]
 
 # Handler files that must speak serve/wire.h exclusively: any raw
 # payload assembly here bypasses the versioned schema surface.
@@ -310,19 +281,6 @@ def check_missing_annotation(root, findings):
                     "no REQUIRES(...) annotation" % m.group(1)))
 
 
-def check_pool_blocking(root, findings):
-    for rel in POOL_CONTEXT_FILES:
-        path = os.path.join(root, rel)
-        if not os.path.exists(path):
-            continue
-        code = strip_comments(read_text(path))
-        for pattern, message in POOL_BLOCKING_PATTERNS:
-            for m in pattern.finditer(code):
-                findings.append(Finding(
-                    rel, line_of(code, m.start()), "pool-blocking",
-                    message))
-
-
 def check_wire_schema(root, findings):
     for rel in WIRE_CONTEXT_FILES:
         path = os.path.join(root, rel)
@@ -407,7 +365,6 @@ def run_all(root):
     findings = []
     check_naked_mutex(root, findings)
     check_missing_annotation(root, findings)
-    check_pool_blocking(root, findings)
     check_wire_schema(root, findings)
     check_file_naming(root, findings)
     check_metric_naming(root, findings)
@@ -462,14 +419,7 @@ void wire(vtrain::util::MetricRegistry &r) {
 }
 """
 
-FIXTURE_POOL_BLOCKING = """\
-void Frontend::handleBatch() {
-    auto answers = service_.evaluateBatch(batch);   // queues + blocks
-    auto future = service_.evaluateAsync(one);      // queues
-    service_.pool().wait();                         // waits on itself
-    auto ok = service_.evaluateBatchInline(batch);  // legal
-    auto also_ok = service_.evaluate(one);          // legal
-}
+FIXTURE_WIRE_RAW = """\
 net::HttpResponse Frontend::handleRaw() {
     json::Value body = json::Value::object();       // bad: raw payload
     body.set("results", json::Value::array());      // bad: raw payload
@@ -518,7 +468,7 @@ def self_test():
             (os.path.join("src", "util", "exempt.cc"),
              "#include <mutex>\nstd::mutex ok_here;\n"),
             (os.path.join("src", "serve", "http_frontend.cc"),
-             FIXTURE_POOL_BLOCKING),
+             FIXTURE_WIRE_RAW),
             (os.path.join("src", "foo", "metric_names.cc"),
              FIXTURE_METRIC_NAMES),
             (os.path.join("src", "foo", "fastpath.cc"),
@@ -559,12 +509,6 @@ def self_test():
                "missing-annotation: expected the 2 seeded hits "
                "(unannotated mutex + Locked method), got %s"
                % [str(f) for f in missing], failures)
-
-        blocking = by_rule.get("pool-blocking", [])
-        expect(len(blocking) == 3,
-               "pool-blocking: expected the 3 seeded hits "
-               "(evaluateBatch, evaluateAsync, pool().wait), got %s"
-               % [str(f) for f in blocking], failures)
 
         wire = by_rule.get("wire-schema", [])
         expect(len(wire) == 7 and

@@ -2,12 +2,11 @@
 # Build the bench targets and run the perf microbenchmarks to emit
 # Google-Benchmark JSON baselines for the perf trajectory:
 #   bench/perf_simulator -> BENCH_simulator.json (simulator pipeline)
-#   bench/perf_serve     -> BENCH_serve.json     (serve layer, cold/warm)
+#   bench/perf_serve     -> BENCH_serve.json     (serve layer: fingerprint, wire, cache)
 #   bench/perf_http      -> BENCH_http.json      (HTTP frontend loopback)
 #   bench/perf_metrics   -> BENCH_metrics.json   (observability primitives)
-#   bench/perf_sweep_shard -> BENCH_sweep.json    (distributed sweep scaling)
 #
-# Usage: scripts/run_bench.sh [--repeat N] [simulator|serve|http|metrics|sweep|all] [output.json]
+# Usage: scripts/run_bench.sh [--repeat N] [simulator|serve|http|metrics|all] [output.json]
 #   --repeat N      forward --benchmark_repetitions=N (bench_diff.py
 #                   averages the repetitions, damping steady-state noise)
 #   bench name      which baseline to regenerate (default: all)
@@ -35,9 +34,9 @@ BUILD_DIR="${BUILD_DIR:-${ROOT}/build-release}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 case "${WHICH}" in
-    simulator|serve|http|metrics|sweep|all) ;;
+    simulator|serve|http|metrics|all) ;;
     *)
-        echo "usage: $0 [--repeat N] [simulator|serve|http|metrics|sweep|all]" \
+        echo "usage: $0 [--repeat N] [simulator|serve|http|metrics|all]" \
              "[output.json]" >&2
         exit 2
         ;;
@@ -53,11 +52,7 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 run_bench() {
     local name="$1" out="$2"
-    local target="perf_${name}"
-    if [[ "${name}" == "sweep" ]]; then
-        target="perf_sweep_shard"
-    fi
-    local bin="${BUILD_DIR}/bench/${target}"
+    local bin="${BUILD_DIR}/bench/perf_${name}"
     if [[ ! -x "${bin}" ]]; then
         echo "error: ${bin} was not built (is libbenchmark-dev installed?)" >&2
         exit 1
@@ -111,7 +106,7 @@ PYEOF
 }
 
 if [[ "${WHICH}" == "all" ]]; then
-    for name in simulator serve http metrics sweep; do
+    for name in simulator serve http metrics; do
         run_bench "${name}" "${OUT_DIR}/BENCH_${name}.json"
     done
 else

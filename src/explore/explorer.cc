@@ -65,7 +65,8 @@ Explorer::sweep(const ModelConfig &model,
     // evaluateBatch dedups repeated plans, answers seen points from
     // the cache, and groups structurally identical new points into
     // batched passes (one template + one K-wide engine pass per
-    // group).
+    // group).  This thread computes too, so the sweep runs on at most
+    // n_threads threads; with one, it runs on this thread alone.
     std::vector<SimulationResult> sims =
         service_->evaluateBatch(requests);
 

@@ -265,15 +265,13 @@ HttpFrontend::handleEvaluateBatch(const HttpRequest &request)
                          ": " + why);
     }
 
-    // This handler is itself a pool task, so it must not block on
-    // work queued to the same pool (evaluateBatch would): the inline
-    // variant computes on this thread with the same dedup, grouping
-    // and batched-replay routing, publishing to the shared cache so
-    // identical requests from other connections still collapse.
+    // This handler is itself a pool task.  evaluateBatch computes on
+    // this thread plus whatever pool threads are free, never waiting
+    // on a queued task, and publishes to the shared cache so identical
+    // requests from other connections still collapse.
     util::TraceCapture capture("POST /v1/evaluate_batch");
     std::vector<SimulationResult> answers =
-        service_.evaluateBatchInline(batch,
-                                     absoluteDeadline(deadline_ms));
+        service_.evaluateBatch(batch, absoluteDeadline(deadline_ms));
     util::TraceRing::global().push(capture.finish());
     return jsonResponse(wire::v1::encodeEvaluateBatchResponse(answers));
 }
@@ -331,11 +329,10 @@ HttpFrontend::handleSweep(const HttpRequest &request)
             return wire::v1::errorResponse(502, failure.what());
         }
     } else {
-        // Shard side: compute locally, inline for the same
-        // pool-blocking reason as handleEvaluateBatch above.
+        // Shard side: compute locally, as handleEvaluateBatch does.
         util::TraceCapture capture("POST /v1/sweep");
         std::vector<SimulationResult> sims =
-            service_.evaluateBatchInline(batch, deadline_ns);
+            service_.evaluateBatch(batch, deadline_ns);
         util::TraceRing::global().push(capture.finish());
         for (size_t i = 0; i < plans.size(); ++i) {
             results[i].plan = plans[i];

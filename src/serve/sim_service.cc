@@ -1,5 +1,7 @@
 #include "serve/sim_service.h"
 
+#include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "sim/simulator.h"
@@ -105,9 +107,8 @@ SimService::publish(
 {
     // Cache before dropping the in-flight entry so that at every
     // instant an identical request finds the answer in one of the two.
-    if (request.cacheable())
+    if (request.cacheable()) {
         cache_.put(fp, result);
-    {
         util::MutexLock lock(inflight_mutex_);
         inflight_.erase(fp);
     }
@@ -116,13 +117,13 @@ SimService::publish(
 
 void
 SimService::publishFailure(
-    uint64_t fp,
+    const SimRequest &request, uint64_t fp,
     const std::shared_ptr<std::promise<SimulationResult>> &promise)
 {
     // A throwing evaluator must not poison the fingerprint: drop the
     // in-flight entry so the next identical request recomputes, and
     // hand the exception to everyone already joined on the future.
-    {
+    if (request.cacheable()) {
         util::MutexLock lock(inflight_mutex_);
         inflight_.erase(fp);
     }
@@ -131,13 +132,13 @@ SimService::publishFailure(
 
 void
 SimService::failDeadline(
-    uint64_t fp,
+    const SimRequest &request, uint64_t fp,
     const std::shared_ptr<std::promise<SimulationResult>> &promise)
 {
     try {
         throw DeadlineExceeded();
     } catch (...) {
-        publishFailure(fp, promise);
+        publishFailure(request, fp, promise);
     }
 }
 
@@ -199,14 +200,14 @@ SimService::evaluate(const SimRequest &request, uint64_t deadline_ns)
     if (expired()) {
         // The fingerprint was claimed above; joiners must see the
         // failure too, not hang on an abandoned promise.
-        failDeadline(fp, promise);
+        failDeadline(request, fp, promise);
         throw DeadlineExceeded();
     }
     SimulationResult result;
     try {
         result = compute(request);
     } catch (...) {
-        publishFailure(fp, promise);
+        publishFailure(request, fp, promise);
         throw;
     }
     {
@@ -218,92 +219,121 @@ SimService::evaluate(const SimRequest &request, uint64_t deadline_ns)
     return result;
 }
 
-std::shared_future<SimulationResult>
-SimService::evaluateAsync(const SimRequest &request)
+/** One claimed-but-uncomputed point: its request and owned promise. */
+struct SimService::Claimed {
+    SimRequest request;
+    uint64_t fp = 0; //!< 0 for a non-cacheable request
+    std::shared_ptr<std::promise<SimulationResult>> promise;
+};
+
+/**
+ * One batch's work list, shared by its caller and helper tasks.  Each
+ * unit is claimed exactly once through `next`; the list lives until
+ * the last of them lets go, so a helper that starts after the batch
+ * returned finds the cursor exhausted and touches nothing else.
+ */
+struct SimService::BatchWork {
+    std::vector<std::vector<Claimed>> units;
+    std::atomic<size_t> next{0};
+    uint64_t deadline_ns = 0;
+};
+
+void
+SimService::drain(BatchWork &work)
 {
-    return evaluateAsyncWithFp(
-        request, request.cacheable() ? request.fingerprint() : 0);
+    for (size_t i = work.next.fetch_add(1, std::memory_order_relaxed);
+         i < work.units.size();
+         i = work.next.fetch_add(1, std::memory_order_relaxed))
+        runUnit(work.units[i], work.deadline_ns);
 }
 
-std::shared_future<SimulationResult>
-SimService::evaluateAsyncWithFp(const SimRequest &request, uint64_t fp)
+void
+SimService::runUnit(std::vector<Claimed> &members, uint64_t deadline_ns)
 {
-    {
-        util::MutexLock lock(stats_mutex_);
-        ++requests_;
+    // Computes and publishes the members of one unit.  Units of one
+    // take the plain path; larger ones try the batched replay and
+    // degrade to per-member computation when members turn out not to
+    // share (model, cluster, options) after all (a group-key
+    // collision) or the batched call throws.
+    const auto expired = [deadline_ns] {
+        return deadline_ns != 0 && util::monotonicNanos() >= deadline_ns;
+    };
+    // The deadline expired while this unit waited for a thread: shed
+    // every member instead of computing answers the caller gave up
+    // on.  The promises were claimed, so they must be failed, never
+    // abandoned.
+    if (expired()) {
+        for (const Claimed &member : members)
+            failDeadline(member.request, member.fp, member.promise);
+        return;
     }
-    if (!request.cacheable()) {
-        auto promise =
-            std::make_shared<std::promise<SimulationResult>>();
-        auto future = promise->get_future().share();
-        pool_.submit([this, request, promise] {
-            // Never let an exception escape into the worker loop
-            // (std::terminate); deliver it through the future.
+    if (members.size() > 1 && !options_.evaluator) {
+        const SimRequest &head = members.front().request;
+        bool uniform = true;
+        for (size_t m = 1; uniform && m < members.size(); ++m) {
+            const SimRequest &r = members[m].request;
+            uniform = r.model == head.model && r.cluster == head.cluster &&
+                      r.options == head.options;
+        }
+        if (uniform) {
+            std::vector<ParallelConfig> plans;
+            plans.reserve(members.size());
+            for (const Claimed &member : members)
+                plans.push_back(member.request.parallel);
+            std::vector<SimulationResult> results;
+            bool batched = false;
             try {
-                const SimulationResult result = compute(request);
+                Simulator sim(head.cluster, head.options, templates_,
+                              engine_counters_);
+                results = sim.simulateIterationBatch(head.model, plans);
+                batched = true;
+            } catch (...) {
+                // Fall through: per-member isolation below.  The
+                // compute is all-or-nothing, so nothing has been
+                // published yet.
+            }
+            if (batched) {
                 {
                     util::MutexLock lock(stats_mutex_);
-                    ++computed_;
+                    computed_ += members.size();
                 }
-                promise->set_value(result);
-            } catch (...) {
-                promise->set_exception(std::current_exception());
+                for (size_t m = 0; m < members.size(); ++m) {
+                    try {
+                        publish(members[m].request, members[m].fp,
+                                members[m].promise, results[m]);
+                    } catch (...) {
+                        // A failed publish (e.g. bad_alloc while
+                        // storing the value) must not poison the
+                        // other members or escape the thread.
+                        publishFailure(members[m].request, members[m].fp,
+                                       members[m].promise);
+                    }
+                }
+                return;
             }
-        });
-        return future;
+        }
     }
-
-    SimulationResult cached;
-    if (cache_.get(fp, &cached)) {
-        std::promise<SimulationResult> ready;
-        ready.set_value(cached);
-        return ready.get_future().share();
-    }
-
-    auto promise = std::make_shared<std::promise<SimulationResult>>();
-    std::shared_future<SimulationResult> future;
-    const Claim claim = claimInflight(fp, promise, &future);
-    if (claim == Claim::Joined) {
-        util::MutexLock lock(stats_mutex_);
-        ++inflight_joins_;
-    }
-    if (claim != Claim::Owner)
-        return future;
-
-    pool_.submit([this, request, fp, promise] {
+    for (const Claimed &member : members) {
+        if (expired()) {
+            failDeadline(member.request, member.fp, member.promise);
+            continue;
+        }
         try {
-            const SimulationResult result = compute(request);
+            const SimulationResult result = compute(member.request);
             {
                 util::MutexLock lock(stats_mutex_);
                 ++computed_;
             }
-            publish(request, fp, promise, result);
+            publish(member.request, member.fp, member.promise, result);
         } catch (...) {
-            publishFailure(fp, promise);
+            publishFailure(member.request, member.fp, member.promise);
         }
-    });
-    return future;
+    }
 }
 
 std::vector<SimulationResult>
 SimService::evaluateBatch(const std::vector<SimRequest> &requests,
                           uint64_t deadline_ns)
-{
-    return evaluateBatchImpl(requests, /*inline_compute=*/false,
-                             deadline_ns);
-}
-
-std::vector<SimulationResult>
-SimService::evaluateBatchInline(const std::vector<SimRequest> &requests,
-                                uint64_t deadline_ns)
-{
-    return evaluateBatchImpl(requests, /*inline_compute=*/true,
-                             deadline_ns);
-}
-
-std::vector<SimulationResult>
-SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
-                              bool inline_compute, uint64_t deadline_ns)
 {
     // Expired before anything was claimed: shed the whole batch up
     // front rather than simulating answers nobody is waiting for.
@@ -311,7 +341,7 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
         throw DeadlineExceeded();
     // Collapse duplicates up front so each distinct point is claimed
     // (and simulated) once, then fan the shared answers back out in
-    // request order.  Distinct points this thread claims are grouped
+    // request order.  Distinct points this call claims are grouped
     // by structural batch key: a group shares one graph template and
     // one batched engine pass (Simulator::simulateIterationBatch)
     // instead of simulating its members independently.
@@ -321,97 +351,68 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
     std::unordered_map<uint64_t, size_t> first_with_fp;
     uint64_t dedups = 0;
 
-    // One claimed-but-uncomputed point (owned promise + request).
-    struct Claimed {
-        SimRequest request;
-        uint64_t fp = 0;
-        std::shared_ptr<std::promise<SimulationResult>> promise;
-    };
     // Batch groups keyed by batchGroupKey(); 0 = never grouped.
     std::unordered_map<uint64_t, std::vector<Claimed>> groups;
     std::vector<Claimed> singles;
 
     for (size_t i = 0; i < requests.size(); ++i) {
         const SimRequest &request = requests[i];
-        uint64_t fp = 0;
-        if (request.cacheable()) {
-            fp = request.fingerprint();
-            auto [it, inserted] =
-                first_with_fp.emplace(fp, futures.size());
-            if (!inserted) {
-                future_of[i] = it->second;
-                ++dedups;
-                continue;
-            }
-
-            SimulationResult cached;
-            if (cache_.get(fp, &cached)) {
-                std::promise<SimulationResult> ready;
-                ready.set_value(std::move(cached));
-                future_of[i] = futures.size();
-                futures.push_back(ready.get_future().share());
-                continue;
-            }
-
+        if (!request.cacheable()) {
+            // Non-cacheable requests cannot dedupe, group, or publish.
             auto promise =
                 std::make_shared<std::promise<SimulationResult>>();
-            std::shared_future<SimulationResult> future;
-            const Claim claim = claimInflight(fp, promise, &future);
             future_of[i] = futures.size();
-            futures.push_back(std::move(future));
-            if (claim == Claim::Joined) {
-                util::MutexLock lock(stats_mutex_);
-                ++inflight_joins_;
-            }
-            if (claim != Claim::Owner)
-                continue;
-
-            Claimed claimed{request, fp, std::move(promise)};
-            // A pluggable evaluator is a black box: only the real
-            // simulator can share work across a group.
-            const uint64_t key =
-                options_.evaluator
-                    ? 0
-                    : batchGroupKey(request.model, request.parallel,
-                                    request.cluster, request.options);
-            if (key != 0)
-                groups[key].push_back(std::move(claimed));
-            else
-                singles.push_back(std::move(claimed));
+            futures.push_back(promise->get_future().share());
+            singles.push_back(Claimed{request, 0, std::move(promise)});
             continue;
         }
 
-        // Non-cacheable requests cannot dedupe, group, or publish.
-        future_of[i] = futures.size();
-        if (inline_compute) {
-            std::promise<SimulationResult> ready;
-            try {
-                if (deadline_ns != 0 &&
-                    util::monotonicNanos() >= deadline_ns)
-                    throw DeadlineExceeded();
-                const SimulationResult result = compute(request);
-                {
-                    util::MutexLock lock(stats_mutex_);
-                    ++computed_;
-                }
-                ready.set_value(result);
-            } catch (...) {
-                ready.set_exception(std::current_exception());
-            }
-            futures.push_back(ready.get_future().share());
-        } else {
-            futures.push_back(evaluateAsyncWithFp(request, 0));
+        const uint64_t fp = request.fingerprint();
+        auto [it, inserted] = first_with_fp.emplace(fp, futures.size());
+        if (!inserted) {
+            future_of[i] = it->second;
+            ++dedups;
+            continue;
         }
+
+        SimulationResult cached;
+        if (cache_.get(fp, &cached)) {
+            std::promise<SimulationResult> ready;
+            ready.set_value(std::move(cached));
+            future_of[i] = futures.size();
+            futures.push_back(ready.get_future().share());
+            continue;
+        }
+
+        auto promise = std::make_shared<std::promise<SimulationResult>>();
+        std::shared_future<SimulationResult> future;
+        const Claim claim = claimInflight(fp, promise, &future);
+        future_of[i] = futures.size();
+        futures.push_back(std::move(future));
+        if (claim == Claim::Joined) {
+            util::MutexLock lock(stats_mutex_);
+            ++inflight_joins_;
+        }
+        if (claim != Claim::Owner)
+            continue;
+
+        Claimed claimed{request, fp, std::move(promise)};
+        // A pluggable evaluator is a black box: only the real
+        // simulator can share work across a group.
+        const uint64_t key =
+            options_.evaluator
+                ? 0
+                : batchGroupKey(request.model, request.parallel,
+                                request.cluster, request.options);
+        if (key != 0)
+            groups[key].push_back(std::move(claimed));
+        else
+            singles.push_back(std::move(claimed));
     }
 
     {
         util::MutexLock lock(stats_mutex_);
-        // Inline mode handles every request here; the pooled mode
-        // routed non-cacheable ones through evaluateAsyncWithFp,
-        // which already counted them.
-        requests_ += inline_compute
-                         ? requests.size()
-                         : dedups + first_with_fp.size();
+        requests_ += requests.size();
         batch_dedups_ += dedups;
     }
 
@@ -420,132 +421,44 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
     for (size_t i = 0; i < singles.size(); ++i)
         batch_group_size_->record(1.0);
 
-    // Computes and publishes the members of one group.  Groups of one
-    // take the plain path; larger groups try the batched replay and
-    // degrade to per-member computation when members turn out not to
-    // share (model, cluster, options) after all (a group-key
-    // collision) or the batched call throws.
-    const auto run_group = [this,
-                            deadline_ns](std::vector<Claimed> members) {
-        const auto expired = [deadline_ns] {
-            return deadline_ns != 0 &&
-                   util::monotonicNanos() >= deadline_ns;
-        };
-        // The deadline expired while this unit sat queued (or while
-        // earlier inline units computed): shed every member instead
-        // of computing answers the caller gave up on.  The promises
-        // were claimed, so they must be failed, never abandoned.
-        if (expired()) {
-            for (const Claimed &member : members)
-                failDeadline(member.fp, member.promise);
-            return;
-        }
-        bool batched = false;
-        if (members.size() > 1 && !options_.evaluator) {
-            const SimRequest &head = members.front().request;
-            bool uniform = true;
-            for (size_t m = 1; uniform && m < members.size(); ++m) {
-                const SimRequest &r = members[m].request;
-                uniform = r.model == head.model &&
-                          r.cluster == head.cluster &&
-                          r.options == head.options;
-            }
-            if (uniform) {
-                std::vector<ParallelConfig> plans;
-                plans.reserve(members.size());
-                for (const Claimed &member : members)
-                    plans.push_back(member.request.parallel);
-                std::vector<SimulationResult> results;
-                try {
-                    Simulator sim(head.cluster, head.options,
-                                  templates_, engine_counters_);
-                    results =
-                        sim.simulateIterationBatch(head.model, plans);
-                    batched = true;
-                } catch (...) {
-                    // Fall through: per-member isolation below.  The
-                    // compute is all-or-nothing, so nothing has been
-                    // published yet.
-                }
-                if (batched) {
-                    {
-                        util::MutexLock lock(stats_mutex_);
-                        computed_ += members.size();
-                    }
-                    for (size_t m = 0; m < members.size(); ++m) {
-                        try {
-                            publish(members[m].request, members[m].fp,
-                                    members[m].promise, results[m]);
-                        } catch (...) {
-                            // A failed publish (e.g. bad_alloc while
-                            // storing the value) must not poison the
-                            // other members or escape the worker.
-                            publishFailure(members[m].fp,
-                                           members[m].promise);
-                        }
-                    }
-                }
-            }
-        }
-        if (batched)
-            return;
-        for (const Claimed &member : members) {
-            if (expired()) {
-                failDeadline(member.fp, member.promise);
-                continue;
-            }
-            try {
-                const SimulationResult result =
-                    compute(member.request);
-                {
-                    util::MutexLock lock(stats_mutex_);
-                    ++computed_;
-                }
-                publish(member.request, member.fp, member.promise,
-                        result);
-            } catch (...) {
-                publishFailure(member.fp, member.promise);
-            }
-        }
-    };
-
-    // One pool task per unit.  In pooled mode, groups are sliced so a
-    // single huge group still spreads across the workers (each slice
+    // Groups are sliced into units of at most kMaxGroupPerUnit so a
+    // single huge group still spreads across threads (each slice
     // re-times against the same cached template, so slicing costs
-    // only the per-slice profiler table).  Inline mode runs on one
-    // thread regardless, so the whole group stays one unit and shares
-    // a single table and template fetch.
-    constexpr size_t kMaxGroupPerTask = 64;
-    std::vector<std::vector<Claimed>> units;
-    units.reserve(groups.size() + singles.size());
+    // only the per-slice profiler table).
+    constexpr size_t kMaxGroupPerUnit = 64;
+    auto work = std::make_shared<BatchWork>();
+    work->deadline_ns = deadline_ns;
+    work->units.reserve(groups.size() + singles.size());
     for (auto &[key, members] : groups) {
-        if (inline_compute) {
-            units.push_back(std::move(members));
-            continue;
-        }
         for (size_t begin = 0; begin < members.size();
-             begin += kMaxGroupPerTask) {
-            const size_t end = std::min(begin + kMaxGroupPerTask,
-                                        members.size());
-            units.emplace_back(
+             begin += kMaxGroupPerUnit) {
+            const size_t end =
+                std::min(begin + kMaxGroupPerUnit, members.size());
+            work->units.emplace_back(
                 std::make_move_iterator(members.begin() + begin),
                 std::make_move_iterator(members.begin() + end));
         }
     }
     for (Claimed &claimed : singles) {
-        units.emplace_back();
-        units.back().push_back(std::move(claimed));
-    }
-    for (auto &unit : units) {
-        if (inline_compute)
-            run_group(std::move(unit));
-        else
-            pool_.submit(
-                [run_group, unit = std::move(unit)]() mutable {
-                    run_group(std::move(unit));
-                });
+        work->units.emplace_back();
+        work->units.back().push_back(std::move(claimed));
     }
 
+    // The caller computes too, so at most numThreads() threads work
+    // on this batch, the caller included.  A helper that never gets a
+    // thread costs nothing: the caller claims every unit no running
+    // thread has, so it never waits on a task still in the queue,
+    // even when it is itself a task on this pool.
+    if (!work->units.empty()) {
+        const size_t helpers =
+            std::min(work->units.size(), numThreads()) - 1;
+        for (size_t h = 0; h < helpers; ++h)
+            pool_.submit([this, work] { drain(*work); });
+        drain(*work);
+    }
+
+    // Every unit is claimed by now: the futures left are units that
+    // running helpers hold and computations other callers own.
     std::vector<SimulationResult> results(requests.size());
     for (size_t i = 0; i < requests.size(); ++i)
         results[i] = futures[future_of[i]].get();

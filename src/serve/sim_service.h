@@ -11,16 +11,18 @@
  *   2. in-flight dedup — a request identical to one currently being
  *      computed attaches to that computation's shared future instead
  *      of starting a second simulation;
- *   3. compute — otherwise the request is simulated (inline for
- *      evaluate(), on the service's ThreadPool for evaluateAsync() /
- *      evaluateBatch()) and the answer is published to the cache.
+ *   3. compute — otherwise the request is simulated and the answer
+ *      is published to the cache.  evaluate() computes on the calling
+ *      thread; evaluateBatch() computes on the calling thread plus up
+ *      to numThreads() - 1 helper tasks on the service's ThreadPool.
  *
  * The service owns one long-lived ThreadPool; constructing it once and
  * issuing many batches amortizes thread startup across sweeps (the
- * Explorer now does exactly this).  All public methods are safe to
- * call from multiple threads.  Do not call the blocking entry points
- * from inside tasks running on this service's own pool: a saturated
- * pool waiting on itself cannot make progress.
+ * Explorer does exactly this).  All public methods are safe to call
+ * from multiple threads, including from tasks running on the
+ * service's own pool (the HTTP handlers are such tasks): no entry
+ * point waits on work that is still queued, so a saturated pool
+ * cannot deadlock on itself.
  */
 #ifndef VTRAIN_SERVE_SIM_SERVICE_H
 #define VTRAIN_SERVE_SIM_SERVICE_H
@@ -94,7 +96,9 @@ class SimService
     using Evaluator = std::function<SimulationResult(const SimRequest &)>;
 
     struct Options {
-        /** Worker threads for async/batch paths (0 = hw concurrency). */
+        /** Pool worker threads (0 = hardware concurrency).  It also
+         *  bounds a batch: evaluateBatch() computes on at most this
+         *  many threads at once, its caller included. */
         size_t n_threads = 0;
 
         /** Pin pool workers to CPUs (ThreadPool::Options; off by
@@ -136,13 +140,6 @@ class SimService
                               uint64_t deadline_ns = 0);
 
     /**
-     * Submits one request to the worker pool and returns a shared
-     * future.  Duplicate concurrent submissions share one future.
-     */
-    std::shared_future<SimulationResult>
-    evaluateAsync(const SimRequest &request);
-
-    /**
      * Evaluates a batch, preserving order: result[i] answers
      * requests[i].  Duplicate requests inside the batch are computed
      * once and fanned back out.  Requests that share a structural
@@ -150,21 +147,19 @@ class SimService
      * simulated micro-batch counts, different durations) are routed
      * through one batched replay — one template build/fetch plus a
      * single K-wide engine pass — instead of K independent
-     * simulations; remaining requests run concurrently on the pool.
+     * simulations.
+     *
+     * The groups (sliced to at most 64 members) and the remaining
+     * requests form a list of units.  The calling thread computes
+     * units itself while up to numThreads() - 1 helper tasks on the
+     * pool claim the rest, so a batch never occupies more than
+     * numThreads() threads.  The caller then waits only on units a
+     * running thread holds and on computations other callers own,
+     * never on a queued task: calling this from a pool task is safe.
      */
     std::vector<SimulationResult>
     evaluateBatch(const std::vector<SimRequest> &requests,
                   uint64_t deadline_ns = 0);
-
-    /**
-     * evaluateBatch() computing on the calling thread instead of the
-     * worker pool (grouping and dedup included).  For callers that
-     * are themselves pool tasks — the HTTP frontend's batch handler —
-     * where blocking on work queued to the same pool could deadlock.
-     */
-    std::vector<SimulationResult>
-    evaluateBatchInline(const std::vector<SimRequest> &requests,
-                        uint64_t deadline_ns = 0);
 
     ResultCache &cache() { return cache_; }
     const ResultCache &cache() const { return cache_; }
@@ -182,13 +177,16 @@ class SimService
 
     /**
      * The service's worker pool, shared with the HTTP frontend so the
-     * process runs exactly one pool.  The caveat at the top of this
-     * file applies doubly here: tasks submitted to this pool must not
-     * block on other work queued to the same pool.
+     * process runs exactly one pool.  Tasks submitted here may call
+     * any entry point above, but must not themselves block on other
+     * work queued to this pool.
      */
     ThreadPool &pool() { return pool_; }
 
   private:
+    struct Claimed;
+    struct BatchWork;
+
     /** Runs the evaluator (or the real simulator). */
     SimulationResult compute(const SimRequest &request) const;
 
@@ -214,7 +212,8 @@ class SimService
                         std::shared_future<SimulationResult> *future)
         EXCLUDES(inflight_mutex_);
 
-    /** Publishes a finished computation: cache, table, promise. */
+    /** Publishes a finished computation: cache and table (cacheable
+     *  requests only), then the promise. */
     void publish(const SimRequest &request, uint64_t fp,
                  const std::shared_ptr<std::promise<SimulationResult>>
                      &promise,
@@ -227,24 +226,21 @@ class SimService
      * forwards the current exception through the shared future.
      */
     void publishFailure(
-        uint64_t fp,
+        const SimRequest &request, uint64_t fp,
         const std::shared_ptr<std::promise<SimulationResult>> &promise)
         EXCLUDES(inflight_mutex_);
-
-    /** evaluateAsync() with the fingerprint already computed. */
-    std::shared_future<SimulationResult>
-    evaluateAsyncWithFp(const SimRequest &request, uint64_t fp);
-
-    /** Shared body of evaluateBatch / evaluateBatchInline. */
-    std::vector<SimulationResult>
-    evaluateBatchImpl(const std::vector<SimRequest> &requests,
-                      bool inline_compute, uint64_t deadline_ns);
 
     /** Fails a claimed promise with DeadlineExceeded. */
     void failDeadline(
-        uint64_t fp,
+        const SimRequest &request, uint64_t fp,
         const std::shared_ptr<std::promise<SimulationResult>> &promise)
         EXCLUDES(inflight_mutex_);
+
+    /** Claims and runs units of `work` until none are left. */
+    void drain(BatchWork &work);
+
+    /** Computes and publishes one unit (a group slice or a single). */
+    void runUnit(std::vector<Claimed> &members, uint64_t deadline_ns);
 
     Options options_;
     ResultCache cache_;
@@ -272,7 +268,7 @@ class SimService
 
     // Last member on purpose: the pool is destroyed (and its queued
     // tasks drained) first, while the cache, in-flight table, mutexes
-    // and counters those tasks touch are still alive.
+    // and counters a still-running batch helper touches are alive.
     ThreadPool pool_;
 };
 

@@ -114,7 +114,6 @@ ThreadPool::submit(std::function<void()> task)
     {
         util::MutexLock lock(mutex_);
         tasks_.push(Task{std::move(task), util::monotonicNanos()});
-        ++in_flight_;
         if (tasks_.size() > queue_high_water_) {
             queue_high_water_ = tasks_.size();
             queue_high_water_gauge_->set(
@@ -123,14 +122,6 @@ ThreadPool::submit(std::function<void()> task)
     }
     queue_depth_gauge_->add(1);
     cv_task_.notifyOne();
-}
-
-void
-ThreadPool::wait()
-{
-    util::MutexLock lock(mutex_);
-    while (in_flight_ != 0)
-        cv_done_.wait(mutex_);
 }
 
 ThreadPool::PoolStats
@@ -185,12 +176,6 @@ ThreadPool::workerLoop(size_t index)
 #else
         (void)index;
 #endif
-        {
-            util::MutexLock lock(mutex_);
-            --in_flight_;
-            if (in_flight_ == 0)
-                cv_done_.notifyAll();
-        }
     }
 }
 

@@ -7,9 +7,11 @@
  * embarrassingly parallel across CPU cores; ThreadPool provides that
  * parallelism for Explorer::sweep() and SimService.
  *
- * One execution shape: submit() enqueues a task and wait() blocks
- * until every submitted task has finished.  Each task a worker runs is
- * one sample of the wait and run histograms, so those series count
+ * One execution shape: submit() enqueues a task and never blocks.
+ * The pool offers no way to wait for queued work; callers that need
+ * results hand them back through their own futures, and the
+ * destructor drains the queue before joining.  Each task a worker runs
+ * is one sample of the wait and run histograms, so those series count
  * only submitted work.
  *
  * Workers can optionally be pinned to CPUs (Options::pin_threads,
@@ -86,9 +88,6 @@ class ThreadPool
     /** Enqueues a task for asynchronous execution. */
     void submit(std::function<void()> task) EXCLUDES(mutex_);
 
-    /** Blocks until every submitted task has finished. */
-    void wait() EXCLUDES(mutex_);
-
     size_t numThreads() const { return workers_.size(); }
 
     /** @return pool configuration + the live migration count. */
@@ -107,9 +106,7 @@ class ThreadPool
     std::vector<std::thread> workers_; //!< written by ctor/dtor only
     util::Mutex mutex_;
     util::CondVar cv_task_;
-    util::CondVar cv_done_;
     std::queue<Task> tasks_ GUARDED_BY(mutex_);
-    size_t in_flight_ GUARDED_BY(mutex_) = 0;
     bool stop_ GUARDED_BY(mutex_) = false;
     size_t queue_high_water_ GUARDED_BY(mutex_) = 0;
 

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -304,6 +305,79 @@ TEST(HttpFrontendTest, BatchPreservesOrderAndDedups)
     EXPECT_EQ(parsed[2], parsed[0]);
     // The duplicate was answered from the cache, not recomputed.
     EXPECT_EQ(computed.load(), 2);
+}
+
+TEST(HttpFrontendTest, OneThreadFrontendAnswersBatchAndShardSweep)
+{
+    // The service pool's only worker runs the handler, so the batch
+    // and the shard-side sweep must compute on that worker: a handler
+    // that waited on units queued behind itself would never answer.
+    // A bounded client deadline turns that hang into a failure.
+    auto loop = std::make_unique<Loopback>(syntheticServiceOptions(1));
+    ASSERT_EQ(loop->service.numThreads(), 1u);
+    HttpClient::Options client_options;
+    client_options.port = loop->frontend.port();
+    client_options.request_timeout_ms = 10000;
+    HttpClient client(client_options);
+
+    std::vector<SimRequest> batch;
+    json::Value requests = json::Value::array();
+    for (int i = 0; i < 4; ++i) {
+        batch.push_back(requestVariant(i));
+        requests.push(toJsonValue(batch.back()));
+    }
+    json::Value body = json::Value::object();
+    body.set("version", int64_t{1});
+    body.set("requests", std::move(requests));
+
+    wire::v1::SweepRequest sweep_request;
+    sweep_request.model = batch[0].model;
+    sweep_request.cluster = batch[0].cluster;
+    for (int i = 4; i < 8; ++i)
+        sweep_request.plans.push_back(requestVariant(i).parallel);
+
+    HttpResponse batch_response, sweep_response;
+    std::string error;
+    const bool answered =
+        client.post("/v1/evaluate_batch", body.dump(), &batch_response,
+                    &error) &&
+        client.post("/v1/sweep", wire::v1::encode(sweep_request).dump(),
+                    &sweep_response, &error);
+    if (!answered) {
+        // The only worker waits on its own queue.  Leak the stack:
+        // its destructor would join that worker forever.
+        ADD_FAILURE() << "no answer from a one-thread frontend: "
+                      << error;
+        (void)loop.release();
+        return;
+    }
+
+    ASSERT_EQ(batch_response.status, 200) << batch_response.body;
+    json::Value doc;
+    ASSERT_TRUE(json::Value::parse(batch_response.body, &doc, &error))
+        << error;
+    const json::Value *results = doc.find("results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_EQ(results->items().size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        SimulationResult parsed;
+        ASSERT_TRUE(
+            wire::v1::decode(results->items()[i], &parsed, &error))
+            << error;
+        EXPECT_EQ(parsed, syntheticResult(batch[i]));
+    }
+
+    ASSERT_EQ(sweep_response.status, 200) << sweep_response.body;
+    std::vector<ExploreResult> swept;
+    ASSERT_TRUE(wire::v1::decodeSweepResponse(sweep_response.body,
+                                              &swept, &error))
+        << error;
+    ASSERT_EQ(swept.size(), sweep_request.plans.size());
+    for (size_t i = 0; i < swept.size(); ++i) {
+        EXPECT_EQ(swept[i].plan, sweep_request.plans[i]);
+        EXPECT_EQ(swept[i].sim, syntheticResult(requestVariant(
+                                    static_cast<int>(i) + 4)));
+    }
 }
 
 TEST(HttpFrontendTest, BatchRejectsBadEnvelopesAndAllowsEmpty)

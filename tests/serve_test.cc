@@ -302,6 +302,23 @@ countingServiceOptions(std::atomic<int> &computed, size_t n_threads = 2)
     return options;
 }
 
+/** Bound on every gate wait, so a regression fails instead of hanging. */
+constexpr std::chrono::seconds kGateTimeout{10};
+
+/** Polls `done` until it holds or kGateTimeout passes. */
+template <typename Predicate>
+bool
+waitFor(Predicate done)
+{
+    const auto give_up = std::chrono::steady_clock::now() + kGateTimeout;
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > give_up)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
 TEST(ServeService, EvaluateMemoizes)
 {
     std::atomic<int> computed{0};
@@ -320,29 +337,46 @@ TEST(ServeService, EvaluateMemoizes)
     EXPECT_EQ(stats.cache.hits, 1u);
 }
 
-TEST(ServeService, EvaluateAsyncDedupesInFlight)
+TEST(ServeService, InflightDedupAcrossConcurrentBatches)
 {
     std::atomic<int> computed{0};
     SimService::Options options;
     options.n_threads = 2;
+    std::promise<void> started;
     std::promise<void> gate;
     std::shared_future<void> gate_open = gate.get_future().share();
-    options.evaluator = [&computed,
+    options.evaluator = [&computed, &started,
                          gate_open](const SimRequest &request) {
-        gate_open.wait(); // hold the computation in flight
+        started.set_value(); // in-flight entry is already registered
+        EXPECT_EQ(gate_open.wait_for(kGateTimeout),
+                  std::future_status::ready);
         computed.fetch_add(1, std::memory_order_relaxed);
         return syntheticResult(request);
     };
     SimService service(std::move(options));
 
     const SimRequest request = tinyRequest();
-    auto f1 = service.evaluateAsync(request);
-    // The fingerprint is registered in-flight before evaluateAsync
-    // returns, so the second submission must join the first.
-    auto f2 = service.evaluateAsync(request);
+    std::vector<SimulationResult> first_results, second_results;
+    std::thread first([&] {
+        first_results = service.evaluateBatch({request});
+    });
+    EXPECT_EQ(started.get_future().wait_for(kGateTimeout),
+              std::future_status::ready);
+    // The fingerprint stays in flight until the gate opens, so the
+    // second batch must join the first batch's computation.
+    std::thread second([&] {
+        second_results = service.evaluateBatch({request});
+    });
+    EXPECT_TRUE(waitFor([&service] {
+        return service.stats().inflight_joins == 1;
+    }));
     gate.set_value();
-    EXPECT_DOUBLE_EQ(f1.get().iteration_seconds,
-                     f2.get().iteration_seconds);
+    first.join();
+    second.join();
+    ASSERT_EQ(first_results.size(), 1u);
+    ASSERT_EQ(second_results.size(), 1u);
+    EXPECT_DOUBLE_EQ(first_results[0].iteration_seconds,
+                     second_results[0].iteration_seconds);
     EXPECT_EQ(computed.load(), 1);
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.inflight_joins, 1u);
@@ -455,9 +489,11 @@ TEST(ServeService, BatchRoutesStructuralGroupsThroughBatchedReplay)
 
 TEST(ServeService, PoolMetricsCountOneSamplePerSubmittedUnit)
 {
-    // A uniform group is one pool task, cold or warm, so the pool's
-    // wait and run histograms gain exactly one sample per unit: the
-    // warm group's retimes and replays add no helper tasks.
+    // A batch submits one helper task per unit beyond the first, up
+    // to numThreads() - 1, and the pool's wait and run histograms
+    // gain exactly one sample per submitted task.  A uniform group is
+    // one unit, cold or warm, so its batch runs on the caller alone:
+    // the warm group's retimes and replays add no tasks either.
     util::MetricRegistry &registry = util::MetricRegistry::global();
     const util::Histogram *wait =
         registry.histogram("vtrain_pool_task_wait_seconds");
@@ -481,52 +517,226 @@ TEST(ServeService, PoolMetricsCountOneSamplePerSubmittedUnit)
         // 8 points x fast mode's two passes, the warm ones on hits.
         EXPECT_EQ(stats.engine.batched_points, 16u);
         EXPECT_EQ(stats.graph_templates.hits, 2u);
+        EXPECT_EQ(wait->snapshot().count - waits_before, 0u)
+            << "a one-unit batch submits no helper";
+
+        // Two structural groups (different pipeline depths) are two
+        // units: one helper task.
+        SimRequest shallow = requestVariant(9);
+        shallow.parallel.pipeline = 1;
+        shallow.parallel.data = 4;
+        (void)service.evaluateBatch({requestVariant(10), shallow});
+        EXPECT_EQ(service.stats().computed, 10u);
     } // joins the workers: every queued task has run and recorded
-    EXPECT_EQ(wait->snapshot().count - waits_before, 2u)
-        << "one wait sample per submitted unit";
-    EXPECT_EQ(run->snapshot().count - runs_before, 2u);
+    EXPECT_EQ(wait->snapshot().count - waits_before, 1u)
+        << "one wait sample per submitted helper";
+    EXPECT_EQ(run->snapshot().count - runs_before, 1u);
 }
 
-TEST(ServeService, BatchInlineMatchesPooledBatch)
+TEST(ServeService, BatchMatchesAcrossPoolSizes)
 {
-    // The inline variant (the HTTP handler's entry point) computes on
-    // the calling thread but must produce the same results, counters
-    // and cache state as the pooled variant.
+    // On one thread the caller computes every unit; on four, helpers
+    // share them.  Results, counters and cache state must not depend
+    // on which threads ran the units.
     std::vector<SimRequest> requests;
     for (int i = 1; i <= 3; ++i)
         requests.push_back(requestVariant(i));
+    SimRequest shallow = requestVariant(4);
+    shallow.parallel.pipeline = 1;
+    shallow.parallel.data = 4;
+    requests.push_back(shallow);           // its own structural group
     requests.push_back(requestVariant(1)); // in-batch duplicate
 
-    SimService pooled;
-    const std::vector<SimulationResult> via_pool =
+    SimService::Options one_thread;
+    one_thread.n_threads = 1;
+    SimService::Options four_threads;
+    four_threads.n_threads = 4;
+    SimService serial(one_thread);
+    const std::vector<SimulationResult> via_caller =
+        serial.evaluateBatch(requests);
+    SimService pooled(four_threads);
+    const std::vector<SimulationResult> via_helpers =
         pooled.evaluateBatch(requests);
-    SimService inline_service;
-    const std::vector<SimulationResult> via_inline =
-        inline_service.evaluateBatchInline(requests);
 
-    ASSERT_EQ(via_pool.size(), via_inline.size());
-    for (size_t i = 0; i < via_pool.size(); ++i) {
-        SimulationResult a = via_pool[i];
-        SimulationResult b = via_inline[i];
+    ASSERT_EQ(via_caller.size(), via_helpers.size());
+    for (size_t i = 0; i < via_caller.size(); ++i) {
+        SimulationResult a = via_caller[i];
+        SimulationResult b = via_helpers[i];
         a.sim_wall_seconds = 0.0;
         b.sim_wall_seconds = 0.0;
         EXPECT_EQ(a, b) << "batch slot " << i;
     }
 
-    const ServiceStats p = pooled.stats();
-    const ServiceStats q = inline_service.stats();
-    EXPECT_EQ(p.requests, 4u);
-    EXPECT_EQ(q.requests, 4u);
-    EXPECT_EQ(p.batch_dedups, 1u);
-    EXPECT_EQ(q.batch_dedups, 1u);
-    EXPECT_EQ(p.computed, 3u);
-    EXPECT_EQ(q.computed, 3u);
-    EXPECT_EQ(p.engine.batched_points, q.engine.batched_points);
+    for (const SimService *service : {&serial, &pooled}) {
+        const ServiceStats stats = service->stats();
+        EXPECT_EQ(stats.requests, 5u);
+        EXPECT_EQ(stats.batch_dedups, 1u);
+        EXPECT_EQ(stats.computed, 4u);
+    }
+    EXPECT_EQ(serial.stats().engine.batched_points,
+              pooled.stats().engine.batched_points);
 
-    // Both variants published to their result caches: a repeat batch
-    // answers without computing.
-    (void)inline_service.evaluateBatchInline(requests);
-    EXPECT_EQ(inline_service.stats().computed, 3u);
+    // Both published to their result caches: a repeat batch answers
+    // without computing.
+    (void)serial.evaluateBatch(requests);
+    EXPECT_EQ(serial.stats().computed, 4u);
+}
+
+TEST(ServeService, BatchFromPoolTaskComputesOnTheCaller)
+{
+    // A task on a saturated one-worker pool calls evaluateBatch, as
+    // the HTTP batch handler does.  The batch has to run on that
+    // worker, its caller: units queued behind the task would never
+    // start, and the worker would wait on them forever.
+    std::promise<void> started;
+    std::atomic<bool> started_once{false};
+    std::promise<void> gate;
+    std::shared_future<void> gate_open = gate.get_future().share();
+    std::atomic<std::thread::id> caller{};
+    std::atomic<int> computed{0};
+    std::atomic<int> off_caller{0};
+    SimService::Options options;
+    options.n_threads = 1;
+    options.evaluator = [&](const SimRequest &request) {
+        if (!started_once.exchange(true))
+            started.set_value();
+        if (gate_open.wait_for(kGateTimeout) !=
+            std::future_status::ready)
+            throw std::runtime_error("gate never opened");
+        if (std::this_thread::get_id() != caller.load())
+            off_caller.fetch_add(1);
+        computed.fetch_add(1);
+        return syntheticResult(request);
+    };
+    std::vector<SimRequest> requests;
+    for (int i = 0; i < 4; ++i)
+        requests.push_back(requestVariant(i));
+    std::promise<std::vector<SimulationResult>> answers;
+    std::future<std::vector<SimulationResult>> answered =
+        answers.get_future();
+    auto service = std::make_unique<SimService>(std::move(options));
+
+    SimService *raw = service.get();
+    service->pool().submit([&, raw] {
+        caller.store(std::this_thread::get_id());
+        try {
+            answers.set_value(raw->evaluateBatch(requests));
+        } catch (...) {
+            answers.set_exception(std::current_exception());
+        }
+    });
+    const bool ran = started.get_future().wait_for(kGateTimeout) ==
+                     std::future_status::ready;
+    gate.set_value();
+    if (!ran ||
+        answered.wait_for(kGateTimeout) != std::future_status::ready) {
+        // The only worker waits on its own queue.  Leak the service:
+        // its destructor would join that worker forever.
+        ADD_FAILURE() << "evaluateBatch from a pool task never ran "
+                         "its units";
+        (void)service.release();
+        return;
+    }
+    const std::vector<SimulationResult> results = answered.get();
+    ASSERT_EQ(results.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i)
+        EXPECT_DOUBLE_EQ(results[i].iteration_seconds,
+                         syntheticResult(requests[i]).iteration_seconds);
+    EXPECT_EQ(computed.load(), 4);
+    EXPECT_EQ(off_caller.load(), 0);
+}
+
+TEST(ServeService, BatchRunsAtMostNumThreadsEvaluationsAtOnce)
+{
+    // Every evaluation holds at a gate until numThreads() of them run
+    // at once, so the batch must spread to exactly that width: the
+    // caller plus numThreads() - 1 helpers, never more.
+    constexpr int kThreads = 3;
+    std::atomic<int> active{0};
+    std::atomic<int> peak{0};
+    std::atomic<bool> opened{false};
+    std::promise<void> gate;
+    std::shared_future<void> gate_open = gate.get_future().share();
+    const auto open = [&] {
+        if (!opened.exchange(true))
+            gate.set_value();
+    };
+    SimService::Options options;
+    options.n_threads = kThreads;
+    options.evaluator = [&](const SimRequest &request) {
+        const int now = active.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        if (now == kThreads) {
+            // Full width: linger so a thread beyond the budget, if
+            // any, would show up in `peak`.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            open();
+        }
+        if (gate_open.wait_for(kGateTimeout) !=
+            std::future_status::ready)
+            open(); // never reached full width: let the batch finish
+        active.fetch_sub(1);
+        return syntheticResult(request);
+    };
+    SimService service(std::move(options));
+    ASSERT_EQ(service.numThreads(), static_cast<size_t>(kThreads));
+
+    std::vector<SimRequest> requests;
+    for (int i = 0; i < 12; ++i)
+        requests.push_back(requestVariant(i));
+    const std::vector<SimulationResult> results =
+        service.evaluateBatch(requests);
+    ASSERT_EQ(results.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i)
+        EXPECT_DOUBLE_EQ(results[i].iteration_seconds,
+                         syntheticResult(requests[i]).iteration_seconds);
+    EXPECT_EQ(peak.load(), kThreads);
+    EXPECT_EQ(service.stats().computed, 12u);
+}
+
+TEST(ServeService, BatchHelpersThatStartLateAreNoOps)
+{
+    // Both workers are busy, so the batch's helper task queues and
+    // the caller computes every unit itself.  The helper runs only
+    // after the batch returned and its requests, futures and results
+    // are gone; it must find the work list empty and touch nothing
+    // else (ASan would flag a use-after-free).
+    util::MetricRegistry &registry = util::MetricRegistry::global();
+    const util::Histogram *run =
+        registry.histogram("vtrain_pool_task_run_seconds");
+    std::atomic<int> computed{0};
+    std::atomic<int> blocked{0};
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    const uint64_t runs_before = run->snapshot().count;
+    {
+        SimService service(countingServiceOptions(computed, 2));
+        for (int w = 0; w < 2; ++w)
+            service.pool().submit([&blocked, released] {
+                blocked.fetch_add(1);
+                (void)released.wait_for(kGateTimeout);
+            });
+        ASSERT_TRUE(waitFor([&blocked] { return blocked.load() == 2; }));
+        {
+            std::vector<SimRequest> requests;
+            for (int i = 0; i < 6; ++i)
+                requests.push_back(requestVariant(i));
+            const std::vector<SimulationResult> results =
+                service.evaluateBatch(requests);
+            ASSERT_EQ(results.size(), requests.size());
+            for (size_t i = 0; i < requests.size(); ++i)
+                EXPECT_DOUBLE_EQ(
+                    results[i].iteration_seconds,
+                    syntheticResult(requests[i]).iteration_seconds);
+        }
+        EXPECT_EQ(computed.load(), 6);
+        release.set_value();
+    } // the destructor drains the queue: the late helper runs here
+    EXPECT_EQ(computed.load(), 6) << "a late helper recomputed a unit";
+    EXPECT_EQ(run->snapshot().count - runs_before, 3u)
+        << "two blockers plus the one helper";
 }
 
 TEST(ServeService, PerturbedRequestsBypassTheCache)
@@ -572,45 +782,68 @@ TEST(ServeService, ThrowingEvaluatorDoesNotPoisonTheFingerprint)
     EXPECT_EQ(calls.load(), 2);
 }
 
-TEST(ServeService, AsyncFailuresArriveThroughTheFuture)
+TEST(ServeService, BatchFailureDoesNotPoisonTheFingerprint)
 {
-    std::atomic<int> calls{0};
+    // The first computation of `failing` throws, on whichever thread
+    // ran its unit; the batch rethrows it through the shared future.
+    // A retry must recompute it, not replay the failure.
+    const SimRequest failing = requestVariant(0);
+    const SimRequest fine = requestVariant(1);
+    std::atomic<int> failing_calls{0};
+    std::atomic<int> fine_calls{0};
     SimService::Options options;
     options.n_threads = 2;
-    options.evaluator = [&calls](const SimRequest &request) {
-        if (calls.fetch_add(1, std::memory_order_relaxed) == 0)
-            throw std::runtime_error("transient failure");
+    options.evaluator = [&](const SimRequest &request) {
+        if (request == failing) {
+            if (failing_calls.fetch_add(1) == 0)
+                throw std::runtime_error("transient failure");
+        } else {
+            fine_calls.fetch_add(1);
+        }
         return syntheticResult(request);
     };
     SimService service(std::move(options));
-    const SimRequest request = tinyRequest();
 
-    auto failing = service.evaluateAsync(request);
-    EXPECT_THROW((void)failing.get(), std::runtime_error);
-    auto retry = service.evaluateAsync(request);
-    EXPECT_DOUBLE_EQ(retry.get().iteration_seconds,
-                     syntheticResult(request).iteration_seconds);
+    EXPECT_THROW((void)service.evaluateBatch({failing, fine}),
+                 std::runtime_error);
+    const std::vector<SimulationResult> retry =
+        service.evaluateBatch({failing, fine});
+    ASSERT_EQ(retry.size(), 2u);
+    EXPECT_DOUBLE_EQ(retry[0].iteration_seconds,
+                     syntheticResult(failing).iteration_seconds);
+    EXPECT_DOUBLE_EQ(retry[1].iteration_seconds,
+                     syntheticResult(fine).iteration_seconds);
+    EXPECT_EQ(failing_calls.load(), 2);
+    EXPECT_EQ(fine_calls.load(), 1) << "the good point is cached or "
+                                       "joined, never recomputed";
 }
 
 TEST(ServeService, DestructionDrainsOutstandingAsyncWork)
 {
+    // The batch's first point fails fast, so evaluateBatch rethrows
+    // while helpers may still be computing other units.  Destroying
+    // the service right away must wait for them while the cache,
+    // in-flight table and counters they publish into are still alive
+    // (pool_ is the last member for exactly this reason).
     std::atomic<int> computed{0};
     {
         SimService::Options options;
-        options.n_threads = 2;
+        options.n_threads = 4;
         options.evaluator = [&computed](const SimRequest &request) {
+            if (request == requestVariant(0))
+                throw std::runtime_error("fails fast");
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
             computed.fetch_add(1, std::memory_order_relaxed);
             return syntheticResult(request);
         };
         SimService service(std::move(options));
+        std::vector<SimRequest> requests;
         for (int i = 0; i < 16; ++i)
-            (void)service.evaluateAsync(requestVariant(i));
-        // Futures dropped; the destructor must drain the queue while
-        // the cache / in-flight table / counters are still alive
-        // (pool_ is the last member for exactly this reason).
+            requests.push_back(requestVariant(i));
+        EXPECT_THROW((void)service.evaluateBatch(requests),
+                     std::runtime_error);
     }
-    EXPECT_EQ(computed.load(), 16);
+    EXPECT_EQ(computed.load(), 15);
 }
 
 TEST(ServeService, DefaultEvaluatorMatchesSimulator)
@@ -672,9 +905,21 @@ TEST(ServeService, StressMixedEntryPointsUnderSmallCache)
                 const double expected =
                     syntheticResult(request).iteration_seconds;
                 if (i % 3 == 0) {
-                    auto future = service.evaluateAsync(request);
-                    ASSERT_DOUBLE_EQ(future.get().iteration_seconds,
-                                     expected);
+                    // A one-request batch from a task on the
+                    // service's own pool, as the HTTP handlers call.
+                    std::promise<double> answer;
+                    std::future<double> answered = answer.get_future();
+                    service.pool().submit([&service, &answer, request] {
+                        try {
+                            answer.set_value(
+                                service.evaluateBatch({request})[0]
+                                    .iteration_seconds);
+                        } catch (...) {
+                            answer.set_exception(
+                                std::current_exception());
+                        }
+                    });
+                    ASSERT_DOUBLE_EQ(answered.get(), expected);
                 } else if (i % 3 == 1) {
                     ASSERT_DOUBLE_EQ(
                         service.evaluate(request).iteration_seconds,

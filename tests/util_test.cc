@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <sstream>
 #include <vector>
 
@@ -248,46 +249,46 @@ TEST(Rng, LognormalPositive)
 
 TEST(ThreadPool, SubmitRunsEachTaskOnce)
 {
-    ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(100);
-    for (size_t i = 0; i < hits.size(); ++i)
-        pool.submit([&hits, i] { hits[i].fetch_add(1); });
-    pool.wait();
+    {
+        ThreadPool pool(4);
+        for (size_t i = 0; i < hits.size(); ++i)
+            pool.submit([&hits, i] { hits[i].fetch_add(1); });
+    } // the destructor drains the queue before joining
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, WaitBlocksUntilDone)
 {
+    // The pool offers no wait(); a caller that needs its tasks done
+    // waits on its own latch, which each task counts down.
     ThreadPool pool(2);
     std::atomic<int> counter{0};
+    std::latch done(50);
     for (int i = 0; i < 50; ++i)
-        pool.submit([&] { counter.fetch_add(1); });
-    pool.wait();
+        pool.submit([&] {
+            counter.fetch_add(1);
+            done.count_down();
+        });
+    done.wait();
     EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, WaitWithNothingSubmittedReturns)
-{
-    ThreadPool pool(2);
-    pool.wait();
-    pool.wait();
-    SUCCEED();
 }
 
 TEST(ThreadPool, TaskMaySubmitFollowUpWork)
 {
     // A task that fans out from inside the pool, even on its only
     // worker, cannot deadlock: submit() never blocks, and the
-    // follow-ups count as in flight before their parent finishes, so
-    // one wait() covers them all.
-    ThreadPool pool(1);
+    // follow-ups are queued before their parent finishes, so the
+    // destructor's drain runs them all.
     std::atomic<int> follow_ups{0};
-    pool.submit([&] {
-        for (int i = 0; i < 8; ++i)
-            pool.submit([&follow_ups] { follow_ups.fetch_add(1); });
-    });
-    pool.wait();
+    {
+        ThreadPool pool(1);
+        pool.submit([&] {
+            for (int i = 0; i < 8; ++i)
+                pool.submit([&follow_ups] { follow_ups.fetch_add(1); });
+        });
+    }
     EXPECT_EQ(follow_ups.load(), 8);
 }
 
@@ -328,9 +329,13 @@ TEST(ThreadPool, StatsReportThreadsAndPinning)
         // to one entry; pinned workers never migrate.
         EXPECT_FALSE(stats.cpus.empty());
         std::atomic<int> count{0};
+        std::latch done(64);
         for (int i = 0; i < 64; ++i)
-            pinned.submit([&count] { count.fetch_add(1); });
-        pinned.wait();
+            pinned.submit([&count, &done] {
+                count.fetch_add(1);
+                done.count_down();
+            });
+        done.wait();
         EXPECT_EQ(count.load(), 64);
     }
 #endif
@@ -351,9 +356,13 @@ TEST(ThreadPool, ExplicitCpuSetRoundRobins)
         EXPECT_EQ(stats.cpus, std::vector<int>{0});
     }
     std::atomic<int> count{0};
+    std::latch done(16);
     for (int i = 0; i < 16; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
+        pool.submit([&count, &done] {
+            count.fetch_add(1);
+            done.count_down();
+        });
+    done.wait();
     EXPECT_EQ(count.load(), 16);
 #else
     GTEST_SKIP() << "thread pinning is Linux-only";
