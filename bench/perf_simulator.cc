@@ -350,7 +350,8 @@ BM_TemplateRetime(benchmark::State &state)
     // Arg 0: model (0 = MT-NLG 530B, 1 = GPT-3 175B).
     // Arg 1: 0 = cold (the simulator's template-miss path: graph
     //            build + operator-level capture, no expansion),
-    //        1 = warm (the hit path: re-time the cached template).
+    //        1 = warm (the hit path: retimeSlots on the cached
+    //            template, the call the simulator makes).
     setVerbose(false);
     const bool gpt3 = state.range(0) != 0;
     const bool warm = state.range(1) != 0;
@@ -365,18 +366,17 @@ BM_TemplateRetime(benchmark::State &state)
     OperatorToTaskTable table(profiler);
 
     const OpGraph ops = builder.build(options);
-    TaskGraph expanded;
     const auto tmpl =
-        GraphTemplate::capture(ops, table, ExpandOptions{}, &expanded);
+        GraphTemplate::capture(ops, table, ExpandOptions{}, nullptr);
 
+    std::vector<double> slots;
     for (auto _ : state) {
         if (warm) {
-            TaskGraph out;
-            if (!tmpl->retime(table, plan, cluster, comm, &out)) {
+            if (!tmpl->retimeSlots(table, plan, cluster, comm, &slots)) {
                 state.SkipWithError("retime rejected the table");
                 break;
             }
-            benchmark::DoNotOptimize(out.numTasks());
+            benchmark::DoNotOptimize(slots.data());
         } else {
             OpGraph g = builder.build(options);
             const auto fresh = GraphTemplate::capture(
@@ -394,166 +394,6 @@ BENCHMARK(BM_TemplateRetime)
     ->Args({0, 1})
     ->Args({1, 0})
     ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_BatchedReplay(benchmark::State &state)
-{
-    // K = 64 sweep points over one GPT-3 capped template: the
-    // batched-sweep engine cost, compared against simulating the
-    // same points one at a time.  Arg:
-    //   0 = sequential queue engine (retime + runSimulation), the
-    //       warm path before schedule replay existed;
-    //   1 = sequential schedule replay (retimeDurations +
-    //       replaySimulation), one replay per request;
-    //   2 = batched per-task replay (retimeDurations per point + one
-    //       K-wide replayBatch);
-    //   3 = batched run replay (retimeSlots per point + one K-wide
-    //       replayRuns), the grouped-sweep path.
-    setVerbose(false);
-    constexpr int kPoints = 64;
-    const ModelConfig model = zoo::gpt3_175b();
-    const ClusterSpec cluster = makeCluster(1024);
-    const ParallelConfig plan = gpt3Plan();
-    CommModel comm(cluster);
-    GraphBuilder builder(model, plan, cluster, comm);
-    BuildOptions options;
-    options.n_micro_override = 2 * plan.pipeline + 2; // fast-mode cap
-    SyntheticProfiler profiler(cluster.node.gpu);
-    OperatorToTaskTable table(profiler);
-    const OpGraph ops = builder.build(options);
-    TaskGraph expanded;
-    const auto tmpl =
-        GraphTemplate::capture(ops, table, ExpandOptions{}, &expanded);
-    const ReplaySchedule &schedule = tmpl->schedule(); // build once
-    const RunSchedule *runs = tmpl->runs();
-    if (runs == nullptr) {
-        state.SkipWithError("template keeps no run schedule");
-        return;
-    }
-
-    const int mode = static_cast<int>(state.range(0));
-    std::vector<std::vector<double>> sets(kPoints);
-    std::vector<const double *> set_ptrs(kPoints);
-    std::vector<EngineResult> results(kPoints);
-    for (auto _ : state) {
-        double checksum = 0.0;
-        bool ok = true;
-        if (mode == 3) {
-            for (int k = 0; ok && k < kPoints; ++k) {
-                ok = tmpl->retimeSlots(table, plan, cluster, comm, &sets[k]);
-                set_ptrs[k] = sets[k].data();
-            }
-            if (ok) {
-                replayRuns(*runs, set_ptrs.data(), kPoints, results.data());
-                for (const EngineResult &r : results)
-                    checksum += r.makespan;
-            }
-        } else if (mode == 2) {
-            for (int k = 0; ok && k < kPoints; ++k)
-                ok = tmpl->retimeDurations(table, plan, cluster, comm,
-                                           &sets[k]);
-            if (ok)
-                for (const EngineResult &r : replayBatch(schedule, sets))
-                    checksum += r.makespan;
-        } else if (mode == 1) {
-            std::vector<double> durations;
-            for (int k = 0; ok && k < kPoints; ++k) {
-                ok = tmpl->retimeDurations(table, plan, cluster, comm,
-                                           &durations);
-                if (ok)
-                    checksum +=
-                        replaySimulation(schedule, durations).makespan;
-            }
-        } else {
-            for (int k = 0; ok && k < kPoints; ++k) {
-                TaskGraph graph;
-                ok = tmpl->retime(table, plan, cluster, comm, &graph);
-                if (ok)
-                    checksum += runSimulation(graph).makespan;
-            }
-        }
-        if (!ok) {
-            state.SkipWithError("retime rejected the table");
-            break;
-        }
-        benchmark::DoNotOptimize(checksum);
-    }
-    state.SetItemsProcessed(state.iterations() * kPoints);
-    state.counters["tasks"] = static_cast<double>(tmpl->numTasks());
-    state.counters["points"] = kPoints;
-}
-// The batched-sweep acceptance metric: Arg 3 (batched run replay,
-// the simulator's path) vs Arg 2 (batched per-task replay), Arg 1
-// (K sequential per-task replays) and Arg 0 (K sequential queue
-// runs, the pre-replay baseline).
-BENCHMARK(BM_BatchedReplay)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_ReplayKernel(benchmark::State &state)
-{
-    // The K-wide max-accumulate inner loop isolated from retiming:
-    // K pre-retimed duration vectors over one GPT-3 capped template,
-    // one replayBatch per iteration pinned to a kernel.  Arms
-    // that name a kernel the binary/host cannot run are skipped, so
-    // the suite is portable while still exposing the SIMD roof where
-    // the hardware has one.
-    //   Arg 0: kernel (0 = scalar, 1 = AVX2);
-    //   Arg 1: K, the batch width (sweeps vector bodies and tails).
-    setVerbose(false);
-    const ReplayKernel kernel =
-        state.range(0) == 0 ? ReplayKernel::Scalar : ReplayKernel::Avx2;
-    if (!replayKernelUsable(kernel)) {
-        state.SkipWithError("replay kernel not usable on this host");
-        return;
-    }
-    const size_t k_points = static_cast<size_t>(state.range(1));
-    const ModelConfig model = zoo::gpt3_175b();
-    const ClusterSpec cluster = makeCluster(1024);
-    const ParallelConfig plan = gpt3Plan();
-    CommModel comm(cluster);
-    GraphBuilder builder(model, plan, cluster, comm);
-    BuildOptions options;
-    options.n_micro_override = 2 * plan.pipeline + 2; // fast-mode cap
-    SyntheticProfiler profiler(cluster.node.gpu);
-    OperatorToTaskTable table(profiler);
-    const OpGraph ops = builder.build(options);
-    TaskGraph expanded;
-    const auto tmpl =
-        GraphTemplate::capture(ops, table, ExpandOptions{}, &expanded);
-    const ReplaySchedule &schedule = tmpl->schedule(); // build once
-
-    std::vector<std::vector<double>> sets(k_points);
-    for (size_t k = 0; k < k_points; ++k) {
-        if (!tmpl->retimeDurations(table, plan, cluster, comm,
-                                   &sets[k])) {
-            state.SkipWithError("retime rejected the table");
-            return;
-        }
-        // Perturb per lane so no kernel can shortcut equal columns.
-        for (size_t i = 0; i < sets[k].size(); ++i)
-            sets[k][i] *= 1.0 + 0.015625 * ((k + i) % 5);
-    }
-    for (auto _ : state) {
-        std::vector<EngineResult> results =
-            replayBatch(schedule, sets, kernel);
-        benchmark::DoNotOptimize(results.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(k_points));
-    state.counters["tasks"] = static_cast<double>(tmpl->numTasks());
-    state.counters["points"] = static_cast<double>(k_points);
-}
-// The SIMD acceptance metric: the same K columns through each
-// compiled kernel.  Widths cross the 4-wide AVX2 body and the scalar
-// remainders.
-BENCHMARK(BM_ReplayKernel)
-    ->ArgsProduct({{0, 1}, {4, 16, 64}})
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint rules for the vtrain tree.
 
-Six rules, each targeting a defect class the compilers cannot (or
+Five rules, each targeting a defect class the compilers cannot (or
 do not) catch:
 
   naked-mutex         std::mutex / std::lock_guard / std::unique_lock /
@@ -38,18 +38,6 @@ do not) catch:
                       wire::v1::errorResponse / wire::healthzResponse
                       so the envelope, status, and Retry-After cannot
                       disagree.
-
-  intrinsics-isolation
-                      SIMD intrinsics headers (immintrin.h and
-                      friends) anywhere but the dedicated replay
-                      kernel TUs (src/sim/replay_kernels_*.cc), and
-                      never in a header.  Those TUs are the only code
-                      compiled with an ISA flag (-mavx2); an intrinsic
-                      leaking into a baseline-arch TU either fails to
-                      compile or, worse, quietly raises the binary's
-                      ISA floor past the runtime cpuid dispatch
-                      (util/cpu_features.h) that keeps the scalar
-                      fallback honest.
 
   metric-naming       Metric names registered through MetricRegistry
                       (counter/gauge/histogram and their declare*
@@ -100,22 +88,6 @@ WIRE_RAW_PATTERNS = [
      "from wire::v1::errorResponse (or wire::healthzResponse) so the "
      "envelope, status, and Retry-After cannot disagree"),
 ]
-
-# An #include of any x86 SIMD intrinsics header (immintrin.h is the
-# umbrella; the rest are its per-ISA pieces and the GCC/Clang
-# grab-bag x86intrin.h / SSE-era headers).
-INTRINSICS_INCLUDE_RE = re.compile(
-    r"#\s*include\s*[<\"]\s*("
-    r"immintrin|x86intrin|x86gprintrin|xmmintrin|emmintrin|pmmintrin|"
-    r"tmmintrin|smmintrin|nmmintrin|wmmintrin|ammintrin|avxintrin|"
-    r"avx2intrin|avx512fintrin"
-    r")\.h\s*[>\"]")
-
-# The only files allowed to include intrinsics: the per-ISA replay
-# kernel TUs, each compiled with exactly its -m<isa> flag and entered
-# only through the runtime dispatch in sim/engine.cc.
-INTRINSICS_ALLOWED_RE = re.compile(
-    r"^src[/\\]sim[/\\]replay_kernels_[a-z0-9_]+\.cc$")
 
 NAKED_MUTEX_RE = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
@@ -316,23 +288,6 @@ def check_file_naming(root, findings):
                     "bench headers must be named *_common.h"))
 
 
-def check_intrinsics_isolation(root, findings):
-    for path in iter_source_files(root, "src", {".h", ".cc"}):
-        rel = relpath(root, path)
-        if INTRINSICS_ALLOWED_RE.match(rel):
-            continue
-        # Strings kept: a quoted #include "immintrin.h" is lexically a
-        # string literal and must still fire.
-        code = strip_comments(read_text(path), keep_strings=True)
-        for m in INTRINSICS_INCLUDE_RE.finditer(code):
-            findings.append(Finding(
-                rel, line_of(code, m.start()), "intrinsics-isolation",
-                "intrinsics header <%s.h> outside the replay kernel "
-                "TUs (src/sim/replay_kernels_*.cc); SIMD code must "
-                "stay behind the runtime dispatch layer and out of "
-                "headers" % m.group(1)))
-
-
 def check_metric_naming(root, findings):
     for path in iter_source_files(root, "src", {".h", ".cc"}):
         # Comments are stripped but string literals kept: the metric
@@ -368,7 +323,6 @@ def run_all(root):
     check_wire_schema(root, findings)
     check_file_naming(root, findings)
     check_metric_naming(root, findings)
-    check_intrinsics_isolation(root, findings)
     return findings
 
 
@@ -435,22 +389,6 @@ net::HttpResponse Frontend::handleRaw() {
 """
 
 
-FIXTURE_INTRINSICS_LEAK = """\
-#include <immintrin.h>
-static inline double hsum(__m256d v);
-"""
-
-FIXTURE_INTRINSICS_HEADER = """\
-#include "x86intrin.h"
-"""
-
-FIXTURE_INTRINSICS_KERNEL = """\
-#include <immintrin.h>
-// #include <emmintrin.h> in a comment must NOT fire
-void kernel();
-"""
-
-
 def expect(cond, what, failures):
     if not cond:
         failures.append(what)
@@ -471,12 +409,6 @@ def self_test():
              FIXTURE_WIRE_RAW),
             (os.path.join("src", "foo", "metric_names.cc"),
              FIXTURE_METRIC_NAMES),
-            (os.path.join("src", "foo", "fastpath.cc"),
-             FIXTURE_INTRINSICS_LEAK),
-            (os.path.join("src", "sim", "replay_helpers.h"),
-             FIXTURE_INTRINSICS_HEADER),
-            (os.path.join("src", "sim", "replay_kernels_avx2.cc"),
-             FIXTURE_INTRINSICS_KERNEL),
             (os.path.join("tests", "util_test.cc"), "// ok\n"),
             (os.path.join("tests", "BadName.cc"), "// bad\n"),
             (os.path.join("bench", "perf_widget.cc"), "// ok\n"),
@@ -527,15 +459,6 @@ def self_test():
         expect(metric and metric[0].line == 7,
                "metric-naming: wrong line number, got %s"
                % [str(f) for f in metric], failures)
-
-        intrinsics = by_rule.get("intrinsics-isolation", [])
-        expect(len(intrinsics) == 2 and
-               sorted(f.path for f in intrinsics) ==
-               [os.path.join("src", "foo", "fastpath.cc"),
-                os.path.join("src", "sim", "replay_helpers.h")],
-               "intrinsics-isolation: expected the 2 seeded hits "
-               "(non-kernel .cc + header) and a silent kernel TU, "
-               "got %s" % [str(f) for f in intrinsics], failures)
 
         naming = by_rule.get("file-naming", [])
         expect(sorted(f.path for f in naming) ==

@@ -3,10 +3,9 @@
 # Google-Benchmark JSON baselines for the perf trajectory:
 #   bench/perf_simulator -> BENCH_simulator.json (simulator pipeline)
 #   bench/perf_serve     -> BENCH_serve.json     (serve layer: fingerprint, wire, cache)
-#   bench/perf_http      -> BENCH_http.json      (HTTP frontend loopback)
 #   bench/perf_metrics   -> BENCH_metrics.json   (observability primitives)
 #
-# Usage: scripts/run_bench.sh [--repeat N] [simulator|serve|http|metrics|all] [output.json]
+# Usage: scripts/run_bench.sh [--repeat N] [simulator|serve|metrics|all] [output.json]
 #   --repeat N      forward --benchmark_repetitions=N (bench_diff.py
 #                   averages the repetitions, damping steady-state noise)
 #   bench name      which baseline to regenerate (default: all)
@@ -34,9 +33,9 @@ BUILD_DIR="${BUILD_DIR:-${ROOT}/build-release}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 case "${WHICH}" in
-    simulator|serve|http|metrics|all) ;;
+    simulator|serve|metrics|all) ;;
     *)
-        echo "usage: $0 [--repeat N] [simulator|serve|http|metrics|all]" \
+        echo "usage: $0 [--repeat N] [simulator|serve|metrics|all]" \
              "[output.json]" >&2
         exit 2
         ;;
@@ -69,9 +68,9 @@ run_bench() {
     # Fail loudly if the baseline is not valid JSON.
     python3 -m json.tool "${out}" > /dev/null
     # Stamp the context block with the facts that decide whether two
-    # baselines are comparable: which replay-kernel ISA features the
-    # host offers (so an AVX-512 number is never diffed silently
-    # against a scalar one) and the pinning mode the run used
+    # baselines are comparable: which vector ISA features the host
+    # offers (so a number from an AVX-512 host is never diffed
+    # silently against one without) and the pinning mode the run used
     # (VTRAIN_PIN env, default "off").  bench_diff.py warns -- without
     # failing -- when two files disagree on these.
     VTRAIN_PIN="${VTRAIN_PIN:-off}" python3 - "${out}" <<'PYEOF'
@@ -106,7 +105,7 @@ PYEOF
 }
 
 if [[ "${WHICH}" == "all" ]]; then
-    for name in simulator serve http metrics; do
+    for name in simulator serve metrics; do
         run_bench "${name}" "${OUT_DIR}/BENCH_${name}.json"
     done
 else

@@ -60,7 +60,7 @@ struct BuildOptions {
 /**
  * The builder's communication-descriptor policy: everything the
  * latency model needs beyond (kind, payload) is a pure function of
- * the plan and the cluster.  Shared with GraphTemplate::retime(),
+ * the plan and the cluster.  Shared with GraphTemplate::retimeSlots(),
  * which re-derives latencies from recorded (kind, bytes) pairs under
  * a possibly different cluster or DP degree — routing both the build
  * and the retime through this one function keeps them bit-identical.

@@ -53,11 +53,11 @@
  *
  * A ReplaySchedule is the uncompressed form: everything the engine
  * touches per task, in pop order, with one duration per task
- * (engine.h replaySimulation / replayBatch).  No simulation path
- * replays it any more.  It remains the reference the run schedule is
- * tested against.  build(OpTopology) derives it from the op-FIFO
- * walk; build(TaskGraph::Topology) runs the kernel-level queue
- * instead, and the derived schedule is tested array-equal to it.
+ * (engine.h replaySimulation / replayBatch, one scalar loop).  No
+ * simulation path replays it any more.  It remains the reference the
+ * run schedule is tested against.  build(OpTopology) derives it from
+ * the op-FIFO walk; build(TaskGraph::Topology) runs the kernel-level
+ * queue instead, and the derived schedule is tested array-equal to it.
  * Layout (all arrays indexed by schedule position, SoA):
  *   order[i]      the original task id executed i-th — used to gather
  *                 durations and scatter trace spans;

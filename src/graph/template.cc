@@ -64,10 +64,8 @@ GraphTemplate::capture(const OpGraph &ops, OperatorToTaskTable &table,
     VTRAIN_CHECK(ops.finalized(),
                  "capture requires a finalized operator graph");
     std::shared_ptr<GraphTemplate> tmpl(new GraphTemplate());
-    if (expanded) {
+    if (expanded)
         *expanded = TaskGraph::expand(ops, table, options);
-        tmpl->expanded_ = expanded->topology();
-    }
     tmpl->collapse_ = options.collapse_operators;
 
     // Descriptor slots: one per kernel, or one per descriptor when
@@ -233,75 +231,13 @@ GraphTemplate::retimeDurations(OperatorToTaskTable &table,
     std::vector<double> slots;
     if (!retimeSlots(table, parallel, cluster, comm, &slots))
         return false;
-    *out = expandSlots(slots);
-    return true;
-}
-
-std::vector<double>
-GraphTemplate::expandSlots(const std::vector<double> &slots) const
-{
-    std::vector<double> durations(ops_.num_tasks);
-    double *task = durations.data();
+    out->resize(ops_.num_tasks);
+    double *task = out->data();
     for (const OpTopology::Op &op : ops_.ops) {
         std::copy_n(slots.data() + op.slot, op.kernels, task);
         task += op.kernels;
     }
-    return durations;
-}
-
-bool
-GraphTemplate::retime(OperatorToTaskTable &table,
-                      const ParallelConfig &parallel,
-                      const ClusterSpec &cluster, const CommModel &comm,
-                      TaskGraph *out) const
-{
-    std::vector<double> slots;
-    if (!retimeSlots(table, parallel, cluster, comm, &slots))
-        return false;
-    std::shared_ptr<const TaskGraph::Topology> topo = expanded_.lock();
-    if (!topo)
-        topo = expandTopology();
-    *out = TaskGraph::fromParts(expandSlots(slots), std::move(topo));
     return true;
-}
-
-std::shared_ptr<const TaskGraph::Topology>
-GraphTemplate::expandTopology() const
-{
-    // TaskGraph::expand's numbering and edge order: operator i's
-    // kernels are consecutive ids chained k -> k+1, and its last
-    // kernel feeds each CSR child's first kernel.
-    const size_t n_ops = ops_.numOps();
-    std::vector<int32_t> first(n_ops + 1, 0);
-    for (size_t i = 0; i < n_ops; ++i)
-        first[i + 1] = first[i] + ops_.ops[i].kernels;
-    auto topo = std::make_shared<TaskGraph::Topology>();
-    topo->num_devices = ops_.num_devices;
-    topo->meta.reserve(ops_.num_tasks);
-    topo->child_offsets.reserve(ops_.num_tasks + 1);
-    topo->child_list.reserve(ops_.numTaskEdges());
-    topo->in_degree.assign(ops_.num_tasks, 1);
-    for (size_t i = 0; i < n_ops; ++i) {
-        const OpTopology::Op &op = ops_.ops[i];
-        const TaskGraph::TaskMeta meta{
-            op.lane / kNumStreams,
-            static_cast<StreamKind>(op.lane % kNumStreams),
-            static_cast<TaskTag>(op.tag)};
-        topo->in_degree[first[i]] = ops_.in_degree[i];
-        for (int32_t t = first[i]; t < first[i + 1]; ++t) {
-            topo->meta.push_back(meta);
-            if (t + 1 < first[i + 1]) {
-                topo->child_list.push_back(t + 1);
-            } else {
-                for (int32_t e = ops_.child_offsets[i];
-                     e < ops_.child_offsets[i + 1]; ++e)
-                    topo->child_list.push_back(first[ops_.child_list[e]]);
-            }
-            topo->child_offsets.push_back(
-                static_cast<int32_t>(topo->child_list.size()));
-        }
-    }
-    return topo;
 }
 
 GraphTemplateCache::GraphTemplateCache(Options options) : options_(options)

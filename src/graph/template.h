@@ -50,10 +50,11 @@
  *     on the template's first reuse.  A serve-style miss therefore
  *     costs O(slots) to retime plus one pass over lane runs.
  *
- * retimeDurations(), retime() and schedule() expand the same data to
- * one duration or schedule entry per kernel task.  They exist for the
- * kernel-level reference paths (tests, benches, external replicas)
- * and no simulation path calls them.
+ * retimeDurations() and schedule() expand the same data to one
+ * duration or schedule entry per kernel task.  They exist for the
+ * per-task reference replay (tests, external replicas) and no
+ * simulation path calls them.  The kernel-level oracle is
+ * TaskGraph::expand of a fresh build, not anything a template holds.
  *
  * The byte budget (approxBytes()) is fixed at capture.  It counts the
  * operator structure plus runs() at one run per operator, 6.4-6.9
@@ -155,17 +156,6 @@ class GraphTemplate
                          std::vector<double> *out) const;
 
     /**
-     * The retimed durations assembled into a TaskGraph.  The graph
-     * shares the kernel-level topology of the graph capture() expanded
-     * while that graph is alive; otherwise the topology is derived
-     * from the operator structure (O(tasks)), since templates do not
-     * keep one.
-     */
-    bool retime(OperatorToTaskTable &table, const ParallelConfig &parallel,
-                const ClusterSpec &cluster, const CommModel &comm,
-                TaskGraph *out) const;
-
-    /**
      * The kernel-level execution-order schedule, derived on first use
      * like runs().  No simulation path replays it: it is the
      * reference runs() is tested against, and what an external
@@ -196,13 +186,6 @@ class GraphTemplate
 
     GraphTemplate() = default;
 
-    /** The kernel-level topology TaskGraph::expand would build. */
-    std::shared_ptr<const TaskGraph::Topology> expandTopology() const;
-
-    /** A slot table expanded to one duration per task, in task id
-     *  order. */
-    std::vector<double> expandSlots(const std::vector<double> &slots) const;
-
     OpTopology ops_;
     std::vector<OpDesc> descs_; //!< interned descriptors, by id
     /** Slots of descriptor d: [desc_slot_[d], desc_slot_[d+1]). */
@@ -214,8 +197,6 @@ class GraphTemplate
     /** Most runs runs() keeps; 0 when the topology is not
      *  representable (RunSchedule::representable). */
     size_t run_budget_ = 0;
-    /** The graph capture() expanded, observed but not owned. */
-    std::weak_ptr<const TaskGraph::Topology> expanded_;
 
     // call_once publication, not a mutex: std::once_flag needs no
     // thread-safety annotations (call_once's own synchronization

@@ -21,6 +21,24 @@ poolOptions(const SimService::Options &options)
     return pool;
 }
 
+/**
+ * Runs `call`, one simulator call, inside a "service.compute" span.
+ * The span lands in the calling thread's trace capture, if any; a
+ * non-null `record` also receives the call's interval, for a thread
+ * that runs work on another thread's behalf.
+ */
+template <typename Call>
+auto
+timedCompute(std::vector<std::pair<uint64_t, uint64_t>> *record, Call &&call)
+{
+    util::TraceSpan span("service.compute");
+    const uint64_t start_ns = util::monotonicNanos();
+    auto result = call();
+    if (record)
+        record->emplace_back(start_ns, util::monotonicNanos());
+    return result;
+}
+
 } // namespace
 
 SimService::SimService(Options options)
@@ -63,16 +81,19 @@ SimService::SimService(Options options)
 }
 
 SimulationResult
-SimService::compute(const SimRequest &request) const
+SimService::compute(const SimRequest &request,
+                    std::vector<Interval> *record) const
 {
-    util::TraceSpan span("service.compute");
-    if (options_.evaluator)
-        return options_.evaluator(request);
-    // Per-request Simulator, shared template cache: a result-cache
-    // miss that matches a seen topology re-times instead of rebuilds.
-    Simulator sim(request.cluster, request.options, templates_,
-                  engine_counters_);
-    return sim.simulateIteration(request.model, request.parallel);
+    return timedCompute(record, [&] {
+        if (options_.evaluator)
+            return options_.evaluator(request);
+        // Per-request Simulator, shared template cache: a result-cache
+        // miss that matches a seen topology re-times instead of
+        // rebuilds.
+        Simulator sim(request.cluster, request.options, templates_,
+                      engine_counters_);
+        return sim.simulateIteration(request.model, request.parallel);
+    });
 }
 
 SimService::Claim
@@ -231,24 +252,33 @@ struct SimService::Claimed {
  * unit is claimed exactly once through `next`; the list lives until
  * the last of them lets go, so a helper that starts after the batch
  * returned finds the cursor exhausted and touches nothing else.
+ *
+ * A trace capture is per thread, so the caller's trace holds only the
+ * "service.compute" spans of the units it ran.  A helper records the
+ * intervals of its units' simulator calls in `helper_computes`, each
+ * before publishing that call's results; once the caller has every
+ * result, it adds them to its trace.
  */
 struct SimService::BatchWork {
     std::vector<std::vector<Claimed>> units;
+    std::vector<std::vector<Interval>> helper_computes; //!< per unit
     std::atomic<size_t> next{0};
     uint64_t deadline_ns = 0;
 };
 
 void
-SimService::drain(BatchWork &work)
+SimService::drain(BatchWork &work, bool helper)
 {
     for (size_t i = work.next.fetch_add(1, std::memory_order_relaxed);
          i < work.units.size();
          i = work.next.fetch_add(1, std::memory_order_relaxed))
-        runUnit(work.units[i], work.deadline_ns);
+        runUnit(work.units[i], work.deadline_ns,
+                helper ? &work.helper_computes[i] : nullptr);
 }
 
 void
-SimService::runUnit(std::vector<Claimed> &members, uint64_t deadline_ns)
+SimService::runUnit(std::vector<Claimed> &members, uint64_t deadline_ns,
+                    std::vector<Interval> *record)
 {
     // Computes and publishes the members of one unit.  Units of one
     // take the plain path; larger ones try the batched replay and
@@ -283,9 +313,11 @@ SimService::runUnit(std::vector<Claimed> &members, uint64_t deadline_ns)
             std::vector<SimulationResult> results;
             bool batched = false;
             try {
-                Simulator sim(head.cluster, head.options, templates_,
-                              engine_counters_);
-                results = sim.simulateIterationBatch(head.model, plans);
+                results = timedCompute(record, [&] {
+                    Simulator sim(head.cluster, head.options, templates_,
+                                  engine_counters_);
+                    return sim.simulateIterationBatch(head.model, plans);
+                });
                 batched = true;
             } catch (...) {
                 // Fall through: per-member isolation below.  The
@@ -319,7 +351,8 @@ SimService::runUnit(std::vector<Claimed> &members, uint64_t deadline_ns)
             continue;
         }
         try {
-            const SimulationResult result = compute(member.request);
+            const SimulationResult result =
+                compute(member.request, record);
             {
                 util::MutexLock lock(stats_mutex_);
                 ++computed_;
@@ -443,6 +476,7 @@ SimService::evaluateBatch(const std::vector<SimRequest> &requests,
         work->units.emplace_back();
         work->units.back().push_back(std::move(claimed));
     }
+    work->helper_computes.resize(work->units.size());
 
     // The caller computes too, so at most numThreads() threads work
     // on this batch, the caller included.  A helper that never gets a
@@ -453,8 +487,8 @@ SimService::evaluateBatch(const std::vector<SimRequest> &requests,
         const size_t helpers =
             std::min(work->units.size(), numThreads()) - 1;
         for (size_t h = 0; h < helpers; ++h)
-            pool_.submit([this, work] { drain(*work); });
-        drain(*work);
+            pool_.submit([this, work] { drain(*work, true); });
+        drain(*work, false);
     }
 
     // Every unit is claimed by now: the futures left are units that
@@ -462,6 +496,11 @@ SimService::evaluateBatch(const std::vector<SimRequest> &requests,
     std::vector<SimulationResult> results(requests.size());
     for (size_t i = 0; i < requests.size(); ++i)
         results[i] = futures[future_of[i]].get();
+    // Every helper record precedes a result read above.
+    if (util::TraceCapture *capture = util::TraceCapture::current())
+        for (const std::vector<Interval> &unit : work->helper_computes)
+            for (const auto &[start_ns, end_ns] : unit)
+                capture->addSpan("service.compute", start_ns, end_ns);
     return results;
 }
 

@@ -33,6 +33,7 @@
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/template.h"
@@ -187,8 +188,16 @@ class SimService
     struct Claimed;
     struct BatchWork;
 
-    /** Runs the evaluator (or the real simulator). */
-    SimulationResult compute(const SimRequest &request) const;
+    /** [start, end) of one simulator call, util::monotonicNanos(). */
+    using Interval = std::pair<uint64_t, uint64_t>;
+
+    /**
+     * Runs the evaluator (or the real simulator) inside a
+     * "service.compute" span.  A non-null `record` also receives the
+     * call's interval (see BatchWork).
+     */
+    SimulationResult compute(const SimRequest &request,
+                             std::vector<Interval> *record = nullptr) const;
 
     /** How claimInflight() resolved a fingerprint. */
     enum class Claim {
@@ -236,11 +245,15 @@ class SimService
         const std::shared_ptr<std::promise<SimulationResult>> &promise)
         EXCLUDES(inflight_mutex_);
 
-    /** Claims and runs units of `work` until none are left. */
-    void drain(BatchWork &work);
+    /** Claims and runs units of `work` until none are left; a helper
+     *  records its simulator calls in the work list. */
+    void drain(BatchWork &work, bool helper);
 
-    /** Computes and publishes one unit (a group slice or a single). */
-    void runUnit(std::vector<Claimed> &members, uint64_t deadline_ns);
+    /** Computes and publishes one unit (a group slice or a single);
+     *  a non-null `record` receives the interval of each simulator
+     *  call, written before that call's results are published. */
+    void runUnit(std::vector<Claimed> &members, uint64_t deadline_ns,
+                 std::vector<Interval> *record);
 
     Options options_;
     ResultCache cache_;

@@ -731,7 +731,6 @@ statzBody(const StatzInfo &info)
     engine.set(
         "batched_points",
         static_cast<int64_t>(info.service.engine.batched_points));
-    engine.set("kernel", replayKernelName(activeReplayKernel()));
     service.set("engine", std::move(engine));
 
     // Worker-pool block: pinning state and the live migration count

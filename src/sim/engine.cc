@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "sim/replay_kernels.h"
-#include "util/cpu_features.h"
 #include "util/logging.h"
 
 namespace vtrain {
@@ -177,100 +175,44 @@ replayImpl(const ReplaySchedule &schedule, const double *const durations,
 }
 
 /**
- * Widest lockstep lane count of replayBatch.  Four doubles (half a
- * cache line) measured fastest on the baseline machine: narrower
- * chunks amortize the schedule stream less, while wider ones (8-16)
- * push the randomly-accessed K-wide ready array past L2 and lose more
- * on the child updates than they save on streaming.  Every width
- * produces bit-identical results; this constant is purely a
- * throughput knob.
- */
-constexpr size_t kMaxReplayWidth = 4;
-
-/**
  * Widest lockstep lane count of runOpBatch and replayRuns.  The op
  * FIFO's per-pop queue work (ring, cursor, reference counts) is shared
- * by every lane, so wider chunks amortize more of it than the
- * per-task replay's do: eight lanes took 15-30% less time per point
- * than four on MT-NLG p=35 and p=105.  A run replay reads only slot
- * tables and per-run ready times, which stay in L1/L2 at this width.
- * A throughput knob only; every width is bit-identical.
+ * by every lane, so wider chunks amortize more of it: eight lanes took
+ * 15-30% less time per point than four on MT-NLG p=35 and p=105.  A
+ * run replay reads only slot tables and per-run ready times, which
+ * stay in L1/L2 at this width.  A throughput knob only; every width
+ * is bit-identical.
  */
 constexpr size_t kMaxSlotWidth = 8;
 
 /**
- * One K-wide lockstep pass over the schedule (see replayBatch).  K is
- * a compile-time constant so the per-position loops fully unroll, and
- * the working arrays are __restrict: they never alias each other or
- * the inputs, which lets the compiler keep the K ends and the K
- * running makespans in registers.
+ * Splits a chunk's interleaved accumulators into per-point
+ * EngineResults: the one unpack the op-FIFO and run chunks share, so
+ * the result layout cannot drift between them.  `inline` keeps GCC
+ * inlining it into every chunk; an out-of-line copy made the K = 1
+ * run replay 5-15% slower (BM_WarmMiss_Gpt3, GCC 12 -O3).
  */
-template <size_t K>
-void
-replayChunk(const ReplaySchedule &schedule,
-            const double *const *set_ptrs,
-            std::vector<double> &ready_vec, EngineResult *results)
+inline void
+unpackChunkResults(size_t k, size_t n, int n_devices, const double *busy,
+                   const double *tags, const double *makespan,
+                   EngineResult *results)
 {
-    const size_t n = schedule.numTasks();
-    const int n_devices = schedule.num_devices;
-    const int32_t *const order = schedule.order.data();
-    const int32_t *const lane = schedule.lane.data();
-    const int32_t *const busy_lane = schedule.busy_lane.data();
-    const uint8_t *const tag = schedule.tag.data();
-    const int32_t *const child_offsets = schedule.child_offsets.data();
-    const int32_t *const child_list = schedule.child_list.data();
-
-    // Durations are read straight out of the input vectors (the K
-    // loads per position all share one index, order[i]); gathering
-    // them into a schedule-order arena first would only add a full
-    // extra write + read of n*K doubles of memory traffic.
-    const double *__restrict set_ptr[K];
-    for (size_t j = 0; j < K; ++j)
-        set_ptr[j] = set_ptrs[j];
-
-    ready_vec.assign(n * K, 0.0);
-    double *__restrict const ready = ready_vec.data();
-    std::vector<double> timeline_vec(
-        static_cast<size_t>(n_devices) * kNumStreams * K, 0.0);
-    std::vector<double> busy_vec(
-        static_cast<size_t>(n_devices) * 2 * K, 0.0);
-    std::vector<double> tags_vec(
-        static_cast<size_t>(kNumTaskTags) * K, 0.0);
-    double *__restrict const timeline = timeline_vec.data();
-    double *__restrict const busy = busy_vec.data();
-    double *__restrict const tags = tags_vec.data();
-    double makespan[K] = {};
-
-    for (size_t i = 0; i < n; ++i) {
-        const size_t base = i * K;
-        const int32_t u = order[i];
-        double *__restrict const lane_base = timeline + lane[i] * K;
-        double *__restrict const busy_base = busy + busy_lane[i] * K;
-        double *__restrict const tag_base = tags + tag[i] * K;
-        double end[K];
-        for (size_t j = 0; j < K; ++j) {
-            const double duration = set_ptr[j][u];
-            const double start =
-                std::max(ready[base + j], lane_base[j]);
-            end[j] = start + duration;
-            lane_base[j] = end[j];
-            busy_base[j] += duration;
-            tag_base[j] += duration;
-            makespan[j] = std::max(makespan[j], end[j]);
+    for (size_t j = 0; j < k; ++j) {
+        EngineResult &result = results[j];
+        result.makespan = makespan[j];
+        result.executed = n;
+        result.busy_compute.resize(n_devices);
+        result.busy_comm.resize(n_devices);
+        for (int d = 0; d < n_devices; ++d) {
+            result.busy_compute[d] =
+                busy[(static_cast<size_t>(d) * 2) * k + j];
+            result.busy_comm[d] =
+                busy[(static_cast<size_t>(d) * 2 + 1) * k + j];
         }
-        for (const int32_t *c = child_list + child_offsets[i],
-                           *const c_end =
-                               child_list + child_offsets[i + 1];
-             c != c_end; ++c) {
-            double *__restrict const child_ready =
-                ready + static_cast<size_t>(*c) * K;
-            for (size_t j = 0; j < K; ++j)
-                child_ready[j] = std::max(child_ready[j], end[j]);
-        }
+        for (int t = 0; t < kNumTaskTags; ++t)
+            result.time_by_tag[t] =
+                tags[static_cast<size_t>(t) * k + j];
     }
-
-    detail::unpackChunkResults(K, n, n_devices, busy, tags, makespan,
-                               results);
 }
 
 /**
@@ -361,7 +303,8 @@ sameRoots(const OpTopology &a, const OpTopology &b)
  * One K-wide lockstep walk of the operator-level FIFO (see
  * runOpBatch), or a forked pair walk (see runOpPair) when `b` is
  * non-null; the pair needs sameRoots(a, *b).  The per-kernel body is
- * replayChunk's, fed from a slot-major copy of the K slot tables.
+ * replayImpl's per-task step, K lanes wide, fed from a slot-major
+ * copy of the K slot tables.
  * @return the pops the pair shared.
  */
 template <size_t K>
@@ -409,7 +352,7 @@ opChunk(const OpTopology &a, const OpTopology *b,
                      "simulation deadlock: executed ", executed, " of ",
                      topo.num_tasks, " tasks (cyclic dependency?)");
         EngineResult padded[K];
-        detail::unpackChunkResults(K, executed, n_devices, busy, tags,
+        unpackChunkResults(K, executed, n_devices, busy, tags,
                                    makespan, padded);
         std::move(padded, padded + count, results);
     };
@@ -561,7 +504,7 @@ runChunk(const RunSchedule &runs, const double *const *slot_tables,
     }
 
     EngineResult padded[K];
-    detail::unpackChunkResults(K, runs.numTasks(), n_devices, busy, tags,
+    unpackChunkResults(K, runs.numTasks(), n_devices, busy, tags,
                                makespan, padded);
     std::move(padded, padded + count, results);
 }
@@ -626,110 +569,30 @@ replaySimulation(const ReplaySchedule &schedule,
 }
 
 const char *
-replayKernelName(ReplayKernel kernel)
+replayKernelName(ReplayKernel)
 {
-    switch (kernel) {
-    case ReplayKernel::Scalar:
-        return "scalar";
-    case ReplayKernel::Avx2:
-        return "avx2";
-    }
-    return "unknown";
-}
-
-bool
-replayKernelCompiled(ReplayKernel kernel)
-{
-    switch (kernel) {
-    case ReplayKernel::Scalar:
-        return true;
-    case ReplayKernel::Avx2:
-        return detail::replayKernelAvx2Compiled();
-    }
-    return false;
-}
-
-bool
-replayKernelUsable(ReplayKernel kernel)
-{
-    switch (kernel) {
-    case ReplayKernel::Scalar:
-        return true;
-    case ReplayKernel::Avx2:
-        return detail::replayKernelAvx2Compiled() &&
-               util::cpuFeatures().avx2;
-    }
-    return false;
+    return "scalar";
 }
 
 ReplayKernel
 activeReplayKernel()
 {
-    static const ReplayKernel kernel =
-        replayKernelUsable(ReplayKernel::Avx2) ? ReplayKernel::Avx2
-                                               : ReplayKernel::Scalar;
-    return kernel;
+    return ReplayKernel::Scalar;
 }
 
 std::vector<EngineResult>
 replayBatch(const ReplaySchedule &schedule,
             const std::vector<std::vector<double>> &duration_sets)
 {
-    return replayBatch(schedule, duration_sets, activeReplayKernel());
-}
-
-std::vector<EngineResult>
-replayBatch(const ReplaySchedule &schedule,
-            const std::vector<std::vector<double>> &duration_sets,
-            ReplayKernel kernel)
-{
-    VTRAIN_CHECK(replayKernelUsable(kernel), "replay kernel '",
-                 replayKernelName(kernel),
-                 "' is not usable on this host (not compiled in, or "
-                 "the CPU lacks the ISA)");
-    const size_t n = schedule.numTasks();
     for (const std::vector<double> &set : duration_sets)
-        VTRAIN_CHECK(set.size() == n,
+        VTRAIN_CHECK(set.size() == schedule.numTasks(),
                      "replay durations (", set.size(),
-                     ") do not match the schedule (", n, " tasks)");
-    const size_t count = duration_sets.size();
-    std::vector<EngineResult> results(count);
-    std::vector<const double *> set_ptrs(count);
-    for (size_t j = 0; j < count; ++j)
-        set_ptrs[j] = duration_sets[j].data();
-    const double *const *const sets = set_ptrs.data();
-
-    // Greedy widest-first dispatch: full-width chunks of the selected
-    // kernel, then progressively narrower tail chunks.  Results do
-    // not depend on the split — every point is bit-identical to its
-    // own replaySimulation() run at any width and under any kernel
-    // (see replay_kernels.h).
-    std::vector<double> ready;
-    size_t begin = 0;
-    if (kernel == ReplayKernel::Avx2) {
-        while (count - begin >= detail::kAvx2ReplayWidth) {
-            detail::replayChunkAvx2(schedule, sets + begin, ready,
-                                    results.data() + begin);
-            begin += detail::kAvx2ReplayWidth;
-        }
-    }
-    static_assert(kMaxReplayWidth == 4,
-                  "update the dispatch below with the width table");
-    while (count - begin >= 4) {
-        replayChunk<4>(schedule, sets + begin, ready,
-                       results.data() + begin);
-        begin += 4;
-    }
-    if (count - begin >= 2) {
-        replayChunk<2>(schedule, sets + begin, ready,
-                       results.data() + begin);
-        begin += 2;
-    }
-    // A lone point takes the one-vector pass: at width 1 the chunk's
-    // K-wide bookkeeping only costs (~15% slower on an 88.7k-task
-    // GPT-3 schedule).
-    if (count - begin == 1)
-        results[begin] = replayImpl<false>(schedule, sets[begin], nullptr);
+                     ") do not match the schedule (", schedule.numTasks(),
+                     " tasks)");
+    std::vector<EngineResult> results;
+    results.reserve(duration_sets.size());
+    for (const std::vector<double> &set : duration_sets)
+        results.push_back(replaySimulation(schedule, set));
     return results;
 }
 

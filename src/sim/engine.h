@@ -43,10 +43,10 @@
  *     plus one pop-order slot sequence per order-dependent sum, all
  *     read from the same slot tables the op FIFO uses, K plans wide.
  *   - replaySimulation() / replayBatch(): the per-task schedule
- *     replay over a ReplaySchedule and one duration per task.  No
- *     simulation path runs it; it is the reference the run replay is
- *     tested against, and what an external replica of the per-task
- *     path calls.
+ *     replay over a ReplaySchedule and one duration per task, a plain
+ *     scalar loop.  No simulation path runs it; it is the reference
+ *     the run replay is tested against, and what an external replica
+ *     of the per-task path calls.
  */
 #ifndef VTRAIN_SIM_ENGINE_H
 #define VTRAIN_SIM_ENGINE_H
@@ -156,42 +156,23 @@ void replayRuns(const RunSchedule &runs, const double *const *slot_tables,
                 size_t count, EngineResult *results);
 
 /**
- * The chunk kernel replayBatch() runs its lockstep passes with.
- * Scalar is the portable fallback (compile-time-width chunks the
- * compiler autovectorizes at the build's baseline ISA); Avx2 is the
- * explicit 256-bit kernel (sim/replay_kernels.h), available only when
- * compiled in *and* the running CPU supports it.  Every kernel
- * produces bit-identical results — the choice is purely a throughput
- * knob, which is why the default entry points pick one automatically.
+ * The per-task replay's kernel.  Only the scalar loop remains; the
+ * enum stays so that an external benchmark's context line can keep
+ * naming the kernel it ran.
  */
-enum class ReplayKernel { Scalar, Avx2 };
+enum class ReplayKernel { Scalar };
 
-/** @return "scalar" or "avx2" (stable; used on /statz and in bench
- *  context blocks). */
+/** @return "scalar" (stable; used in bench context blocks). */
 const char *replayKernelName(ReplayKernel kernel);
 
-/** @return true when the kernel's TU was compiled into this binary. */
-bool replayKernelCompiled(ReplayKernel kernel);
-
-/** @return true when the kernel is compiled in and the running CPU
- *  supports its ISA (util::cpuFeatures); Scalar is always usable. */
-bool replayKernelUsable(ReplayKernel kernel);
-
-/** @return the kernel auto-dispatch selects (resolved once per
- *  process; the cpuid probe is cached): AVX2 when usable, else
- *  Scalar. */
+/** @return ReplayKernel::Scalar. */
 ReplayKernel activeReplayKernel();
 
 /**
- * Simulates K duration vectors over one shared schedule in a single
- * cache-friendly pass.  The K points advance in lockstep through the
- * schedule: per position the K-wide inner loops (contiguous, branch
- * free) vectorize — explicitly via the AVX2 chunk kernel when the
- * host supports it, by autovectorization of the scalar
- * chunks otherwise — and the schedule's metadata and child arrays
- * are read once per position instead of once per point.  Results are
- * bit-identical to K independent replaySimulation() calls, under
- * every kernel.
+ * replaySimulation() over K duration vectors sharing one schedule:
+ * every set's size is checked first, then each set is replayed on
+ * its own, so each result is bit-identical to its own
+ * replaySimulation() call by construction.
  *
  * @param duration_sets K vectors, each in original task id order.
  * @return one EngineResult per input vector, in order.
@@ -199,16 +180,6 @@ ReplayKernel activeReplayKernel();
 std::vector<EngineResult>
 replayBatch(const ReplaySchedule &schedule,
             const std::vector<std::vector<double>> &duration_sets);
-
-/**
- * replayBatch() pinned to one kernel (tests and benches compare
- * kernels with this; other callers use the auto overload).
- * Aborts when the kernel is not usable on this host.
- */
-std::vector<EngineResult>
-replayBatch(const ReplaySchedule &schedule,
-            const std::vector<std::vector<double>> &duration_sets,
-            ReplayKernel kernel);
 
 /**
  * Engine-mode counters.  The simulator ticks them as it chooses an

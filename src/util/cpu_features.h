@@ -2,13 +2,12 @@
  * @file
  * Cached runtime CPU-feature probe.
  *
- * The engine's vectorized replay kernels (sim/replay_kernels.h) are
- * compiled per-ISA and selected at runtime, so one binary runs
- * everywhere: the dispatcher asks this probe which instruction sets
- * the *running* processor supports and falls back to the portable
- * scalar chunks otherwise.  The probe executes cpuid once (magic
- * static) and is thread-safe; off x86 (or off GCC/Clang) every
- * feature reports false.
+ * Nothing in the library dispatches on it: the engine is portable
+ * C++ at the build's baseline ISA.  It only names the running
+ * processor's instruction sets in benchmark context lines, so a
+ * recorded figure says what hardware produced it.  The probe executes
+ * cpuid once (magic static) and is thread-safe; off x86 (or off
+ * GCC/Clang) every feature reports false.
  */
 #ifndef VTRAIN_UTIL_CPU_FEATURES_H
 #define VTRAIN_UTIL_CPU_FEATURES_H

@@ -90,6 +90,21 @@ double TraceCapture::elapsedUs() const
     return static_cast<double>(monotonicNanos() - start_ns_) * 1e-3;
 }
 
+void TraceCapture::addSpan(const char *name, uint64_t start_ns,
+                           uint64_t end_ns)
+{
+    const auto since_start_us = [this](uint64_t ns) {
+        return static_cast<double>(static_cast<int64_t>(ns - start_ns_)) *
+               1e-3;
+    };
+    TraceEvent event;
+    event.name = name;
+    event.start_us = since_start_us(start_ns);
+    event.dur_us = since_start_us(end_ns) - event.start_us;
+    event.depth = open_depth_;
+    addEvent(event);
+}
+
 TraceCapture *TraceCapture::current()
 {
     return tls_capture;

@@ -13,7 +13,8 @@
  * serves (slowest-first) as Chrome trace JSON.
  *
  * Threading: spans and captures are strictly thread-local (a capture
- * does not follow work handed to another thread); `TraceRing` is
+ * does not follow work handed to another thread; the capturing thread
+ * adds such work afterwards with addSpan()); `TraceRing` is
  * thread-safe.
  */
 #ifndef VTRAIN_UTIL_TRACE_H
@@ -74,6 +75,15 @@ class TraceCapture
 
     /** Microseconds since this capture started (for TraceSpan). */
     double elapsedUs() const;
+
+    /**
+     * Adds a closed span that another thread ran on this capture's
+     * behalf, timed by util::monotonicNanos() from `start_ns` to
+     * `end_ns`.  It sits at the current nesting depth and counts
+     * against kMaxSpans like any other span.  Must be called on the
+     * capturing thread.
+     */
+    void addSpan(const char *name, uint64_t start_ns, uint64_t end_ns);
 
     /** The capture installed on the current thread, or nullptr. */
     static TraceCapture *current();

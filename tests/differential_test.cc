@@ -15,7 +15,10 @@
  * from the fully expanded kernel-level topology.  Its run schedule
  * must partition that schedule into exactly the runs the four merge
  * conditions define, and replay bit-identically to both the per-task
- * replay and the queue engine at every lockstep width.  Node ids are
+ * replay and the queue engine at every lockstep width.  Where a test
+ * retimes a template, its oracle is the queue engine over the
+ * expansion of a fresh build for the retimed plan, so it shares no
+ * code with the template under test.  Node ids are
  * a layout choice: a seeded relabelling that keeps each node's child
  * order must simulate bit-identically on every path.  Fast mode's
  * forked pair walk (runOpPair) over the cap and cap + 1 graphs must
@@ -32,6 +35,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.h"
@@ -313,16 +317,40 @@ expectSameEngine(const EngineResult &want, const EngineResult &got,
         << where << ": time_by_tag";
 }
 
-/** A drawn case's operator graph at its own micro-batch count,
- *  captured with `table` (and expanded into `expanded`). */
-std::shared_ptr<const GraphTemplate>
-captureCase(const Case &c, OperatorToTaskTable &table, TaskGraph *expanded)
+/** A fresh build of `c.model` under `plan` at `n_micro`
+ *  micro-batches. */
+OpGraph
+buildAt(const Case &c, const ParallelConfig &plan, int n_micro)
 {
     CommModel comm(c.cluster);
-    GraphBuilder builder(c.model, c.plan, c.cluster, comm);
+    BuildOptions options;
+    options.n_micro_override = n_micro;
+    return GraphBuilder(c.model, plan, c.cluster, comm).build(options);
+}
+
+/**
+ * The kernel-level oracle: the queue engine over TaskGraph::expand of
+ * `ops`.  Fed a fresh build for the plan a template was retimed to,
+ * it shares nothing with the template under test.
+ */
+EngineResult
+expandedRun(const Case &c, const OpGraph &ops, OperatorToTaskTable &table)
+{
     ExpandOptions expand;
     expand.collapse_operators = c.options.collapse_operators;
-    return GraphTemplate::capture(builder.build(), table, expand, expanded);
+    return runSimulation(TaskGraph::expand(ops, table, expand));
+}
+
+/** A drawn case's operator graph at its own micro-batch count,
+ *  captured with `table`. */
+std::shared_ptr<const GraphTemplate>
+captureCase(const Case &c, OperatorToTaskTable &table)
+{
+    ExpandOptions expand;
+    expand.collapse_operators = c.options.collapse_operators;
+    return GraphTemplate::capture(
+        buildAt(c, c.plan, c.plan.numMicroBatches()), table, expand,
+        nullptr);
 }
 
 TEST(DifferentialRuns, RunReplayMatchesPerTaskReplayAndOracleAtEveryWidth)
@@ -335,12 +363,12 @@ TEST(DifferentialRuns, RunReplayMatchesPerTaskReplayAndOracleAtEveryWidth)
         SyntheticProfiler profiler(c.cluster.node.gpu, c.plan.precision,
                                    c.options.attention);
         OperatorToTaskTable table(profiler);
-        const auto tmpl = captureCase(c, table, nullptr);
+        const auto tmpl = captureCase(c, table);
         const RunSchedule *runs = tmpl->runs();
         ASSERT_NE(runs, nullptr) << where;
 
-        // Per plan: the oracle (queue engine over the retimed
-        // kernel-level graph) and the per-task schedule replay.
+        // Per plan: the oracle (queue engine over the expansion of a
+        // fresh build for that plan) and the per-task schedule replay.
         CommModel comm(c.cluster);
         const std::vector<ParallelConfig> plans = variants(c, 9);
         std::vector<std::vector<double>> slots(plans.size());
@@ -352,11 +380,8 @@ TEST(DifferentialRuns, RunReplayMatchesPerTaskReplayAndOracleAtEveryWidth)
                                           &slots[j]))
                 << where;
             slot_ptrs.push_back(slots[j].data());
-            TaskGraph graph;
-            ASSERT_TRUE(tmpl->retime(table, plans[j], c.cluster, comm,
-                                     &graph))
-                << where;
-            oracle.push_back(runSimulation(graph));
+            oracle.push_back(expandedRun(
+                c, buildAt(c, plans[j], c.plan.numMicroBatches()), table));
             std::vector<double> durations;
             ASSERT_TRUE(tmpl->retimeDurations(table, plans[j], c.cluster,
                                               comm, &durations))
@@ -443,7 +468,7 @@ TEST(DifferentialRuns, RunsPartitionTheScheduleByTheFourMergeConditions)
         SyntheticProfiler profiler(c.cluster.node.gpu, c.plan.precision,
                                    c.options.attention);
         OperatorToTaskTable table(profiler);
-        const auto tmpl = captureCase(c, table, nullptr);
+        const auto tmpl = captureCase(c, table);
         const ReplaySchedule &schedule = tmpl->schedule();
         const RunSchedule *runs = tmpl->runs();
         ASSERT_NE(runs, nullptr) << where;
@@ -593,10 +618,11 @@ TEST(DifferentialRelabel, PermutedNodeIdsSimulateBitIdentically)
         const std::string where = "case " + std::to_string(i) + " " +
                                   describe(c);
         CommModel comm(c.cluster);
-        const OpGraph ops =
-            GraphBuilder(c.model, c.plan, c.cluster, comm).build();
-        const OpGraph shuffled =
-            relabelled(ops, shuffledIds(ops.numNodes(), rng));
+        const int n_micro = c.plan.numMicroBatches();
+        const OpGraph ops = buildAt(c, c.plan, n_micro);
+        const std::vector<OpGraph::NodeId> perm =
+            shuffledIds(ops.numNodes(), rng);
+        const OpGraph shuffled = relabelled(ops, perm);
         SyntheticProfiler profiler(c.cluster.node.gpu, c.plan.precision,
                                    c.options.attention);
         OperatorToTaskTable table(profiler);
@@ -611,8 +637,9 @@ TEST(DifferentialRelabel, PermutedNodeIdsSimulateBitIdentically)
             ASSERT_NE(runs[side], nullptr) << where;
         }
 
-        // Per side and plan: a slot table and the queue engine over
-        // the retimed kernel-level graph.
+        // Per side and plan: a slot table, and the queue engine over
+        // the expansion of a fresh build for the plan, relabelled on
+        // side 1.
         const std::vector<ParallelConfig> plans = variants(c, 9);
         std::vector<double> slots[2][9];
         const double *slot_ptrs[2][9];
@@ -625,14 +652,10 @@ TEST(DifferentialRelabel, PermutedNodeIdsSimulateBitIdentically)
             }
         }
         for (size_t j = 0; j < plans.size(); ++j) {
-            EngineResult oracle[2];
-            for (int side = 0; side < 2; ++side) {
-                TaskGraph graph;
-                ASSERT_TRUE(tmpls[side]->retime(table, plans[j], c.cluster,
-                                                comm, &graph))
-                    << where;
-                oracle[side] = runSimulation(graph);
-            }
+            const OpGraph fresh = buildAt(c, plans[j], n_micro);
+            const EngineResult oracle[2] = {
+                expandedRun(c, fresh, table),
+                expandedRun(c, relabelled(fresh, perm), table)};
             expectSameEngine(oracle[0], oracle[1],
                              where + " point " + std::to_string(j) +
                                  " (queue engine)");
@@ -661,26 +684,18 @@ TEST(DifferentialRelabel, PermutedNodeIdsSimulateBitIdentically)
     }
 }
 
-/** A drawn case's operator graph at `n_micro` micro-batches. */
-OpGraph
-buildAt(const Case &c, int n_micro)
-{
-    CommModel comm(c.cluster);
-    BuildOptions options;
-    options.n_micro_override = n_micro;
-    return GraphBuilder(c.model, c.plan, c.cluster, comm).build(options);
-}
-
 /**
- * Captures `a` and `b` with `table`, retimes both for every plan, and
+ * `pair_at(plan)` returns the graphs a and b for one plan.  Captures
+ * pair_at(c.plan) with `table`, retimes both for every plan, and
  * checks runOpPair over them against two runOpBatch walks and the
- * queue engine over each retimed kernel-level graph, at K = 1 .. the
+ * queue engine over the expansion of pair_at(plan), at K = 1 .. the
  * plan count.  The slot tables must agree, as the simulator requires
  * before it pairs.  `*shared` receives the pops the pair shared,
  * which must not depend on K.
  */
+template <typename PairAt>
 void
-expectPairMatches(const Case &c, const OpGraph &a, const OpGraph &b,
+expectPairMatches(const Case &c, PairAt &&pair_at,
                   const std::vector<ParallelConfig> &plans,
                   OperatorToTaskTable &table, const std::string &where,
                   size_t *shared)
@@ -688,24 +703,24 @@ expectPairMatches(const Case &c, const OpGraph &a, const OpGraph &b,
     CommModel comm(c.cluster);
     ExpandOptions expand;
     expand.collapse_operators = c.options.collapse_operators;
+    const auto [a, b] = pair_at(c.plan);
     const std::shared_ptr<const GraphTemplate> tmpls[] = {
         GraphTemplate::capture(a, table, expand, nullptr),
         GraphTemplate::capture(b, table, expand, nullptr)};
     const size_t n = plans.size();
     std::vector<std::vector<double>> slots[2];
     std::vector<EngineResult> oracle[2];
+    for (size_t j = 0; j < n; ++j) {
+        const auto [fresh_a, fresh_b] = pair_at(plans[j]);
+        oracle[0].push_back(expandedRun(c, fresh_a, table));
+        oracle[1].push_back(expandedRun(c, fresh_b, table));
+    }
     for (int side = 0; side < 2; ++side) {
         slots[side].resize(n);
-        for (size_t j = 0; j < n; ++j) {
+        for (size_t j = 0; j < n; ++j)
             ASSERT_TRUE(tmpls[side]->retimeSlots(table, plans[j], c.cluster,
                                                  comm, &slots[side][j]))
                 << where;
-            TaskGraph graph;
-            ASSERT_TRUE(tmpls[side]->retime(table, plans[j], c.cluster, comm,
-                                            &graph))
-                << where;
-            oracle[side].push_back(runSimulation(graph));
-        }
     }
     ASSERT_EQ(slots[0], slots[1]) << where << ": slot tables differ";
     std::vector<const double *> slot_ptrs;
@@ -747,14 +762,15 @@ TEST(DifferentialPair, ForkedPairMatchesTwoWalksAndOracleAtEveryWidth)
         const std::string where = "case " + std::to_string(i) + " " +
                                   describe(c);
         const int cap = std::max(2 * c.plan.pipeline + 2, 4);
-        const OpGraph a = buildAt(c, cap);
-        const OpGraph b = buildAt(c, cap + 1);
+        const auto pair_at = [&](const ParallelConfig &plan) {
+            return std::pair{buildAt(c, plan, cap), buildAt(c, plan, cap + 1)};
+        };
         SyntheticProfiler profiler(c.cluster.node.gpu, c.plan.precision,
                                    c.options.attention);
         OperatorToTaskTable table(profiler);
         const std::vector<ParallelConfig> plans = variants(c, 9);
         size_t shared = 0;
-        expectPairMatches(c, a, b, plans, table, where, &shared);
+        expectPairMatches(c, pair_at, plans, table, where, &shared);
         EXPECT_GT(shared, 0u) << where;
 
         // The same pair under one seeded shuffle of the ids that are
@@ -762,6 +778,7 @@ TEST(DifferentialPair, ForkedPairMatchesTwoWalksAndOracleAtEveryWidth)
         // each comm payload keeps its slot and the slot tables stay
         // equal.  Both walks pop the same operators under new ids, so
         // neither the fork nor any result may move.
+        const auto [a, b] = pair_at(c.plan);
         std::vector<OpGraph::NodeId> movable;
         for (size_t u = 0; u < a.numNodes(); ++u)
             if (a.nodes()[u].type == OpNodeType::Compute &&
@@ -776,9 +793,13 @@ TEST(DifferentialPair, ForkedPairMatchesTwoWalksAndOracleAtEveryWidth)
         const std::vector<OpGraph::NodeId> perm_a(
             perm_b.begin(), perm_b.begin() + a.numNodes());
         size_t shared_relabelled = 0;
-        expectPairMatches(c, relabelled(a, perm_a), relabelled(b, perm_b),
-                          plans, table, where + " (relabelled)",
-                          &shared_relabelled);
+        const auto relabelled_at = [&](const ParallelConfig &plan) {
+            const auto [plan_a, plan_b] = pair_at(plan);
+            return std::pair{relabelled(plan_a, perm_a),
+                             relabelled(plan_b, perm_b)};
+        };
+        expectPairMatches(c, relabelled_at, plans, table,
+                          where + " (relabelled)", &shared_relabelled);
         EXPECT_EQ(shared_relabelled, shared) << where;
     }
 }
@@ -801,27 +822,34 @@ fastCase()
 TEST(DifferentialPair, ExtraRootInBSharesNothing)
 {
     const Case c = fastCase();
-    const OpGraph a = buildAt(c, 6);
     // b is a plus one root: a compute node feeding a's last node.
-    OpGraph b = a;
-    const OpGraph::NodeId root = b.addCompute(0, 0, 0);
-    b.addEdge(root, static_cast<OpGraph::NodeId>(a.numNodes() - 1));
-    b.finalize();
+    const auto pair_at = [&](const ParallelConfig &plan) {
+        OpGraph a = buildAt(c, plan, 6);
+        OpGraph b = a;
+        const OpGraph::NodeId root = b.addCompute(0, 0, 0);
+        b.addEdge(root, static_cast<OpGraph::NodeId>(a.numNodes() - 1));
+        b.finalize();
+        return std::pair{std::move(a), std::move(b)};
+    };
     SyntheticProfiler profiler(c.cluster.node.gpu);
     OperatorToTaskTable table(profiler);
     size_t shared = 1;
-    expectPairMatches(c, a, b, variants(c, 3), table, "extra root", &shared);
+    expectPairMatches(c, pair_at, variants(c, 3), table, "extra root",
+                      &shared);
     EXPECT_EQ(shared, 0u);
 }
 
 TEST(DifferentialPair, IdenticalGraphsShareTheWholeWalk)
 {
     const Case c = fastCase();
-    const OpGraph a = buildAt(c, 6);
+    const auto pair_at = [&](const ParallelConfig &plan) {
+        return std::pair{buildAt(c, plan, 6), buildAt(c, plan, 6)};
+    };
+    const OpGraph a = buildAt(c, c.plan, 6);
     SyntheticProfiler profiler(c.cluster.node.gpu);
     OperatorToTaskTable table(profiler);
     size_t shared = 0;
-    expectPairMatches(c, a, a, variants(c, 9), table, "a == b", &shared);
+    expectPairMatches(c, pair_at, variants(c, 9), table, "a == b", &shared);
     EXPECT_EQ(shared, GraphTemplate::capture(a, table, ExpandOptions{},
                                              nullptr)
                           ->numTasks());
@@ -855,8 +883,13 @@ TEST(DifferentialPair, ForkRebasesPartlyReleasedOperators)
     SyntheticProfiler profiler(c.cluster.node.gpu);
     OperatorToTaskTable table(profiler);
     size_t shared = 0;
-    expectPairMatches(c, diamond(mha), diamond(ffn), variants(c, 3), table,
-                      "diamond", &shared);
+    // Compute operators only: their durations come from the table
+    // alone, so the hand-built pair is every plan's.
+    const auto pair_at = [&](const ParallelConfig &) {
+        return std::pair{diamond(mha), diamond(ffn)};
+    };
+    expectPairMatches(c, pair_at, variants(c, 3), table, "diamond",
+                      &shared);
     EXPECT_EQ(shared, 2u);
 }
 
@@ -885,7 +918,7 @@ TEST(DifferentialPair, SimulatorWalksColdPairsOnceAndFallsBackOnUnequalSlots)
     // walks cold and the cap + 1 graph replays.
     SyntheticProfiler profiler(c.cluster.node.gpu);
     OperatorToTaskTable table(profiler);
-    const OpGraph b = buildAt(c, cap + 1);
+    const OpGraph b = buildAt(c, c.plan, cap + 1);
     std::vector<OpGraph::NodeId> identity(b.numNodes());
     std::iota(identity.begin(), identity.end(), 0);
     auto cache = std::make_shared<GraphTemplateCache>();

@@ -468,9 +468,8 @@ TEST(EngineReplay, DurationCountMismatchThrows)
 
 TEST(EngineReplay, BatchMatchesIndividualReplays)
 {
-    // 19 duration vectors (crossing the internal chunk width) over
-    // one shared schedule: every point must equal its own
-    // single-replay run bit for bit.
+    // 19 duration vectors over one shared schedule: every point must
+    // equal its own single-replay run bit for bit.
     const TaskGraph graph = fanGraph();
     const auto schedule = ReplaySchedule::build(*graph.topology());
 
@@ -529,120 +528,12 @@ TEST(EngineReplay, BatchMatchesQueueOnExpandedModelGraph)
     }
 }
 
-TEST(EngineReplay, KernelDispatchPolicy)
-{
-    EXPECT_STREQ(replayKernelName(ReplayKernel::Scalar), "scalar");
-    EXPECT_STREQ(replayKernelName(ReplayKernel::Avx2), "avx2");
-
-    // Scalar is always there; the vector kernel is usable only when
-    // it was both compiled in and the host cpuid reports the ISA.
-    EXPECT_TRUE(replayKernelCompiled(ReplayKernel::Scalar));
-    EXPECT_TRUE(replayKernelUsable(ReplayKernel::Scalar));
-    if (replayKernelUsable(ReplayKernel::Avx2)) {
-        EXPECT_TRUE(replayKernelCompiled(ReplayKernel::Avx2));
-    }
-
-    // Auto-dispatch prefers AVX2, then scalar.
-    const ReplayKernel active = activeReplayKernel();
-    EXPECT_TRUE(replayKernelUsable(active));
-    if (replayKernelUsable(ReplayKernel::Avx2))
-        EXPECT_EQ(active, ReplayKernel::Avx2);
-    else
-        EXPECT_EQ(active, ReplayKernel::Scalar);
-}
-
-TEST(EngineReplay, UnusableKernelPanics)
-{
-    // Pinning replayBatch to a kernel this binary/host cannot run is
-    // a caller bug, not a silent fallback.
-    const TaskGraph graph = fanGraph();
-    const auto schedule = ReplaySchedule::build(*graph.topology());
-    const std::vector<std::vector<double>> sets = {graph.durations()};
-    if (!replayKernelUsable(ReplayKernel::Avx2)) {
-        EXPECT_THROW(replayBatch(*schedule, sets, ReplayKernel::Avx2),
-                     std::logic_error);
-    }
-}
-
-TEST(EngineReplay, KernelGridBitIdentical)
-{
-    // Every usable kernel must agree with the scalar chunks bit for
-    // bit at every batch width K = 1..19 — that sweeps all chunk
-    // tails: 4-wide AVX2 bodies and the 2/1 scalar remainders.
-    const TaskGraph graph = fanGraph();
-    const auto schedule = ReplaySchedule::build(*graph.topology());
-
-    std::vector<std::vector<double>> sets;
-    for (int k = 0; k < 19; ++k) {
-        std::vector<double> durations = graph.durations();
-        for (size_t i = 0; i < durations.size(); ++i)
-            durations[i] *= 1.0 + 0.0625 * ((7 * k + i) % 11);
-        sets.push_back(std::move(durations));
-    }
-
-    for (size_t width = 1; width <= sets.size(); ++width) {
-        const std::vector<std::vector<double>> prefix(
-            sets.begin(), sets.begin() + width);
-        const std::vector<EngineResult> scalar =
-            replayBatch(*schedule, prefix, ReplayKernel::Scalar);
-        ASSERT_EQ(scalar.size(), width);
-        for (size_t k = 0; k < width; ++k)
-            expectSameResult(replaySimulation(*schedule, prefix[k]),
-                             scalar[k]);
-        if (!replayKernelUsable(ReplayKernel::Avx2))
-            continue;
-        const std::vector<EngineResult> got =
-            replayBatch(*schedule, prefix, ReplayKernel::Avx2);
-        ASSERT_EQ(got.size(), width);
-        for (size_t k = 0; k < width; ++k)
-            expectSameResult(scalar[k], got[k]);
-    }
-}
-
-TEST(EngineReplay, KernelsBitIdenticalOnExpandedModelGraph)
-{
-    // Same grid idea on a real pipeline-parallel expanded graph (CSR
-    // fan-outs, mixed tags, comm lanes) instead of a hand-built shape.
-    const ModelConfig model = makeModel(512, 4, 8, 256, 4096);
-    const ClusterSpec cluster = makeCluster(8);
-    ParallelConfig plan;
-    plan.tensor = 2;
-    plan.data = 1;
-    plan.pipeline = 2;
-    plan.micro_batch_size = 1;
-    plan.global_batch_size = 4;
-    CommModel comm(cluster);
-    GraphBuilder builder(model, plan, cluster, comm);
-    const OpGraph ops = builder.build();
-    SyntheticProfiler profiler(cluster.node.gpu);
-    OperatorToTaskTable table(profiler);
-    const TaskGraph graph = TaskGraph::expand(ops, table);
-    const auto schedule = ReplaySchedule::build(*graph.topology());
-
-    std::vector<std::vector<double>> sets;
-    for (int k = 0; k < 9; ++k) {
-        std::vector<double> durations = graph.durations();
-        for (size_t i = 0; i < durations.size(); ++i)
-            durations[i] *= 1.0 + 0.03125 * ((3 * k + i) % 7);
-        sets.push_back(std::move(durations));
-    }
-
-    const std::vector<EngineResult> scalar =
-        replayBatch(*schedule, sets, ReplayKernel::Scalar);
-    if (!replayKernelUsable(ReplayKernel::Avx2))
-        return; // the scalar chunks are the only kernel here
-    const std::vector<EngineResult> got =
-        replayBatch(*schedule, sets, ReplayKernel::Avx2);
-    ASSERT_EQ(got.size(), scalar.size());
-    for (size_t k = 0; k < scalar.size(); ++k)
-        expectSameResult(scalar[k], got[k]);
-}
-
 TEST(EngineReplay, ConcurrentRunsShareOneSchedule)
 {
-    // The batched sweep path hands one ReplaySchedule to many
-    // threads; replays must not mutate shared state (tsan covers
-    // this test via the ^Engine preset filter).
+    // One ReplaySchedule shared by many threads, as a template shares
+    // its schedule(): single and batched replays must not mutate
+    // shared state (tsan covers this test via the ^Engine preset
+    // filter).
     const TaskGraph graph = fanGraph();
     const auto schedule = ReplaySchedule::build(*graph.topology());
     const EngineResult want =

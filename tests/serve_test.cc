@@ -12,6 +12,7 @@
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "serve/wire.h"
 #include "sim/simulator.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace vtrain {
 namespace {
@@ -737,6 +739,47 @@ TEST(ServeService, BatchHelpersThatStartLateAreNoOps)
     EXPECT_EQ(computed.load(), 6) << "a late helper recomputed a unit";
     EXPECT_EQ(run->snapshot().count - runs_before, 3u)
         << "two blockers plus the one helper";
+}
+
+TEST(ServeService, BatchTraceHoldsTheComputeSpansOfHelperUnits)
+{
+    // Each evaluation waits until two run at once, so the helper
+    // computes at least one of the 8 units.  The caller's trace must
+    // still hold one "service.compute" span per unit.
+    std::atomic<int> active{0};
+    std::promise<void> gate;
+    std::shared_future<void> gate_open = gate.get_future().share();
+    SimService::Options options;
+    options.n_threads = 2;
+    options.evaluator = [&](const SimRequest &request) {
+        if (active.fetch_add(1) + 1 == 2)
+            gate.set_value();
+        (void)gate_open.wait_for(kGateTimeout);
+        return syntheticResult(request);
+    };
+    SimService service(std::move(options));
+
+    std::vector<SimRequest> requests;
+    for (int i = 0; i < 8; ++i)
+        requests.push_back(requestVariant(i));
+    util::TraceCapture capture("batch");
+    const std::vector<SimulationResult> results =
+        service.evaluateBatch(requests);
+    const util::Trace trace = capture.finish();
+    ASSERT_EQ(results.size(), requests.size());
+    ASSERT_EQ(service.stats().computed, 8u);
+
+    size_t computes = 0;
+    for (const util::TraceEvent &event : trace.events) {
+        if (std::string(event.name) != "service.compute")
+            continue;
+        ++computes;
+        EXPECT_EQ(event.depth, 0);
+        EXPECT_GE(event.start_us, 0.0);
+        EXPECT_LE(event.start_us + event.dur_us, trace.total_us);
+    }
+    EXPECT_EQ(computes, 8u);
+    EXPECT_EQ(trace.dropped_spans, 0u);
 }
 
 TEST(ServeService, PerturbedRequestsBypassTheCache)

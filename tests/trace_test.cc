@@ -10,6 +10,8 @@
 
 #include <thread>
 
+#include "util/metrics.h"
+
 namespace vtrain {
 namespace util {
 namespace {
@@ -104,6 +106,40 @@ TEST(TraceCapture, SpanCapCountsDrops)
     const Trace trace = capture.finish();
     EXPECT_EQ(trace.events.size(), TraceCapture::kMaxSpans);
     EXPECT_EQ(trace.dropped_spans, 10u);
+}
+
+TEST(TraceCapture, AddSpanPlacesWorkFromOtherThreads)
+{
+    TraceCapture capture("handed-off");
+    uint64_t start_ns = 0;
+    uint64_t end_ns = 0;
+    std::thread other([&] {
+        start_ns = monotonicNanos();
+        end_ns = start_ns + 2000;
+    });
+    other.join();
+    {
+        TraceSpan outer("outer");
+        capture.addSpan("other", start_ns, end_ns);
+    }
+    const Trace trace = capture.finish();
+    ASSERT_EQ(trace.events.size(), 2u);
+    EXPECT_STREQ(trace.events[0].name, "other");
+    EXPECT_EQ(trace.events[0].depth, 1) << "nested under the open span";
+    EXPECT_GE(trace.events[0].start_us, 0.0);
+    EXPECT_LE(trace.events[0].start_us, trace.total_us);
+    EXPECT_NEAR(trace.events[0].dur_us, 2.0, 1e-9);
+}
+
+TEST(TraceCapture, AddSpanCountsDropsPastTheCap)
+{
+    TraceCapture capture("capped");
+    const uint64_t now = monotonicNanos();
+    for (size_t i = 0; i < TraceCapture::kMaxSpans + 3; ++i)
+        capture.addSpan("s", now, now);
+    const Trace trace = capture.finish();
+    EXPECT_EQ(trace.events.size(), TraceCapture::kMaxSpans);
+    EXPECT_EQ(trace.dropped_spans, 3u);
 }
 
 TEST(TraceCapture, ThreadLocalIsolation)
