@@ -204,9 +204,12 @@ def relpath(root, path):
 
 
 def check_naked_mutex(root, findings):
-    util_dir = os.path.join(root, "src", "util")
+    # Absolute paths on both sides: commonpath() normalises away a
+    # leading "./" that os.path.join keeps, so with --root . a relative
+    # util_dir would never equal the common path.
+    util_dir = os.path.abspath(os.path.join(root, "src", "util"))
     for path in iter_source_files(root, "src", {".h", ".cc"}):
-        if os.path.commonpath([util_dir, path]) == util_dir:
+        if os.path.commonpath([util_dir, os.path.abspath(path)]) == util_dir:
             continue  # the wrappers themselves live here
         code = strip_comments(read_text(path))
         for m in NAKED_MUTEX_RE.finditer(code):
@@ -421,6 +424,18 @@ def self_test():
                 f.write(content)
 
         findings = run_all(root)
+        # The same tree named by a relative root ("--root .") must
+        # yield the same findings.
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            relative = run_all(".")
+        finally:
+            os.chdir(cwd)
+        differ = set(map(str, relative)) ^ set(map(str, findings))
+        expect(not differ, "relative root: findings that only one of "
+               "--root . and the absolute root reports: %s"
+               % sorted(differ), failures)
         by_rule = {}
         for f in findings:
             by_rule.setdefault(f.rule, []).append(f)

@@ -240,84 +240,4 @@ GraphTemplate::retimeDurations(OperatorToTaskTable &table,
     return true;
 }
 
-GraphTemplateCache::GraphTemplateCache(Options options) : options_(options)
-{
-}
-
-std::shared_ptr<const GraphTemplate>
-GraphTemplateCache::get(uint64_t fingerprint)
-{
-    util::MutexLock lock(mutex_);
-    auto it = index_.find(fingerprint);
-    if (it == index_.end()) {
-        ++misses_;
-        return nullptr;
-    }
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-}
-
-void
-GraphTemplateCache::put(uint64_t fingerprint,
-                        std::shared_ptr<const GraphTemplate> tmpl)
-{
-    VTRAIN_CHECK(tmpl != nullptr, "cannot cache a null template");
-    util::MutexLock lock(mutex_);
-    auto it = index_.find(fingerprint);
-    if (it != index_.end()) {
-        bytes_ -= it->second->second->approxBytes();
-        bytes_ += tmpl->approxBytes();
-        it->second->second = std::move(tmpl);
-        lru_.splice(lru_.begin(), lru_, it->second);
-        ++updates_;
-    } else {
-        bytes_ += tmpl->approxBytes();
-        lru_.emplace_front(fingerprint, std::move(tmpl));
-        index_.emplace(fingerprint, lru_.begin());
-        ++insertions_;
-    }
-    shrinkLocked();
-}
-
-void
-GraphTemplateCache::shrinkLocked()
-{
-    // Never evict the just-touched front entry: one oversized template
-    // still serving its own re-simulations beats an empty cache.
-    while (lru_.size() > 1 &&
-           (lru_.size() > options_.max_entries ||
-            bytes_ > options_.max_bytes)) {
-        const Entry &victim = lru_.back();
-        bytes_ -= victim.second->approxBytes();
-        index_.erase(victim.first);
-        lru_.pop_back();
-        ++evictions_;
-    }
-}
-
-void
-GraphTemplateCache::clear()
-{
-    util::MutexLock lock(mutex_);
-    lru_.clear();
-    index_.clear();
-    bytes_ = 0;
-}
-
-TemplateCacheStats
-GraphTemplateCache::stats() const
-{
-    util::MutexLock lock(mutex_);
-    TemplateCacheStats stats;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.insertions = insertions_;
-    stats.updates = updates_;
-    stats.evictions = evictions_;
-    stats.entries = lru_.size();
-    stats.bytes = bytes_;
-    return stats;
-}
-
 } // namespace vtrain

@@ -66,10 +66,8 @@
 #define VTRAIN_GRAPH_TEMPLATE_H
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex> // std::once_flag (annotation-free by design; see below)
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,8 +78,7 @@
 #include "model/model_config.h"
 #include "parallel/parallel_config.h"
 #include "profiling/synthetic_profiler.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/lru_cache.h"
 
 namespace vtrain {
 
@@ -209,87 +206,40 @@ class GraphTemplate
     mutable std::shared_ptr<const ReplaySchedule> schedule_;
 };
 
-/**
- * Counters of one GraphTemplateCache.  Field-compatible with the
- * serve layer's CacheStats (one JSON serializer covers both), but a
- * distinct type: the graph layer cannot depend on serve/ headers.
- */
-struct TemplateCacheStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t updates = 0; //!< put() refreshes of an existing key
-    uint64_t evictions = 0;
-    size_t entries = 0;
-    size_t bytes = 0;
-
-    double
-    hitRate() const
-    {
-        const uint64_t total = hits + misses;
-        return total == 0
-                   ? 0.0
-                   : static_cast<double>(hits) / static_cast<double>(total);
-    }
-};
+/** Byte cost of a cached template: its approxBytes(). */
+inline size_t
+cacheEntryBytes(const std::shared_ptr<const GraphTemplate> &tmpl)
+{
+    return tmpl->approxBytes();
+}
 
 /**
- * Thread-safe LRU cache of graph templates, keyed by structural
- * fingerprint.  Bounded by entry count and (approximate) bytes; the
- * most recently inserted entry is never evicted, so a single template
- * larger than the whole budget still serves its own re-simulations.
+ * The graph-template cache, keyed by structural fingerprint: the
+ * policy is util::LruCache's, over one shard so the byte budget is one
+ * global figure (a single MT-NLG p=105 template is larger than a
+ * sixteenth of it).  Defaults: 32 entries and 128 MiB.  A template is
+ * charged ~13 bytes per task (its operator arrays plus a run-schedule
+ * budget) and holds about that much whether or not it is ever reused,
+ * so the byte budget caps what a sweep of single-use topologies keeps
+ * alive: 11 templates on the MT-NLG design-space sweep (150-195 MB
+ * peak RSS across seeds), while the serve hot set of 24 templates is
+ * charged 28 MB.
  */
 class GraphTemplateCache
+    : public util::LruCache<std::shared_ptr<const GraphTemplate>, 1, 32,
+                            128u << 20>
 {
   public:
-    struct Options {
-        size_t max_entries = 32;
-        /** 128 MiB.  A template is charged ~13 bytes per task (its
-         *  operator arrays plus a run-schedule budget) and holds about
-         *  that much whether or not it is ever reused, so this caps
-         *  what a sweep of single-use topologies keeps alive: 11
-         *  templates on the MT-NLG design-space sweep (~134 MB peak
-         *  RSS), while the serve hot set of 24 templates is charged
-         *  28 MB. */
-        size_t max_bytes = 128u << 20;
-    };
-
-    GraphTemplateCache() : GraphTemplateCache(Options{}) {}
-    explicit GraphTemplateCache(Options options);
-
-    GraphTemplateCache(const GraphTemplateCache &) = delete;
-    GraphTemplateCache &operator=(const GraphTemplateCache &) = delete;
+    using LruCache::LruCache;
+    using LruCache::get;
 
     /** @return the template for `fingerprint`, or nullptr (counted). */
-    std::shared_ptr<const GraphTemplate> get(uint64_t fingerprint);
-
-    /** Inserts (or refreshes) a template, evicting LRU entries. */
-    void put(uint64_t fingerprint,
-             std::shared_ptr<const GraphTemplate> tmpl);
-
-    /** Drops every entry (counters are retained). */
-    void clear();
-
-    TemplateCacheStats stats() const;
-
-  private:
-    using Entry = std::pair<uint64_t, std::shared_ptr<const GraphTemplate>>;
-
-    /** Evicts LRU entries until budgets hold. */
-    void shrinkLocked() REQUIRES(mutex_);
-
-    Options options_;
-    mutable util::Mutex mutex_;
-    /** front = most recently used */
-    std::list<Entry> lru_ GUARDED_BY(mutex_);
-    std::unordered_map<uint64_t, std::list<Entry>::iterator>
-        index_ GUARDED_BY(mutex_);
-    size_t bytes_ GUARDED_BY(mutex_) = 0;
-    uint64_t hits_ GUARDED_BY(mutex_) = 0;
-    uint64_t misses_ GUARDED_BY(mutex_) = 0;
-    uint64_t insertions_ GUARDED_BY(mutex_) = 0;
-    uint64_t updates_ GUARDED_BY(mutex_) = 0;
-    uint64_t evictions_ GUARDED_BY(mutex_) = 0;
+    std::shared_ptr<const GraphTemplate> get(uint64_t fingerprint)
+    {
+        std::shared_ptr<const GraphTemplate> tmpl;
+        get(fingerprint, &tmpl);
+        return tmpl;
+    }
 };
 
 } // namespace vtrain

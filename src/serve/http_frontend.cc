@@ -379,25 +379,16 @@ HttpFrontend::handleMetricz() const
     // Scrape-time gauges: cache occupancy is owned by the caches, so
     // rather than pushing on every insert/evict, set it when asked.
     const ServiceStats stats = service_.stats();
-    const std::string_view entries_help =
-        "Entries resident in the named cache.";
-    const std::string_view bytes_help =
-        "Approximate bytes held by the named cache.";
-    registry
-        .gauge("vtrain_cache_entries", {{"cache", "result"}},
-               entries_help)
-        ->set(static_cast<int64_t>(stats.cache.entries));
-    registry
-        .gauge("vtrain_cache_bytes", {{"cache", "result"}}, bytes_help)
-        ->set(static_cast<int64_t>(stats.cache.bytes));
-    registry
-        .gauge("vtrain_cache_entries", {{"cache", "template"}},
-               entries_help)
-        ->set(static_cast<int64_t>(stats.graph_templates.entries));
-    registry
-        .gauge("vtrain_cache_bytes", {{"cache", "template"}},
-               bytes_help)
-        ->set(static_cast<int64_t>(stats.graph_templates.bytes));
+    const std::pair<const char *, const util::CacheStats *> caches[] = {
+        {"result", &stats.cache}, {"template", &stats.graph_templates}};
+    for (const auto &[name, cache] : caches) {
+        registry.gauge("vtrain_cache_entries", {{"cache", name}},
+                       kCacheEntriesHelp)
+            ->set(static_cast<int64_t>(cache->entries));
+        registry.gauge("vtrain_cache_bytes", {{"cache", name}},
+                       kCacheBytesHelp)
+            ->set(static_cast<int64_t>(cache->bytes));
+    }
 
     HttpResponse response;
     response.content_type = "text/plain; version=0.0.4";

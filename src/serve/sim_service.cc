@@ -68,16 +68,10 @@ SimService::SimService(Options options)
     // Lazily-resolved families this service will feed once traffic
     // arrives, declared now so the first /metricsz scrape already
     // lists the full inventory.
-    registry.declareHistogram(
-        "vtrain_sim_phase_seconds",
-        "Simulator phase latency: graph assembly, template "
-        "capture/expand, retime, schedule replay, and the event-queue "
-        "engine (kernel- or operator-level).");
-    registry.declareGauge("vtrain_cache_entries",
-                          "Entries resident in the named cache.");
-    registry.declareGauge(
-        "vtrain_cache_bytes",
-        "Approximate bytes held by the named cache.");
+    registry.declareHistogram("vtrain_sim_phase_seconds",
+                              kSimPhaseSecondsHelp);
+    registry.declareGauge("vtrain_cache_entries", kCacheEntriesHelp);
+    registry.declareGauge("vtrain_cache_bytes", kCacheBytesHelp);
 }
 
 SimulationResult

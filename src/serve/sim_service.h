@@ -6,8 +6,7 @@
  * SimService answers SimRequests through a three-level fast path:
  *
  *   1. result cache — a prior answer for the same canonical
- *      fingerprint returns immediately (sharded LRU, see
- *      result_cache.h);
+ *      fingerprint returns immediately (see result_cache.h);
  *   2. in-flight dedup — a request identical to one currently being
  *      computed attaches to that computation's shared future instead
  *      of starting a second simulation;
@@ -15,6 +14,12 @@
  *      is published to the cache.  evaluate() computes on the calling
  *      thread; evaluateBatch() computes on the calling thread plus up
  *      to numThreads() - 1 helper tasks on the service's ThreadPool.
+ *
+ * The result cache and the graph-template cache (graph/template.h)
+ * share one policy, util::LruCache: exact LRU per shard, entry and
+ * byte budgets split across shards, and the newest entry never
+ * evicted.  They differ only in value type, byte cost per value,
+ * shard count (16 and 1) and default budgets.
  *
  * The service owns one long-lived ThreadPool; constructing it once and
  * issuing many batches amortizes thread startup across sweeps (the
@@ -32,6 +37,7 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -46,7 +52,15 @@
 
 namespace vtrain {
 
-/** Service-level counters (cache counters live in CacheStats). */
+/** Help text of the vtrain_cache_{entries,bytes} gauges, whose one
+ *  series per cache (label cache=result|template) /metricsz sets at
+ *  scrape time. */
+inline constexpr std::string_view kCacheEntriesHelp =
+    "Entries resident in the named cache.";
+inline constexpr std::string_view kCacheBytesHelp =
+    "Approximate bytes held by the named cache.";
+
+/** Service-level counters (cache counters live in util::CacheStats). */
 struct ServiceStats {
     uint64_t requests = 0;      //!< requests received, all entry points
     uint64_t computed = 0;      //!< full simulations actually run
@@ -54,12 +68,12 @@ struct ServiceStats {
                                  //!< computation already in flight
     uint64_t batch_dedups = 0;   //!< duplicates collapsed inside one
                                  //!< evaluateBatch() call
-    CacheStats cache;
+    util::CacheStats cache;
 
     /** Graph-template cache shared by every computed request: even a
      *  result-cache *miss* usually re-times a cached topology instead
      *  of rebuilding its graphs (see graph/template.h). */
-    TemplateCacheStats graph_templates;
+    util::CacheStats graph_templates;
 
     /** Engine-mode counters shared by every computed request: how
      *  often the engine replayed a captured schedule vs ran the queue

@@ -350,10 +350,8 @@ traceBlock(const util::Trace &trace)
     return v;
 }
 
-/** Serializes CacheStats and TemplateCacheStats (same shape). */
-template <typename Stats>
 Value
-cacheStatsBlock(const Stats &cache)
+cacheStatsBlock(const util::CacheStats &cache)
 {
     Value v = Value::object();
     v.set("hits", static_cast<int64_t>(cache.hits));

@@ -46,14 +46,11 @@ class Phase
     {
         static const std::array<util::Histogram *, kCount> series = [] {
             util::MetricRegistry &r = util::MetricRegistry::global();
-            const std::string_view help =
-                "Simulator phase latency: graph assembly, template "
-                "capture/expand, retime, schedule replay, and the "
-                "event-queue engine (kernel- or operator-level).";
             std::array<util::Histogram *, kCount> h{};
             for (size_t i = 0; i < kCount; ++i)
                 h[i] = r.histogram("vtrain_sim_phase_seconds",
-                                   {{"phase", kLabels[i]}}, help);
+                                   {{"phase", kLabels[i]}},
+                                   kSimPhaseSecondsHelp);
             return h;
         }();
         return series;

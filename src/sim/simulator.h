@@ -48,6 +48,7 @@
 
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "comm/comm_model.h"
@@ -108,6 +109,13 @@ class OperatorToTaskTable;
  * to cache (or serialize) perturbed requests for exactly this reason.
  */
 void hashAppend(Hash64 &h, const SimOptions &options);
+
+/** Help text of the vtrain_sim_phase_seconds histogram family: one
+ *  series per simulator phase (label phase=<name>). */
+inline constexpr std::string_view kSimPhaseSecondsHelp =
+    "Simulator phase latency: graph assembly, template capture/expand, "
+    "retime, schedule replay, and the event-queue engine (kernel- or "
+    "operator-level).";
 
 /** End-to-end training projection for a fixed token budget. */
 struct TrainingProjection {

@@ -164,88 +164,10 @@ TEST(ServeRequest, HashSupportsStdContainers)
 
 // --------------------------------------------------------------- cache
 
-TEST(ServeCache, EvictsLeastRecentlyUsed)
-{
-    ResultCache::Options options;
-    options.max_entries = 3;
-    options.max_bytes = 0;
-    options.num_shards = 1;
-    ResultCache cache(options);
-
-    cache.put(1, resultWithTime(1.0));
-    cache.put(2, resultWithTime(2.0));
-    cache.put(3, resultWithTime(3.0));
-    // Touch key 1 so key 2 becomes the LRU entry.
-    SimulationResult out;
-    ASSERT_TRUE(cache.get(1, &out));
-    EXPECT_DOUBLE_EQ(out.iteration_seconds, 1.0);
-
-    cache.put(4, resultWithTime(4.0));
-    EXPECT_FALSE(cache.get(2, nullptr));
-    EXPECT_TRUE(cache.get(1, nullptr));
-    EXPECT_TRUE(cache.get(3, nullptr));
-    EXPECT_TRUE(cache.get(4, nullptr));
-
-    const CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.entries, 3u);
-    EXPECT_EQ(stats.evictions, 1u);
-    EXPECT_EQ(stats.insertions, 4u);
-    EXPECT_EQ(stats.hits, 4u);
-    EXPECT_EQ(stats.misses, 1u);
-}
-
-TEST(ServeCache, PutRefreshesExistingKeyInPlace)
-{
-    ResultCache::Options options;
-    options.max_entries = 2;
-    options.num_shards = 1;
-    ResultCache cache(options);
-
-    cache.put(1, resultWithTime(1.0));
-    cache.put(2, resultWithTime(2.0));
-    cache.put(1, resultWithTime(10.0)); // refresh, not insert
-    SimulationResult out;
-    ASSERT_TRUE(cache.get(1, &out));
-    EXPECT_DOUBLE_EQ(out.iteration_seconds, 10.0);
-    const CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_EQ(stats.insertions, 2u);
-    EXPECT_EQ(stats.updates, 1u);
-    EXPECT_EQ(stats.evictions, 0u);
-}
-
-TEST(ServeCache, ByteBudgetBoundsResidency)
-{
-    ResultCache::Options options;
-    options.max_entries = 0; // entry budget off; bytes only
-    options.max_bytes = 2 * ResultCache::kBytesPerEntry;
-    options.num_shards = 1;
-    ResultCache cache(options);
-
-    for (uint64_t k = 0; k < 10; ++k)
-        cache.put(k, resultWithTime(static_cast<double>(k)));
-    const CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_LE(stats.bytes, options.max_bytes);
-    EXPECT_EQ(stats.evictions, 8u);
-    // The two most recent keys survive.
-    EXPECT_TRUE(cache.get(9, nullptr));
-    EXPECT_TRUE(cache.get(8, nullptr));
-}
-
-TEST(ServeCache, ShardCountRoundsUpToPowerOfTwo)
-{
-    ResultCache::Options options;
-    options.num_shards = 5;
-    ResultCache cache(options);
-    EXPECT_EQ(cache.numShards(), 8u);
-}
-
 TEST(ServeCache, StripedShardsUnderContention)
 {
     ResultCache::Options options;
     options.max_entries = 1 << 14;
-    options.num_shards = 8;
     ResultCache cache(options);
 
     constexpr int kThreads = 4;
@@ -268,26 +190,12 @@ TEST(ServeCache, StripedShardsUnderContention)
     for (auto &t : threads)
         t.join();
 
-    const CacheStats stats = cache.stats();
+    const util::CacheStats stats = cache.stats();
     EXPECT_EQ(stats.entries, kThreads * kKeysPerThread);
     EXPECT_EQ(stats.insertions, kThreads * kKeysPerThread);
     EXPECT_EQ(stats.hits, kThreads * kKeysPerThread);
     EXPECT_EQ(stats.misses, 0u);
     EXPECT_EQ(stats.evictions, 0u);
-}
-
-TEST(ServeCache, ClearDropsEntriesKeepsCounters)
-{
-    ResultCache cache;
-    cache.put(1, resultWithTime(1.0));
-    ASSERT_TRUE(cache.get(1, nullptr));
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.get(1, nullptr));
-    const CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.insertions, 1u);
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
 }
 
 // ------------------------------------------------------------- service
@@ -917,11 +825,11 @@ TEST(ServeService, TemplateCacheSharedAcrossComputedRequests)
     wide.cluster = makeCluster(16);
 
     (void)service.evaluate(narrow);
-    const TemplateCacheStats primed = service.stats().graph_templates;
+    const util::CacheStats primed = service.stats().graph_templates;
     EXPECT_GT(primed.insertions, 0u);
 
     (void)service.evaluate(wide);
-    const TemplateCacheStats after = service.stats().graph_templates;
+    const util::CacheStats after = service.stats().graph_templates;
     EXPECT_GT(after.hits, primed.hits);
     EXPECT_EQ(after.entries, primed.entries)
         << "the wider plan must reuse the narrow plan's topology";
@@ -932,8 +840,8 @@ TEST(ServeService, StressMixedEntryPointsUnderSmallCache)
 {
     std::atomic<int> computed{0};
     SimService::Options options = countingServiceOptions(computed, 4);
-    options.cache.max_entries = 8; // force constant eviction churn
-    options.cache.num_shards = 2;
+    // One entry per result-cache shard: constant eviction churn.
+    options.cache.max_entries = ResultCache::kShards;
     SimService service(std::move(options));
 
     constexpr int kThreads = 4;
@@ -981,7 +889,7 @@ TEST(ServeService, StressMixedEntryPointsUnderSmallCache)
 
     const ServiceStats stats = service.stats();
     EXPECT_GT(stats.computed, 0u);
-    EXPECT_LE(service.cache().size(), 8u);
+    EXPECT_LE(service.cache().size(), ResultCache::kShards);
     // Every request was answered; the books must balance.  Batch ops
     // (every third i, starting at i=2) contribute two requests each.
     const uint64_t batch_ops = kOpsPerThread / 3;

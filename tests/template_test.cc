@@ -611,71 +611,6 @@ TEST(TemplateRetime, CaptureRejectsPerturbedExpansions)
                  std::logic_error);
 }
 
-TEST(TemplateCache, EvictsLeastRecentlyUsed)
-{
-    const ClusterSpec cluster = makeCluster(64);
-    const ParallelConfig plan = planOf(GoldenCase{2, 2, 2, 1, 32});
-    SyntheticProfiler profiler(cluster.node.gpu);
-    OperatorToTaskTable table(profiler);
-    TaskGraph expanded;
-    const auto tmpl = captureTiny(AttentionImpl::Megatron, &expanded,
-                                  cluster, plan, table);
-
-    GraphTemplateCache::Options options;
-    options.max_entries = 2;
-    GraphTemplateCache cache(options);
-    cache.put(1, tmpl);
-    cache.put(2, tmpl);
-    EXPECT_NE(cache.get(1), nullptr); // 1 is now most recently used
-    cache.put(3, tmpl);               // evicts 2, the LRU entry
-
-    EXPECT_EQ(cache.get(2), nullptr);
-    EXPECT_NE(cache.get(1), nullptr);
-    EXPECT_NE(cache.get(3), nullptr);
-
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_EQ(stats.insertions, 3u);
-    EXPECT_EQ(stats.evictions, 1u);
-    EXPECT_EQ(stats.hits, 3u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.updates, 0u);
-
-    // Re-putting an existing key refreshes in place: an update, not
-    // an insertion, and no entry-count growth.
-    cache.put(3, tmpl);
-    EXPECT_EQ(cache.stats().updates, 1u);
-    EXPECT_EQ(cache.stats().insertions, 3u);
-    EXPECT_EQ(cache.stats().entries, 2u);
-}
-
-TEST(TemplateCache, ByteBudgetEvictsButKeepsNewest)
-{
-    const ClusterSpec cluster = makeCluster(64);
-    const ParallelConfig plan = planOf(GoldenCase{2, 2, 2, 1, 32});
-    SyntheticProfiler profiler(cluster.node.gpu);
-    OperatorToTaskTable table(profiler);
-    TaskGraph expanded;
-    const auto tmpl = captureTiny(AttentionImpl::Megatron, &expanded,
-                                  cluster, plan, table);
-    ASSERT_GT(tmpl->approxBytes(), 0u);
-
-    GraphTemplateCache::Options options;
-    options.max_bytes = tmpl->approxBytes() + 1; // room for exactly one
-    GraphTemplateCache cache(options);
-    cache.put(1, tmpl);
-    cache.put(2, tmpl);
-    EXPECT_EQ(cache.get(1), nullptr);
-    EXPECT_NE(cache.get(2), nullptr);
-    EXPECT_EQ(cache.stats().entries, 1u);
-
-    // A single entry larger than the whole budget still stays.
-    options.max_bytes = 1;
-    GraphTemplateCache tight(options);
-    tight.put(7, tmpl);
-    EXPECT_NE(tight.get(7), nullptr);
-}
-
 TEST(TemplateCache, ApproxBytesCoverOpArraysAndDerivedSchedule)
 {
     // The byte budget is fixed at capture, before the run schedule
