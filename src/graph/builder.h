@@ -76,6 +76,18 @@ class GraphBuilder
     GraphBuilder(const ModelConfig &model, const ParallelConfig &parallel,
                  const ClusterSpec &cluster, const CommModel &comm);
 
+    // The builder keeps references, so a temporary argument would
+    // dangle once the constructing statement ends.  Any rvalue picks
+    // (or ties with) one of these and fails to compile.
+    GraphBuilder(ModelConfig &&, const ParallelConfig &,
+                 const ClusterSpec &, const CommModel &) = delete;
+    GraphBuilder(const ModelConfig &, ParallelConfig &&,
+                 const ClusterSpec &, const CommModel &) = delete;
+    GraphBuilder(const ModelConfig &, const ParallelConfig &,
+                 ClusterSpec &&, const CommModel &) = delete;
+    GraphBuilder(const ModelConfig &, const ParallelConfig &,
+                 const ClusterSpec &, CommModel &&) = delete;
+
     /** Constructs the graph for one training iteration (finalized). */
     OpGraph build(const BuildOptions &options = {}) const;
 

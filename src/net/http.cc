@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <functional>
 #include <limits>
 
 namespace vtrain {
@@ -81,65 +82,6 @@ parseHeaderLines(std::string_view text, size_t begin, size_t end,
                                   std::string(trim(line.substr(
                                       colon + 1)))});
     }
-    return true;
-}
-
-size_t
-countHeaders(const std::vector<HttpHeader> &headers,
-             std::string_view name)
-{
-    size_t count = 0;
-    for (const HttpHeader &h : headers)
-        count += iequals(h.name, name) ? 1 : 0;
-    return count;
-}
-
-/** Strict non-negative decimal parse for Content-Length. */
-bool
-parseContentLength(std::string_view s, size_t max_body_bytes,
-                   size_t *out, int *status, std::string *message)
-{
-    s = trim(s);
-    if (s.empty()) {
-        *status = 400;
-        *message = "empty Content-Length";
-        return false;
-    }
-    // Framing decides where the next pipelined request starts, so an
-    // unparseable or overflowing length must be an error, never a
-    // best-effort value.
-    constexpr uint64_t kOverflowGuard =
-        (std::numeric_limits<uint64_t>::max() - 9) / 10;
-    uint64_t value = 0;
-    for (const char c : s) {
-        if (c < '0' || c > '9') {
-            *status = 400;
-            *message = "malformed Content-Length";
-            return false;
-        }
-        if (value > kOverflowGuard) {
-            *status = 400;
-            *message = "Content-Length out of range";
-            return false;
-        }
-        value = value * 10 + static_cast<uint64_t>(c - '0');
-        if (max_body_bytes != 0 && value > max_body_bytes) {
-            *status = 413;
-            *message = "request body exceeds the " +
-                       std::to_string(max_body_bytes) +
-                       "-byte limit";
-            return false;
-        }
-    }
-    if constexpr (sizeof(size_t) < sizeof(uint64_t)) {
-        if (value > static_cast<uint64_t>(
-                        std::numeric_limits<size_t>::max())) {
-            *status = 400;
-            *message = "Content-Length out of range";
-            return false;
-        }
-    }
-    *out = static_cast<size_t>(value);
     return true;
 }
 
@@ -322,10 +264,10 @@ retryAfterSeconds(const HttpResponse &response)
     return seconds;
 }
 
-// ------------------------------------------------------ request parse
+// ------------------------------------------------------------- parse
 
-HttpRequestParser::Status
-HttpRequestParser::fail(int status, std::string message)
+HttpParser::Status
+HttpParser::fail(int status, std::string message)
 {
     error_status_ = status;
     error_message_ = std::move(message);
@@ -333,178 +275,169 @@ HttpRequestParser::fail(int status, std::string message)
 }
 
 void
-HttpRequestParser::reset()
+HttpParser::reset()
 {
     error_status_ = 0;
     error_message_.clear();
 }
 
-HttpRequestParser::Status
-HttpRequestParser::parse(std::string *buffer, HttpRequest *out)
+HttpParser::Status
+HttpParser::frame(std::string *buffer, std::string_view kind,
+                  const std::function<Status(std::string_view)> &start_line,
+                  std::vector<HttpHeader> *headers, std::string *body)
 {
     if (error_status_ != 0)
         return Status::Error;
 
+    // Until its terminator arrives the header section is at least the
+    // buffer less a partial terminator, so the limit trips at the same
+    // byte however the peer splits its writes.
     const std::string_view text(*buffer);
     const size_t head_end = text.find("\r\n\r\n");
-    if (head_end == std::string_view::npos) {
-        if (limits_.max_header_bytes != 0 &&
-            text.size() > limits_.max_header_bytes)
-            return fail(431, "header section exceeds the " +
-                                 std::to_string(
-                                     limits_.max_header_bytes) +
-                                 "-byte limit");
-        return Status::NeedMore;
-    }
+    const size_t head_bytes = head_end != std::string_view::npos
+                                  ? head_end
+                                  : std::max<size_t>(text.size(), 3) - 3;
     if (limits_.max_header_bytes != 0 &&
-        head_end > limits_.max_header_bytes)
-        return fail(431, "header section exceeds the " +
-                             std::to_string(limits_.max_header_bytes) +
-                             "-byte limit");
+        head_bytes > limits_.max_header_bytes) {
+        // A server's 431 names no kind; a client's names the response.
+        std::string message(kind == "response" ? "response " : "");
+        message += "header section exceeds the " +
+                   std::to_string(limits_.max_header_bytes) +
+                   "-byte limit";
+        return fail(431, std::move(message));
+    }
+    if (head_end == std::string_view::npos)
+        return Status::NeedMore;
 
-    // Request line: method SP target SP version.
     const size_t line_end = text.find("\r\n");
-    const std::string_view line = text.substr(0, line_end);
-    const size_t sp1 = line.find(' ');
-    const size_t sp2 =
-        sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
-    if (sp1 == std::string_view::npos ||
-        sp2 == std::string_view::npos || sp1 == 0 || sp2 == sp1 + 1 ||
-        sp2 + 1 >= line.size() ||
-        line.find(' ', sp2 + 1) != std::string_view::npos)
-        return fail(400, "malformed request line");
-    const std::string_view method = line.substr(0, sp1);
-    const std::string_view target =
-        line.substr(sp1 + 1, sp2 - sp1 - 1);
-    const std::string_view version = line.substr(sp2 + 1);
-    if (version != "HTTP/1.1" && version != "HTTP/1.0")
-        return fail(505, "unsupported protocol version");
-    if (target.front() != '/' &&
-        !(method == "OPTIONS" && target == "*"))
-        return fail(400, "request target must be in origin form");
-
-    HttpRequest request;
-    request.method = std::string(method);
-    request.target = std::string(target);
-    request.version = std::string(version);
-    if (!parseHeaderLines(text, line_end + 2, head_end,
-                          &request.headers))
+    if (start_line(text.substr(0, line_end)) == Status::Error)
+        return Status::Error;
+    if (!parseHeaderLines(text, line_end + 2, head_end, headers))
         return fail(400, "malformed header field");
 
-    if (request.findHeader("Transfer-Encoding") != nullptr)
+    // A chunked or ambiguously framed message must fail cleanly, not
+    // desync the connection by mis-reading where the next one starts.
+    if (findHeaderIn(*headers, "Transfer-Encoding") != nullptr)
         return fail(501, "transfer encodings are not supported; "
                          "use Content-Length framing");
-
     // Conflicting duplicates would let two parties frame the message
     // differently (request smuggling); reject them outright
     // (RFC 9112 §6.2).
-    if (countHeaders(request.headers, "Content-Length") > 1)
+    if (std::count_if(headers->begin(), headers->end(),
+                      [](const HttpHeader &h) {
+                          return iequals(h.name, "Content-Length");
+                      }) > 1)
         return fail(400, "duplicate Content-Length");
 
+    // Framing decides where the next pipelined message starts, so an
+    // unparseable or overflowing length must be an error, never a
+    // best-effort value.
     size_t content_length = 0;
-    if (const std::string *cl = request.findHeader("Content-Length")) {
-        int status = 0;
-        std::string message;
-        if (!parseContentLength(*cl, limits_.max_body_bytes,
-                                &content_length, &status, &message))
-            return fail(status, std::move(message));
+    if (const std::string *cl = findHeaderIn(*headers, "Content-Length")) {
+        const std::string_view digits = trim(*cl);
+        if (digits.empty())
+            return fail(400, "empty Content-Length");
+        for (const char c : digits) {
+            if (c < '0' || c > '9')
+                return fail(400, "malformed Content-Length");
+            if (content_length >
+                (std::numeric_limits<size_t>::max() - 9) / 10)
+                return fail(400, "Content-Length out of range");
+            content_length = content_length * 10 +
+                             static_cast<size_t>(c - '0');
+            if (limits_.max_body_bytes != 0 &&
+                content_length > limits_.max_body_bytes) {
+                std::string message(kind);
+                message += " body exceeds the " +
+                           std::to_string(limits_.max_body_bytes) +
+                           "-byte limit";
+                return fail(413, std::move(message));
+            }
+        }
     }
 
     const size_t total = head_end + 4 + content_length;
     if (buffer->size() < total)
         return Status::NeedMore;
 
-    request.body = buffer->substr(head_end + 4, content_length);
-    request.keep_alive =
-        keepAliveFor(version, request.findHeader("Connection"));
+    *body = buffer->substr(head_end + 4, content_length);
     buffer->erase(0, total);
+    return Status::Complete;
+}
+
+HttpParser::Status
+HttpParser::parse(std::string *buffer, HttpRequest *out)
+{
+    HttpRequest request;
+    const auto request_line = [&](std::string_view line) {
+        // method SP target SP version
+        const size_t sp1 = line.find(' ');
+        const size_t sp2 = sp1 == std::string_view::npos
+                               ? sp1
+                               : line.find(' ', sp1 + 1);
+        if (sp1 == std::string_view::npos ||
+            sp2 == std::string_view::npos || sp1 == 0 ||
+            sp2 == sp1 + 1 || sp2 + 1 >= line.size() ||
+            line.find(' ', sp2 + 1) != std::string_view::npos)
+            return fail(400, "malformed request line");
+        const std::string_view method = line.substr(0, sp1);
+        const std::string_view target =
+            line.substr(sp1 + 1, sp2 - sp1 - 1);
+        const std::string_view version = line.substr(sp2 + 1);
+        if (version != "HTTP/1.1" && version != "HTTP/1.0")
+            return fail(505, "unsupported protocol version");
+        if (target.front() != '/' &&
+            !(method == "OPTIONS" && target == "*"))
+            return fail(400, "request target must be in origin form");
+        request.method = std::string(method);
+        request.target = std::string(target);
+        request.version = std::string(version);
+        return Status::Complete;
+    };
+    const Status status = frame(buffer, "request", request_line,
+                                &request.headers, &request.body);
+    if (status != Status::Complete)
+        return status;
+    request.keep_alive = keepAliveFor(request.version,
+                                      request.findHeader("Connection"));
     *out = std::move(request);
     return Status::Complete;
 }
 
-// ----------------------------------------------------- response parse
-
-HttpResponseParser::Status
-HttpResponseParser::fail(std::string message)
+HttpParser::Status
+HttpParser::parse(std::string *buffer, HttpResponse *out)
 {
-    error_message_ = std::move(message);
-    return Status::Error;
-}
-
-void
-HttpResponseParser::reset()
-{
-    error_message_.clear();
-}
-
-HttpResponseParser::Status
-HttpResponseParser::parse(std::string *buffer, HttpResponse *out)
-{
-    const std::string_view text(*buffer);
-    const size_t head_end = text.find("\r\n\r\n");
-    if (head_end == std::string_view::npos) {
-        if (limits_.max_header_bytes != 0 &&
-            text.size() > limits_.max_header_bytes)
-            return fail("response header section too large");
-        return Status::NeedMore;
-    }
-
-    // Status line: version SP code SP reason.
-    const size_t line_end = text.find("\r\n");
-    const std::string_view line = text.substr(0, line_end);
-    const size_t sp1 = line.find(' ');
-    if (sp1 == std::string_view::npos ||
-        line.substr(0, sp1).substr(0, 5) != "HTTP/")
-        return fail("malformed status line");
-    const size_t sp2 = line.find(' ', sp1 + 1);
-    const std::string_view code_text = line.substr(
-        sp1 + 1,
-        (sp2 == std::string_view::npos ? line.size() : sp2) - sp1 - 1);
-    if (code_text.size() != 3)
-        return fail("malformed status code");
-    int code = 0;
-    for (const char c : code_text) {
-        if (c < '0' || c > '9')
-            return fail("malformed status code");
-        code = code * 10 + (c - '0');
-    }
-
     HttpResponse response;
-    response.status = code;
-    if (!parseHeaderLines(text, line_end + 2, head_end,
-                          &response.headers))
-        return fail("malformed header field");
-
-    // Same framing strictness as the request side: a chunked or
-    // ambiguously-framed response must fail cleanly, not desync the
-    // connection by mis-reading where the next response starts.
-    if (response.findHeader("Transfer-Encoding") != nullptr)
-        return fail("transfer encodings are not supported; "
-                    "use Content-Length framing");
-    if (countHeaders(response.headers, "Content-Length") > 1)
-        return fail("duplicate Content-Length");
-
-    size_t content_length = 0;
-    if (const std::string *cl =
-            response.findHeader("Content-Length")) {
-        int status = 0;
-        std::string message;
-        if (!parseContentLength(*cl, limits_.max_body_bytes,
-                                &content_length, &status, &message))
-            return fail(std::move(message));
-    }
-
-    const size_t total = head_end + 4 + content_length;
-    if (buffer->size() < total)
-        return Status::NeedMore;
-
-    response.body = buffer->substr(head_end + 4, content_length);
-    if (const std::string *ct =
-            response.findHeader("Content-Type"))
-        response.content_type = *ct;
-    response.close = !keepAliveFor(line.substr(0, sp1),
-                                   response.findHeader("Connection"));
-    buffer->erase(0, total);
+    std::string version;
+    const auto status_line = [&](std::string_view line) {
+        // version SP code [SP reason]
+        const size_t sp1 = line.find(' ');
+        if (sp1 == std::string_view::npos || !line.starts_with("HTTP/"))
+            return fail(400, "malformed status line");
+        // Up to the next space, or to the end when there is no reason.
+        const size_t sp2 = line.find(' ', sp1 + 1);
+        const std::string_view code = line.substr(sp1 + 1, sp2 - sp1 - 1);
+        // Three digits from 100 up (RFC 9110 §15), so the code
+        // re-serializes to the same status line.
+        if (code.size() != 3 || code[0] == '0')
+            return fail(400, "malformed status code");
+        response.status = 0;
+        for (const char c : code) {
+            if (c < '0' || c > '9')
+                return fail(400, "malformed status code");
+            response.status = response.status * 10 + (c - '0');
+        }
+        version = std::string(line.substr(0, sp1));
+        return Status::Complete;
+    };
+    const Status status = frame(buffer, "response", status_line,
+                                &response.headers, &response.body);
+    if (status != Status::Complete)
+        return status;
+    const std::string *ct = response.findHeader("Content-Type");
+    response.content_type = ct ? *ct : std::string();
+    response.close =
+        !keepAliveFor(version, response.findHeader("Connection"));
     *out = std::move(response);
     return Status::Complete;
 }

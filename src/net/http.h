@@ -1,20 +1,23 @@
 /**
  * @file
- * Dependency-free HTTP/1.1 message types, parsers and serializer.
+ * Dependency-free HTTP/1.1 message types, parser and serializers.
  *
  * Just enough of RFC 9112 for the simulation service's RPC surface:
  * Content-Length framed requests and responses (chunked transfer
  * encoding is rejected with 501), case-insensitive header lookup,
  * keep-alive semantics for 1.0 and 1.1, and hard limits on header and
- * body sizes so a misbehaving peer cannot balloon server memory.  The
- * parsers are incremental: feed them the connection's receive buffer
- * as bytes arrive and they consume exactly one complete message off
- * the front when available, leaving pipelined followers in place.
+ * body sizes so a misbehaving peer cannot balloon server memory.  One
+ * incremental parser reads both directions (requests on the server,
+ * responses on the client) under the same framing rules: feed it the
+ * connection's receive buffer as bytes arrive and it consumes exactly
+ * one complete message off the front when available, leaving
+ * pipelined followers in place.
  */
 #ifndef VTRAIN_NET_HTTP_H
 #define VTRAIN_NET_HTTP_H
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +51,8 @@ struct HttpRequest {
 /** One response under construction (server) or parsed (client). */
 struct HttpResponse {
     int status = 200;
+    /** Sent as Content-Type unless empty; parsed from that header
+     *  ("" when absent). */
     std::string content_type = "application/json";
     std::vector<HttpHeader> headers; //!< extra headers (serializer
                                      //!< adds framing ones itself)
@@ -92,61 +97,49 @@ struct HttpLimits {
     size_t max_body_bytes = 8u << 20;
 };
 
-/** Incremental request parser; one instance per connection. */
-class HttpRequestParser
+/** The incremental parser for both directions; one per connection. */
+class HttpParser
 {
   public:
     enum class Status {
-        NeedMore, //!< the buffer does not yet hold a full request
-        Complete, //!< *out holds a request; its bytes were consumed
+        NeedMore, //!< the buffer does not yet hold a full message
+        Complete, //!< *out holds a message; its bytes were consumed
         Error     //!< malformed/oversized; see errorStatus()
     };
 
-    HttpRequestParser() = default;
-    explicit HttpRequestParser(HttpLimits limits) : limits_(limits) {}
+    HttpParser() = default;
+    explicit HttpParser(HttpLimits limits) : limits_(limits) {}
 
     /**
-     * Attempts to consume one complete request from the front of
-     * *buffer.  After Error the connection should answer with
-     * errorStatus() and close; the parser stays in the error state
-     * until reset().
+     * Attempts to consume one complete message from the front of
+     * *buffer, leaving it untouched unless Complete.  After Error a
+     * server should answer with errorStatus() and close; the parser
+     * stays in the error state until reset().
      */
     Status parse(std::string *buffer, HttpRequest *out);
+    Status parse(std::string *buffer, HttpResponse *out);
 
-    /** The HTTP status describing the parse failure (400/413/431/501). */
+    /** The HTTP status describing the parse failure (400/413/431/501/505). */
     int errorStatus() const { return error_status_; }
     const std::string &errorMessage() const { return error_message_; }
 
     void reset();
 
   private:
+    /**
+     * The framing both directions share.  `start_line` parses the
+     * first line into the caller's message and returns Complete, or
+     * returns fail()'s Error; `kind` ("request" or "response") names
+     * the message in limit errors.
+     */
+    Status frame(std::string *buffer, std::string_view kind,
+                 const std::function<Status(std::string_view)> &start_line,
+                 std::vector<HttpHeader> *headers, std::string *body);
+
     Status fail(int status, std::string message);
 
     HttpLimits limits_;
     int error_status_ = 0;
-    std::string error_message_;
-};
-
-/** Incremental response parser (client side). */
-class HttpResponseParser
-{
-  public:
-    enum class Status { NeedMore, Complete, Error };
-
-    HttpResponseParser() = default;
-    explicit HttpResponseParser(HttpLimits limits) : limits_(limits) {}
-
-    /** Same contract as HttpRequestParser::parse. */
-    Status parse(std::string *buffer, HttpResponse *out);
-
-    const std::string &errorMessage() const { return error_message_; }
-
-    void reset();
-
-  private:
-    Status fail(std::string message);
-
-    HttpLimits limits_;
     std::string error_message_;
 };
 

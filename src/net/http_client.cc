@@ -138,18 +138,17 @@ HttpClient::roundTrip(const std::string &wire, const Deadline &deadline,
         return clientFail(error, ClientErrorKind::SendFailed,
                           "send failed");
     }
-    HttpResponseParser parser(options_.limits);
+    HttpParser parser(options_.limits);
     bool received_any = false;
     char buf[16384];
     for (;;) {
-        const HttpResponseParser::Status status =
-            parser.parse(&in_buf_, out);
-        if (status == HttpResponseParser::Status::Complete) {
+        const HttpParser::Status status = parser.parse(&in_buf_, out);
+        if (status == HttpParser::Status::Complete) {
             if (out->close)
                 disconnect();
             return true;
         }
-        if (status == HttpResponseParser::Status::Error) {
+        if (status == HttpParser::Status::Error) {
             disconnect();
             return clientFail(error, ClientErrorKind::Protocol,
                               "bad response: " + parser.errorMessage());

@@ -84,9 +84,14 @@ class HttpClient
     };
 
     explicit HttpClient(Options options);
+    /** A client with every other Options field at its default. */
     HttpClient(const std::string &host, uint16_t port)
-        : HttpClient(Options{host, port, 20000, HttpLimits{}, 10000, 0,
-                             nullptr, {}})
+        : HttpClient([&] {
+              Options options;
+              options.host = host;
+              options.port = port;
+              return options;
+          }())
     {
     }
 

@@ -296,7 +296,7 @@ HttpServer::acceptPending()
         auto conn = std::make_unique<Conn>();
         conn->id = next_conn_id_++;
         conn->sock = std::move(sock);
-        conn->parser = HttpRequestParser(options_.limits);
+        conn->parser = HttpParser(options_.limits);
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.u64 = conn->id;
@@ -376,11 +376,11 @@ HttpServer::tryParse(Conn *conn)
     while (!conn->defunct && !conn->in_flight &&
            conn->out_buf.empty()) {
         HttpRequest request;
-        const HttpRequestParser::Status status =
+        const HttpParser::Status status =
             conn->parser.parse(&conn->in_buf, &request);
-        if (status == HttpRequestParser::Status::Complete) {
+        if (status == HttpParser::Status::Complete) {
             dispatch(conn, std::move(request));
-        } else if (status == HttpRequestParser::Status::Error) {
+        } else if (status == HttpParser::Status::Error) {
             parse_errors_.fetch_add(1);
             parse_errors_total_->inc();
             queueResponse(conn,

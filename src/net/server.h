@@ -149,7 +149,7 @@ class HttpServer
         std::string in_buf;
         std::string out_buf;
         size_t out_off = 0;
-        HttpRequestParser parser;
+        HttpParser parser;
         bool in_flight = false;   //!< a handler owns the next response
         bool read_closed = false; //!< peer sent EOF (may still read
                                   //!< our response)

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <map>
 #include <ostream>
+#include <type_traits>
 
 #include "comm/comm_model.h"
 #include "graph/builder.h"
@@ -201,6 +202,36 @@ INSTANTIATE_TEST_SUITE_P(
                   true},
         GraphCase{2, 4, 8, 1, 64, PipelineSchedule::GPipe, true,
                   true}));
+
+TEST(GraphBuilder, RejectsTemporaryArguments)
+{
+    // The builder holds its arguments by reference, so binding any of
+    // them to a temporary would dangle and must not compile.
+    static_assert(std::is_constructible_v<
+                  GraphBuilder, ModelConfig &, ParallelConfig &,
+                  ClusterSpec &, CommModel &>);
+    static_assert(std::is_constructible_v<
+                  GraphBuilder, const ModelConfig &,
+                  const ParallelConfig &, const ClusterSpec &,
+                  const CommModel &>);
+    static_assert(!std::is_constructible_v<
+                  GraphBuilder, ModelConfig, const ParallelConfig &,
+                  const ClusterSpec &, const CommModel &>);
+    static_assert(!std::is_constructible_v<
+                  GraphBuilder, const ModelConfig &, ParallelConfig,
+                  const ClusterSpec &, const CommModel &>);
+    static_assert(!std::is_constructible_v<
+                  GraphBuilder, const ModelConfig &,
+                  const ParallelConfig &, ClusterSpec,
+                  const CommModel &>);
+    static_assert(!std::is_constructible_v<
+                  GraphBuilder, const ModelConfig &,
+                  const ParallelConfig &, const ClusterSpec &,
+                  CommModel>);
+    static_assert(!std::is_constructible_v<GraphBuilder, ModelConfig,
+                                           ParallelConfig, ClusterSpec,
+                                           CommModel>);
+}
 
 TEST(GraphBuilder, NecessaryOperatorsAreConstant)
 {

@@ -554,18 +554,18 @@ TEST(HttpFrontendTest, PipelinedRequestsAnswerInOrder)
         net::serializeRequest(healthz) + net::serializeRequest(statz);
     ASSERT_TRUE(sock.sendAll(wire.data(), wire.size()));
 
-    net::HttpResponseParser parser;
+    net::HttpParser parser;
     std::string buffer;
     std::vector<HttpResponse> responses;
     char buf[4096];
     while (responses.size() < 2) {
         HttpResponse response;
         const auto status = parser.parse(&buffer, &response);
-        if (status == net::HttpResponseParser::Status::Complete) {
+        if (status == net::HttpParser::Status::Complete) {
             responses.push_back(std::move(response));
             continue;
         }
-        ASSERT_EQ(status, net::HttpResponseParser::Status::NeedMore);
+        ASSERT_EQ(status, net::HttpParser::Status::NeedMore);
         size_t n = 0;
         ASSERT_EQ(sock.recvSome(buf, sizeof(buf), &n),
                   net::IoStatus::Ok);
@@ -593,15 +593,15 @@ TEST(HttpFrontendTest, ParseErrorAnswers400AndCloses)
     const std::string garbage = "GARBAGE\r\n\r\n";
     ASSERT_TRUE(sock.sendAll(garbage.data(), garbage.size()));
 
-    net::HttpResponseParser parser;
+    net::HttpParser parser;
     std::string buffer;
     HttpResponse response;
     char buf[4096];
     for (;;) {
         const auto status = parser.parse(&buffer, &response);
-        if (status == net::HttpResponseParser::Status::Complete)
+        if (status == net::HttpParser::Status::Complete)
             break;
-        ASSERT_EQ(status, net::HttpResponseParser::Status::NeedMore);
+        ASSERT_EQ(status, net::HttpParser::Status::NeedMore);
         size_t n = 0;
         ASSERT_EQ(sock.recvSome(buf, sizeof(buf), &n),
                   net::IoStatus::Ok);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the dependency-free net layer: the incremental HTTP
- * request/response parsers (including the malformed-input and
+ * parser in both directions (including the malformed-input and
  * size-limit edge cases the server relies on), the serializers, and
  * the socket wrappers.  Every suite name starts with "Net" so CI can
  * select the subsystem with `ctest -R '^Net'` (the TSan job does).
@@ -21,7 +21,7 @@ namespace vtrain {
 namespace net {
 namespace {
 
-using Status = HttpRequestParser::Status;
+using Status = HttpParser::Status;
 
 constexpr char kSimpleGet[] = "GET /healthz HTTP/1.1\r\n"
                               "Host: localhost:8080\r\n"
@@ -31,7 +31,7 @@ constexpr char kSimpleGet[] = "GET /healthz HTTP/1.1\r\n"
 
 TEST(NetHttpParser, ParsesSimpleGet)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = kSimpleGet;
     HttpRequest request;
     ASSERT_EQ(parser.parse(&buffer, &request), Status::Complete);
@@ -48,7 +48,7 @@ TEST(NetHttpParser, ParsesSimpleGet)
 
 TEST(NetHttpParser, ParsesPostWithBody)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = "POST /v1/evaluate HTTP/1.1\r\n"
                          "Content-Type: application/json\r\n"
                          "Content-Length: 11\r\n"
@@ -67,7 +67,7 @@ TEST(NetHttpParser, AssemblesRequestFromSingleByteReads)
                              "Content-Length: 4\r\n"
                              "\r\n"
                              "household"; // 5 trailing pipelined bytes
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer;
     HttpRequest request;
     const size_t complete_at = wire.size() - 5;
@@ -85,7 +85,7 @@ TEST(NetHttpParser, AssemblesRequestFromSingleByteReads)
 
 TEST(NetHttpParser, TruncatedHeadersWantMoreBytes)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = "GET /healthz HTTP/1.1\r\nHost: unfin";
     HttpRequest request;
     EXPECT_EQ(parser.parse(&buffer, &request), Status::NeedMore);
@@ -97,7 +97,7 @@ TEST(NetHttpParser, OversizedHeaderSectionIs431)
 {
     HttpLimits limits;
     limits.max_header_bytes = 128;
-    HttpRequestParser parser(limits);
+    HttpParser parser(limits);
     std::string buffer = "GET / HTTP/1.1\r\nX-Filler: " +
                          std::string(256, 'x'); // no terminator yet
     HttpRequest request;
@@ -109,7 +109,7 @@ TEST(NetHttpParser, ContentLengthOverBodyLimitIs413)
 {
     HttpLimits limits;
     limits.max_body_bytes = 64;
-    HttpRequestParser parser(limits);
+    HttpParser parser(limits);
     // The declared length alone must trigger the error -- the server
     // cannot wait for (or buffer) a body it will refuse.
     std::string buffer = "POST /v1/evaluate HTTP/1.1\r\n"
@@ -126,7 +126,7 @@ TEST(NetHttpParser, MalformedRequestLineIs400)
          {"GARBAGE\r\n\r\n", "GET /\r\n\r\n",
           "GET  / HTTP/1.1\r\n\r\n", "GET / HTTP/1.1 extra\r\n\r\n",
           "GET nopath HTTP/1.1\r\n\r\n"}) {
-        HttpRequestParser parser;
+        HttpParser parser;
         std::string buffer = wire;
         HttpRequest request;
         ASSERT_EQ(parser.parse(&buffer, &request), Status::Error)
@@ -139,7 +139,7 @@ TEST(NetHttpParser, MalformedRequestLineIs400)
 TEST(NetHttpParser, MalformedContentLengthIs400)
 {
     for (const char *value : {"abc", "-5", "1 2", ""}) {
-        HttpRequestParser parser;
+        HttpParser parser;
         std::string buffer = "POST / HTTP/1.1\r\nContent-Length: " +
                              std::string(value) + "\r\n\r\n";
         HttpRequest request;
@@ -151,7 +151,7 @@ TEST(NetHttpParser, MalformedContentLengthIs400)
 
 TEST(NetHttpParser, DuplicateContentLengthIs400)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     // Conflicting lengths would let two parties frame the body
     // differently (request smuggling); even agreeing duplicates are
     // rejected.
@@ -169,7 +169,7 @@ TEST(NetHttpParser, OverflowingContentLengthIsRejectedUnlimited)
 {
     HttpLimits limits;
     limits.max_body_bytes = 0; // "unlimited" must still not overflow
-    HttpRequestParser parser(limits);
+    HttpParser parser(limits);
     std::string buffer = "POST / HTTP/1.1\r\n"
                          "Content-Length: 18446744073709551617\r\n"
                          "\r\n";
@@ -180,7 +180,7 @@ TEST(NetHttpParser, OverflowingContentLengthIsRejectedUnlimited)
 
 TEST(NetHttpParser, ChunkedTransferEncodingIs501)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = "POST / HTTP/1.1\r\n"
                          "Transfer-Encoding: chunked\r\n"
                          "\r\n";
@@ -191,7 +191,7 @@ TEST(NetHttpParser, ChunkedTransferEncodingIs501)
 
 TEST(NetHttpParser, UnsupportedVersionIs505)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = "GET / HTTP/2.0\r\n\r\n";
     HttpRequest request;
     ASSERT_EQ(parser.parse(&buffer, &request), Status::Error);
@@ -200,7 +200,7 @@ TEST(NetHttpParser, UnsupportedVersionIs505)
 
 TEST(NetHttpParser, PipelinedRequestsParseInOrder)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = std::string(kSimpleGet) +
                          "POST /v1/evaluate HTTP/1.1\r\n"
                          "Content-Length: 2\r\n"
@@ -231,7 +231,7 @@ TEST(NetHttpParser, KeepAliveSemanticsPerVersion)
         {"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", true},
     };
     for (const Case &c : cases) {
-        HttpRequestParser parser;
+        HttpParser parser;
         std::string buffer = c.head;
         HttpRequest request;
         ASSERT_EQ(parser.parse(&buffer, &request), Status::Complete)
@@ -242,7 +242,7 @@ TEST(NetHttpParser, KeepAliveSemanticsPerVersion)
 
 TEST(NetHttpParser, HeaderLookupIsCaseInsensitive)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = "POST / HTTP/1.1\r\n"
                          "cOnTeNt-LeNgTh: 2\r\n"
                          "\r\n"
@@ -255,7 +255,7 @@ TEST(NetHttpParser, HeaderLookupIsCaseInsensitive)
 
 TEST(NetHttpParser, PathStripsQueryString)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = "GET /statz?verbose=1&pretty HTTP/1.1\r\n\r\n";
     HttpRequest request;
     ASSERT_EQ(parser.parse(&buffer, &request), Status::Complete);
@@ -265,7 +265,7 @@ TEST(NetHttpParser, PathStripsQueryString)
 
 TEST(NetHttpParser, ErrorStateSticksUntilReset)
 {
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = "GARBAGE\r\n\r\n";
     HttpRequest request;
     ASSERT_EQ(parser.parse(&buffer, &request), Status::Error);
@@ -285,11 +285,11 @@ TEST(NetHttpSerialize, ResponseRoundTripsThroughResponseParser)
     const std::string wire = serializeResponse(response,
                                                /*keep_alive=*/true);
 
-    HttpResponseParser parser;
+    HttpParser parser;
     std::string buffer = wire;
     HttpResponse parsed;
     ASSERT_EQ(parser.parse(&buffer, &parsed),
-              HttpResponseParser::Status::Complete);
+              HttpParser::Status::Complete);
     EXPECT_EQ(parsed.status, 200);
     EXPECT_EQ(parsed.body, "{\"ok\": true}");
     EXPECT_EQ(parsed.content_type, "application/json");
@@ -302,11 +302,11 @@ TEST(NetHttpSerialize, CloseResponsesAreMarked)
     const std::string wire =
         serializeResponse(errorResponse(400, "nope"),
                           /*keep_alive=*/false);
-    HttpResponseParser parser;
+    HttpParser parser;
     std::string buffer = wire;
     HttpResponse parsed;
     ASSERT_EQ(parser.parse(&buffer, &parsed),
-              HttpResponseParser::Status::Complete);
+              HttpParser::Status::Complete);
     EXPECT_EQ(parsed.status, 400);
     EXPECT_TRUE(parsed.close);
 }
@@ -343,14 +343,14 @@ TEST(NetHttpSerialize, ResponseParserRejectsChunkedFraming)
 {
     // A chunked response must fail cleanly rather than parse as an
     // empty body and desync every following response.
-    HttpResponseParser parser;
+    HttpParser parser;
     std::string buffer = "HTTP/1.1 200 OK\r\n"
                          "Transfer-Encoding: chunked\r\n"
                          "\r\n"
                          "5\r\nhello\r\n0\r\n\r\n";
     HttpResponse response;
     EXPECT_EQ(parser.parse(&buffer, &response),
-              HttpResponseParser::Status::Error);
+              HttpParser::Status::Error);
 
     parser.reset();
     std::string dup = "HTTP/1.1 200 OK\r\n"
@@ -359,7 +359,42 @@ TEST(NetHttpSerialize, ResponseParserRejectsChunkedFraming)
                       "\r\n"
                       "okok";
     EXPECT_EQ(parser.parse(&dup, &response),
-              HttpResponseParser::Status::Error);
+              HttpParser::Status::Error);
+}
+
+TEST(NetHttpSerialize, ResponseLimitsMatchTheRequestSide)
+{
+    HttpLimits limits;
+    limits.max_header_bytes = 128;
+    limits.max_body_bytes = 64;
+
+    // A terminated header section over the limit is as fatal on a
+    // response as on a request, and the error state sticks.
+    HttpParser parser(limits);
+    std::string big = "HTTP/1.1 200 OK\r\nX-Filler: " +
+                      std::string(256, 'x') + "\r\n\r\n";
+    HttpResponse response;
+    ASSERT_EQ(parser.parse(&big, &response), Status::Error);
+    EXPECT_EQ(parser.errorStatus(), 431);
+    EXPECT_NE(parser.errorMessage().find("response"), std::string::npos)
+        << parser.errorMessage();
+    std::string fine = serializeResponse(HttpResponse{}, true);
+    EXPECT_EQ(parser.parse(&fine, &response), Status::Error);
+    parser.reset();
+    EXPECT_EQ(parser.parse(&fine, &response), Status::Complete);
+
+    // An oversized body is reported as the response's, not a request's.
+    std::string long_body = "HTTP/1.1 200 OK\r\n"
+                            "Content-Length: 65\r\n"
+                            "\r\n";
+    ASSERT_EQ(parser.parse(&long_body, &response), Status::Error);
+    EXPECT_EQ(parser.errorStatus(), 413);
+    EXPECT_EQ(parser.errorMessage().find("request body"),
+              std::string::npos)
+        << parser.errorMessage();
+    EXPECT_NE(parser.errorMessage().find("response body"),
+              std::string::npos)
+        << parser.errorMessage();
 }
 
 TEST(NetHttpSerialize, RequestRoundTripsThroughRequestParser)
@@ -371,7 +406,7 @@ TEST(NetHttpSerialize, RequestRoundTripsThroughRequestParser)
     request.body = "{\"version\": 1}";
     const std::string wire = serializeRequest(request);
 
-    HttpRequestParser parser;
+    HttpParser parser;
     std::string buffer = wire;
     HttpRequest parsed;
     ASSERT_EQ(parser.parse(&buffer, &parsed), Status::Complete);
