@@ -55,20 +55,13 @@ Explorer::sweep(const ModelConfig &model,
     if (remote_)
         return remote_->sweep(model, cluster_, options_, plans);
 
-    std::vector<SimRequest> requests(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-        requests[i].model = model;
-        requests[i].parallel = plans[i];
-        requests[i].cluster = cluster_;
-        requests[i].options = options_;
-    }
     // evaluateBatch dedups repeated plans, answers seen points from
     // the cache, and groups structurally identical new points into
     // batched passes (one template + one K-wide engine pass per
     // group).  This thread computes too, so the sweep runs on at most
     // n_threads threads; with one, it runs on this thread alone.
-    std::vector<SimulationResult> sims =
-        service_->evaluateBatch(requests);
+    std::vector<SimulationResult> sims = service_->evaluateBatch(
+        sweepRequests(model, cluster_, options_, plans));
 
     std::vector<ExploreResult> results(plans.size());
     for (size_t i = 0; i < plans.size(); ++i) {

@@ -53,6 +53,16 @@ findHeaderIn(const std::vector<HttpHeader> &headers,
     return nullptr;
 }
 
+/** A token character (RFC 9110 §5.6.2). */
+bool
+isTchar(char c)
+{
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+           (c >= 'A' && c <= 'Z') ||
+           std::string_view("!#$%&'*+-.^_`|~").find(c) !=
+               std::string_view::npos;
+}
+
 /**
  * Splits the header block [begin, end) of `text` into name/value
  * pairs.  Returns false on a malformed field line.
@@ -73,10 +83,14 @@ parseHeaderLines(std::string_view text, size_t begin, size_t end,
         const size_t colon = line.find(':');
         if (colon == std::string_view::npos || colon == 0)
             return false;
+        // A field name is a token (RFC 9110 §5.6.2), so whitespace
+        // (obs-fold) and line breaks never pass, and a value may not
+        // hold a bare CR, a bare LF or NUL (RFC 9110 §5.5): a peer that
+        // ends lines at a bare LF would read other fields than we do.
         const std::string_view name = line.substr(0, colon);
-        // Field names cannot contain whitespace (obs-fold rejected).
-        if (name.find(' ') != std::string_view::npos ||
-            name.find('\t') != std::string_view::npos)
+        if (!std::all_of(name.begin(), name.end(), isTchar) ||
+            line.find_first_of(std::string_view("\r\n\0", 3), colon) !=
+                std::string_view::npos)
             return false;
         out->push_back(HttpHeader{std::string(name),
                                   std::string(trim(line.substr(

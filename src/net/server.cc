@@ -28,40 +28,41 @@ constexpr uint64_t kWakeId = UINT64_MAX;
 HttpServer::HttpServer(Options options, Handler handler)
     : options_(std::move(options)), handler_(std::move(handler))
 {
-    VTRAIN_CHECK(handler_ != nullptr,
-                 "HttpServer needs a request handler");
+    VTRAIN_CHECK(handler_ != nullptr && options_.executor != nullptr &&
+                     options_.route_label != nullptr,
+                 "HttpServer needs a handler, an executor and a route "
+                 "labeller");
 
-    metrics_ = options_.metrics ? options_.metrics
-                                : &util::MetricRegistry::global();
-    requests_total_ = metrics_->counter(
+    util::MetricRegistry &registry = util::MetricRegistry::global();
+    requests_total_ = registry.counter(
         "vtrain_http_requests_total", {},
         "Complete requests dispatched to a handler.");
-    responses_total_ = metrics_->counter(
+    responses_total_ = registry.counter(
         "vtrain_http_responses_total", {},
         "Responses fully written to the socket.");
-    parse_errors_total_ = metrics_->counter(
+    parse_errors_total_ = registry.counter(
         "vtrain_http_parse_errors_total", {},
         "Malformed or oversized requests answered with an error.");
-    connections_accepted_total_ = metrics_->counter(
+    connections_accepted_total_ = registry.counter(
         "vtrain_http_connections_accepted_total", {},
         "Client connections accepted since start.");
-    bytes_read_total_ = metrics_->counter(
+    bytes_read_total_ = registry.counter(
         "vtrain_http_bytes_read_total", {},
         "Bytes read from client sockets.");
-    bytes_written_total_ = metrics_->counter(
+    bytes_written_total_ = registry.counter(
         "vtrain_http_bytes_written_total", {},
         "Bytes written to client sockets.");
-    connections_open_gauge_ = metrics_->gauge(
+    connections_open_gauge_ = registry.gauge(
         "vtrain_http_connections_open", {},
         "Client connections currently open.");
-    inflight_requests_gauge_ = metrics_->gauge(
+    inflight_requests_gauge_ = registry.gauge(
         "vtrain_http_inflight_requests", {},
         "Requests dispatched and not yet completed.");
-    metrics_->declareHistogram(
+    registry.declareHistogram(
         "vtrain_http_request_seconds",
         "Handler latency (dispatch to completion, including executor "
         "queueing) by route and status.");
-    drain_seconds_ = metrics_->histogram(
+    drain_seconds_ = registry.histogram(
         "vtrain_http_drain_seconds", {},
         "Graceful-drain duration (drain() call to idle or deadline).");
 }
@@ -402,9 +403,7 @@ HttpServer::dispatch(Conn *conn, HttpRequest request)
     inflight_requests_gauge_->add(1);
     conn->in_flight = true;
     const bool keep_alive = request.keep_alive && !conn->read_closed;
-    std::string route = options_.route_label
-                            ? options_.route_label(request)
-                            : std::string("(all)");
+    std::string route = options_.route_label(request);
     {
         util::MutexLock lock(inflight_mutex_);
         ++inflight_handlers_;
@@ -440,10 +439,10 @@ HttpServer::dispatch(Conn *conn, HttpRequest request)
         const double seconds =
             static_cast<double>(util::monotonicNanos() - start_ns) *
             1e-9;
-        metrics_
-            ->histogram("vtrain_http_request_seconds",
-                        {{"route", std::move(route)},
-                         {"status", std::to_string(response.status)}})
+        util::MetricRegistry::global()
+            .histogram("vtrain_http_request_seconds",
+                       {{"route", std::move(route)},
+                        {"status", std::to_string(response.status)}})
             ->record(seconds);
         inflight_requests_gauge_->sub(1);
         std::string bytes = serializeResponse(response, keep_alive);
@@ -458,10 +457,7 @@ HttpServer::dispatch(Conn *conn, HttpRequest request)
         }
         complete(id, std::move(bytes), alive);
     };
-    if (options_.executor)
-        options_.executor(std::move(task));
-    else
-        task();
+    options_.executor(std::move(task));
 }
 
 void

@@ -7,9 +7,7 @@
  * concurrent keep-alive connections cost one thread total.  Handler
  * execution is pluggable through an Executor: the HTTP frontend passes
  * the SimService's ThreadPool, so request handling shares the
- * process's one worker pool instead of spawning a second one.  When no
- * executor is given, handlers run inline on the event loop (fine for
- * trivial handlers and tests).
+ * process's one worker pool instead of spawning a second one.
  *
  * Per connection the server parses at most one request at a time:
  * while a request is being handled, reads are paused; once the
@@ -69,19 +67,16 @@ class HttpServer
         /** Parser limits, enforced per connection. */
         HttpLimits limits;
 
-        /** Where handlers run; empty = inline on the event loop. */
+        /** Where handlers run (required). */
         Executor executor;
 
         /**
          * Maps a request to the `route` label of
-         * vtrain_http_request_seconds.  Return a value from a fixed
-         * set (e.g. known paths, "(unmatched)" otherwise) to bound
-         * series cardinality.  Empty = a single "(all)" label.
+         * vtrain_http_request_seconds (required).  Return a value from
+         * a fixed set (e.g. known paths, "(unmatched)" otherwise) to
+         * bound series cardinality.
          */
         std::function<std::string(const HttpRequest &)> route_label;
-
-        /** Registry receiving server metrics; null = the global one. */
-        util::MetricRegistry *metrics = nullptr;
 
         /**
          * Optional fault-injection layer (tests only).  Consulted per
@@ -223,10 +218,9 @@ class HttpServer
     std::atomic<uint64_t> responses_{0};
     std::atomic<uint64_t> parse_errors_{0};
 
-    // Registry-backed metrics (resolved once in the constructor; the
+    // Global-registry metrics (resolved once in the constructor; the
     // labeled latency histogram is looked up per response because its
     // series depends on route and status).
-    util::MetricRegistry *metrics_ = nullptr;
     util::Counter *requests_total_ = nullptr;
     util::Counter *responses_total_ = nullptr;
     util::Counter *parse_errors_total_ = nullptr;

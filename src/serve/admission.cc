@@ -57,9 +57,7 @@ AdmissionTicket::release()
 AdmissionController::AdmissionController(Options options)
     : options_(std::move(options))
 {
-    util::MetricRegistry &registry =
-        options_.metrics ? *options_.metrics
-                         : util::MetricRegistry::global();
+    util::MetricRegistry &registry = util::MetricRegistry::global();
 
     auto add_tenant = [this, &registry](const TenantConfig &config) {
         TenantState state;

@@ -126,9 +126,6 @@ class AdmissionController
          *  inject a fake clock to step token buckets without
          *  sleeping). */
         std::function<uint64_t()> clock_ns;
-
-        /** Registry receiving counters; null = the global one. */
-        util::MetricRegistry *metrics = nullptr;
     };
 
     explicit AdmissionController(Options options);

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <exception>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -96,6 +97,20 @@ queryParam(const HttpRequest &request, std::string_view key,
         return fallback;
     }
     return fallback;
+}
+
+/** A 422 naming the first invalid plan in `batch`, or nullopt. */
+std::optional<HttpResponse>
+invalidPlan(const std::vector<SimRequest> &batch)
+{
+    for (size_t i = 0; i < batch.size(); ++i) {
+        std::string why;
+        if (!batch[i].valid(&why))
+            return wire::v1::errorResponse(
+                422, "invalid plan at index " + std::to_string(i) +
+                         ": " + why);
+    }
+    return std::nullopt;
 }
 
 HttpResponse
@@ -257,23 +272,11 @@ HttpFrontend::handleEvaluateBatch(const HttpRequest &request)
                                               &deadline_ms,
                                               &error_response))
         return error_response;
-    for (size_t i = 0; i < batch.size(); ++i) {
-        std::string why;
-        if (!batch[i].valid(&why))
-            return wire::v1::errorResponse(
-                422, "invalid plan at index " + std::to_string(i) +
-                         ": " + why);
-    }
-
-    // This handler is itself a pool task.  evaluateBatch computes on
-    // this thread plus whatever pool threads are free, never waiting
-    // on a queued task, and publishes to the shared cache so identical
-    // requests from other connections still collapse.
-    util::TraceCapture capture("POST /v1/evaluate_batch");
-    std::vector<SimulationResult> answers =
-        service_.evaluateBatch(batch, absoluteDeadline(deadline_ms));
-    util::TraceRing::global().push(capture.finish());
-    return jsonResponse(wire::v1::encodeEvaluateBatchResponse(answers));
+    if (std::optional<HttpResponse> rejected = invalidPlan(batch))
+        return *rejected;
+    return jsonResponse(wire::v1::encodeEvaluateBatchResponse(
+        evaluateTraced("POST /v1/evaluate_batch", batch,
+                       absoluteDeadline(deadline_ms))));
 }
 
 HttpResponse
@@ -293,19 +296,11 @@ HttpFrontend::handleSweep(const HttpRequest &request)
             ? enumeratePlans(sweep_request.model, sweep_request.cluster,
                              sweep_request.spec)
             : std::move(sweep_request.plans);
-
-    std::vector<SimRequest> batch(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-        batch[i].model = sweep_request.model;
-        batch[i].parallel = plans[i];
-        batch[i].cluster = sweep_request.cluster;
-        batch[i].options = sweep_request.options;
-        std::string why;
-        if (!batch[i].valid(&why))
-            return wire::v1::errorResponse(
-                422, "invalid plan at index " + std::to_string(i) +
-                         ": " + why);
-    }
+    const std::vector<SimRequest> batch =
+        sweepRequests(sweep_request.model, sweep_request.cluster,
+                      sweep_request.options, plans);
+    if (std::optional<HttpResponse> rejected = invalidPlan(batch))
+        return *rejected;
     sweep_requests_.fetch_add(1, std::memory_order_relaxed);
     sweep_plans_.fetch_add(plans.size(), std::memory_order_relaxed);
 
@@ -330,16 +325,30 @@ HttpFrontend::handleSweep(const HttpRequest &request)
         }
     } else {
         // Shard side: compute locally, as handleEvaluateBatch does.
-        util::TraceCapture capture("POST /v1/sweep");
         std::vector<SimulationResult> sims =
-            service_.evaluateBatch(batch, deadline_ns);
-        util::TraceRing::global().push(capture.finish());
+            evaluateTraced("POST /v1/sweep", batch, deadline_ns);
         for (size_t i = 0; i < plans.size(); ++i) {
             results[i].plan = plans[i];
             results[i].sim = std::move(sims[i]);
         }
     }
     return jsonResponse(wire::v1::encodeSweepResponse(results));
+}
+
+std::vector<SimulationResult>
+HttpFrontend::evaluateTraced(const char *name,
+                             const std::vector<SimRequest> &batch,
+                             uint64_t deadline_ns)
+{
+    // Handlers are pool tasks.  evaluateBatch computes on this thread
+    // plus whatever pool threads are free, never waiting on a queued
+    // task, and publishes to the shared cache so identical requests
+    // from other connections still collapse.
+    util::TraceCapture capture(name);
+    std::vector<SimulationResult> answers =
+        service_.evaluateBatch(batch, deadline_ns);
+    util::TraceRing::global().push(capture.finish());
+    return answers;
 }
 
 HttpResponse

@@ -162,6 +162,12 @@ class HttpFrontend
     net::HttpResponse
     handleEvaluateBatch(const net::HttpRequest &request);
     net::HttpResponse handleSweep(const net::HttpRequest &request);
+
+    /** Evaluates validated `batch` locally inside a trace capture
+     *  named `name`, which /tracez then retains. */
+    std::vector<SimulationResult>
+    evaluateTraced(const char *name, const std::vector<SimRequest> &batch,
+                   uint64_t deadline_ns);
     net::HttpResponse handleHealthz() const;
     net::HttpResponse handleStatz() const;
     net::HttpResponse handleMetricz() const;

@@ -41,4 +41,16 @@ SimRequest::brief() const
     return buf;
 }
 
+std::vector<SimRequest>
+sweepRequests(const ModelConfig &model, const ClusterSpec &cluster,
+              const SimOptions &options,
+              const std::vector<ParallelConfig> &plans)
+{
+    std::vector<SimRequest> requests;
+    requests.reserve(plans.size());
+    for (const ParallelConfig &plan : plans)
+        requests.push_back(SimRequest{model, plan, cluster, options});
+    return requests;
+}
+
 } // namespace vtrain

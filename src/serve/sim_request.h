@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "hw/cluster_spec.h"
 #include "model/model_config.h"
@@ -58,6 +59,15 @@ struct SimRequest {
 
     bool operator==(const SimRequest &) const = default;
 };
+
+/**
+ * One request per plan of a sweep over (model, cluster, options):
+ * result[i] simulates plans[i].
+ */
+std::vector<SimRequest> sweepRequests(const ModelConfig &model,
+                                      const ClusterSpec &cluster,
+                                      const SimOptions &options,
+                                      const std::vector<ParallelConfig> &plans);
 
 /**
  * SimRequest's wire keys (inside the versioned envelope) and

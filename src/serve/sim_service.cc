@@ -90,156 +90,106 @@ SimService::compute(const SimRequest &request,
     });
 }
 
-SimService::Claim
-SimService::claimInflight(
-    uint64_t fp,
-    const std::shared_ptr<std::promise<SimulationResult>> &promise,
-    std::shared_future<SimulationResult> *future)
-{
-    util::MutexLock lock(inflight_mutex_);
-    auto it = inflight_.find(fp);
-    if (it != inflight_.end()) {
-        *future = it->second;
-        return Claim::Joined;
-    }
-    SimulationResult cached;
-    if (cache_.recheck(fp, &cached)) {
-        std::promise<SimulationResult> ready;
-        ready.set_value(std::move(cached));
-        *future = ready.get_future().share();
-        return Claim::Cached;
-    }
-    *future = promise->get_future().share();
-    inflight_.emplace(fp, *future);
-    return Claim::Owner;
-}
-
-void
-SimService::publish(
-    const SimRequest &request, uint64_t fp,
-    const std::shared_ptr<std::promise<SimulationResult>> &promise,
-    const SimulationResult &result)
-{
-    // Cache before dropping the in-flight entry so that at every
-    // instant an identical request finds the answer in one of the two.
-    if (request.cacheable()) {
-        cache_.put(fp, result);
-        util::MutexLock lock(inflight_mutex_);
-        inflight_.erase(fp);
-    }
-    promise->set_value(result);
-}
-
-void
-SimService::publishFailure(
-    const SimRequest &request, uint64_t fp,
-    const std::shared_ptr<std::promise<SimulationResult>> &promise)
-{
-    // A throwing evaluator must not poison the fingerprint: drop the
-    // in-flight entry so the next identical request recomputes, and
-    // hand the exception to everyone already joined on the future.
-    if (request.cacheable()) {
-        util::MutexLock lock(inflight_mutex_);
-        inflight_.erase(fp);
-    }
-    promise->set_exception(std::current_exception());
-}
-
-void
-SimService::failDeadline(
-    const SimRequest &request, uint64_t fp,
-    const std::shared_ptr<std::promise<SimulationResult>> &promise)
-{
-    try {
-        throw DeadlineExceeded();
-    } catch (...) {
-        publishFailure(request, fp, promise);
-    }
-}
-
-SimulationResult
-SimService::evaluate(const SimRequest &request, uint64_t deadline_ns)
-{
-    const uint64_t start_ns = util::monotonicNanos();
-    const auto elapsed = [start_ns] {
-        return static_cast<double>(util::monotonicNanos() - start_ns) *
-               1e-9;
-    };
-    {
-        util::MutexLock lock(stats_mutex_);
-        ++requests_;
-    }
-    const auto expired = [deadline_ns] {
-        return deadline_ns != 0 &&
-               util::monotonicNanos() >= deadline_ns;
-    };
-    if (!request.cacheable()) {
-        if (expired())
-            throw DeadlineExceeded();
-        const SimulationResult result = compute(request);
-        {
-            util::MutexLock lock(stats_mutex_);
-            ++computed_;
-        }
-        evaluate_computed_seconds_->record(elapsed());
-        return result;
-    }
-
-    const uint64_t fp = request.fingerprint();
-    SimulationResult cached;
-    if (cache_.get(fp, &cached)) {
-        evaluate_cache_hit_seconds_->record(elapsed());
-        return cached;
-    }
-
-    auto promise = std::make_shared<std::promise<SimulationResult>>();
-    std::shared_future<SimulationResult> future;
-    const Claim claim = claimInflight(fp, promise, &future);
-    if (claim == Claim::Cached) {
-        evaluate_cache_hit_seconds_->record(elapsed());
-        return future.get();
-    }
-    if (claim == Claim::Joined) {
-        {
-            util::MutexLock lock(stats_mutex_);
-            ++inflight_joins_;
-        }
-        util::TraceSpan span("service.inflight_wait");
-        const SimulationResult result = future.get();
-        evaluate_inflight_join_seconds_->record(elapsed());
-        return result;
-    }
-
-    // Compute on the calling thread: the synchronous path pays no
-    // queueing latency and cannot deadlock a saturated pool.
-    if (expired()) {
-        // The fingerprint was claimed above; joiners must see the
-        // failure too, not hang on an abandoned promise.
-        failDeadline(request, fp, promise);
-        throw DeadlineExceeded();
-    }
-    SimulationResult result;
-    try {
-        result = compute(request);
-    } catch (...) {
-        publishFailure(request, fp, promise);
-        throw;
-    }
-    {
-        util::MutexLock lock(stats_mutex_);
-        ++computed_;
-    }
-    publish(request, fp, promise, result);
-    evaluate_computed_seconds_->record(elapsed());
-    return result;
-}
-
 /** One claimed-but-uncomputed point: its request and owned promise. */
 struct SimService::Claimed {
     SimRequest request;
     uint64_t fp = 0; //!< 0 for a non-cacheable request
     std::shared_ptr<std::promise<SimulationResult>> promise;
 };
+
+SimService::Claim
+SimService::claim(const SimRequest &request, uint64_t fp, Claimed *claimed,
+                  std::shared_future<SimulationResult> *future)
+{
+    auto promise = std::make_shared<std::promise<SimulationResult>>();
+    *future = promise->get_future().share();
+    if (request.cacheable()) {
+        util::MutexLock lock(inflight_mutex_);
+        auto it = inflight_.find(fp);
+        if (it != inflight_.end()) {
+            *future = it->second;
+            return Claim::Joined;
+        }
+        SimulationResult cached;
+        if (cache_.recheck(fp, &cached)) {
+            promise->set_value(std::move(cached));
+            return Claim::Cached;
+        }
+        inflight_.emplace(fp, *future);
+    }
+    *claimed = Claimed{request, fp, std::move(promise)};
+    return Claim::Owner;
+}
+
+void
+SimService::publish(const Claimed &claimed, const SimulationResult &result)
+{
+    // Cache before dropping the in-flight entry so that at every
+    // instant an identical request finds the answer in one of the two.
+    if (claimed.request.cacheable()) {
+        cache_.put(claimed.fp, result);
+        util::MutexLock lock(inflight_mutex_);
+        inflight_.erase(claimed.fp);
+    }
+    claimed.promise->set_value(result);
+}
+
+void
+SimService::publishFailure(const Claimed &claimed)
+{
+    // A failure must not poison the fingerprint: drop the in-flight
+    // entry so the next identical request recomputes, and hand the
+    // exception to everyone already joined on the future.
+    if (claimed.request.cacheable()) {
+        util::MutexLock lock(inflight_mutex_);
+        inflight_.erase(claimed.fp);
+    }
+    claimed.promise->set_exception(std::current_exception());
+}
+
+SimulationResult
+SimService::evaluate(const SimRequest &request, uint64_t deadline_ns)
+{
+    const uint64_t start_ns = util::monotonicNanos();
+    {
+        util::MutexLock lock(stats_mutex_);
+        ++requests_;
+    }
+    const uint64_t fp = request.cacheable() ? request.fingerprint() : 0;
+    util::Histogram *outcome = evaluate_cache_hit_seconds_;
+    SimulationResult result;
+    if (!request.cacheable() || !cache_.get(fp, &result)) {
+        std::vector<Claimed> unit(1);
+        std::shared_future<SimulationResult> future;
+        switch (claim(request, fp, &unit.front(), &future)) {
+          case Claim::Owner:
+            // A one-member unit on the calling thread: the synchronous
+            // path pays no queueing latency and cannot deadlock a
+            // saturated pool.  A failure or an expired deadline
+            // reaches the caller through the future.
+            runUnit(unit, deadline_ns, nullptr);
+            outcome = evaluate_computed_seconds_;
+            result = future.get();
+            break;
+          case Claim::Joined: {
+            {
+                util::MutexLock lock(stats_mutex_);
+                ++inflight_joins_;
+            }
+            util::TraceSpan span("service.inflight_wait");
+            outcome = evaluate_inflight_join_seconds_;
+            result = future.get();
+            break;
+          }
+          case Claim::Cached:
+            result = future.get();
+            break;
+        }
+    }
+    outcome->record(static_cast<double>(util::monotonicNanos() - start_ns) *
+                    1e-9);
+    return result;
+}
 
 /**
  * One batch's work list, shared by its caller and helper tasks.  Each
@@ -274,86 +224,70 @@ void
 SimService::runUnit(std::vector<Claimed> &members, uint64_t deadline_ns,
                     std::vector<Interval> *record)
 {
-    // Computes and publishes the members of one unit.  Units of one
-    // take the plain path; larger ones try the batched replay and
-    // degrade to per-member computation when members turn out not to
-    // share (model, cluster, options) after all (a group-key
-    // collision) or the batched call throws.
+    // Units of one take the plain path; larger ones try the batched
+    // replay and degrade to per-member computation when members turn
+    // out not to share (model, cluster, options) after all (a
+    // group-key collision) or the batched call throws.  A member whose
+    // deadline expired while it waited for a thread is shed instead of
+    // computing an answer the caller gave up on; its promise was
+    // claimed, so it is failed with DeadlineExceeded, never abandoned.
     const auto expired = [deadline_ns] {
         return deadline_ns != 0 && util::monotonicNanos() >= deadline_ns;
     };
-    // The deadline expired while this unit waited for a thread: shed
-    // every member instead of computing answers the caller gave up
-    // on.  The promises were claimed, so they must be failed, never
-    // abandoned.
-    if (expired()) {
+    const SimRequest &head = members.front().request;
+    const auto shares_head = [&head](const Claimed &member) {
+        return member.request.model == head.model &&
+               member.request.cluster == head.cluster &&
+               member.request.options == head.options;
+    };
+    if (members.size() > 1 && !options_.evaluator && !expired() &&
+        std::all_of(members.begin() + 1, members.end(), shares_head)) {
+        std::vector<ParallelConfig> plans;
+        plans.reserve(members.size());
         for (const Claimed &member : members)
-            failDeadline(member.request, member.fp, member.promise);
-        return;
-    }
-    if (members.size() > 1 && !options_.evaluator) {
-        const SimRequest &head = members.front().request;
-        bool uniform = true;
-        for (size_t m = 1; uniform && m < members.size(); ++m) {
-            const SimRequest &r = members[m].request;
-            uniform = r.model == head.model && r.cluster == head.cluster &&
-                      r.options == head.options;
+            plans.push_back(member.request.parallel);
+        std::vector<SimulationResult> results;
+        try {
+            results = timedCompute(record, [&] {
+                Simulator sim(head.cluster, head.options, templates_,
+                              engine_counters_);
+                return sim.simulateIterationBatch(head.model, plans);
+            });
+        } catch (...) {
+            // Fall through to per-member isolation below.  The compute
+            // is all-or-nothing, so nothing has been published yet.
         }
-        if (uniform) {
-            std::vector<ParallelConfig> plans;
-            plans.reserve(members.size());
-            for (const Claimed &member : members)
-                plans.push_back(member.request.parallel);
-            std::vector<SimulationResult> results;
-            bool batched = false;
-            try {
-                results = timedCompute(record, [&] {
-                    Simulator sim(head.cluster, head.options, templates_,
-                                  engine_counters_);
-                    return sim.simulateIterationBatch(head.model, plans);
-                });
-                batched = true;
-            } catch (...) {
-                // Fall through: per-member isolation below.  The
-                // compute is all-or-nothing, so nothing has been
-                // published yet.
+        if (results.size() == members.size()) {
+            {
+                util::MutexLock lock(stats_mutex_);
+                computed_ += members.size();
             }
-            if (batched) {
-                {
-                    util::MutexLock lock(stats_mutex_);
-                    computed_ += members.size();
+            for (size_t m = 0; m < members.size(); ++m) {
+                try {
+                    publish(members[m], results[m]);
+                } catch (...) {
+                    // A failed publish (e.g. bad_alloc while storing
+                    // the value) must not poison the other members or
+                    // escape the thread.
+                    publishFailure(members[m]);
                 }
-                for (size_t m = 0; m < members.size(); ++m) {
-                    try {
-                        publish(members[m].request, members[m].fp,
-                                members[m].promise, results[m]);
-                    } catch (...) {
-                        // A failed publish (e.g. bad_alloc while
-                        // storing the value) must not poison the
-                        // other members or escape the thread.
-                        publishFailure(members[m].request, members[m].fp,
-                                       members[m].promise);
-                    }
-                }
-                return;
             }
+            return;
         }
     }
     for (const Claimed &member : members) {
-        if (expired()) {
-            failDeadline(member.request, member.fp, member.promise);
-            continue;
-        }
         try {
+            if (expired())
+                throw DeadlineExceeded();
             const SimulationResult result =
                 compute(member.request, record);
             {
                 util::MutexLock lock(stats_mutex_);
                 ++computed_;
             }
-            publish(member.request, member.fp, member.promise, result);
+            publish(member, result);
         } catch (...) {
-            publishFailure(member.request, member.fp, member.promise);
+            publishFailure(member);
         }
     }
 }
@@ -383,49 +317,43 @@ SimService::evaluateBatch(const std::vector<SimRequest> &requests,
     std::vector<Claimed> singles;
 
     for (size_t i = 0; i < requests.size(); ++i) {
+        // Non-cacheable requests cannot dedupe or hit the cache; claim()
+        // hands them straight back to be computed.
         const SimRequest &request = requests[i];
-        if (!request.cacheable()) {
-            // Non-cacheable requests cannot dedupe, group, or publish.
-            auto promise =
-                std::make_shared<std::promise<SimulationResult>>();
-            future_of[i] = futures.size();
-            futures.push_back(promise->get_future().share());
-            singles.push_back(Claimed{request, 0, std::move(promise)});
-            continue;
+        const bool cacheable = request.cacheable();
+        const uint64_t fp = cacheable ? request.fingerprint() : 0;
+        if (cacheable) {
+            auto [it, inserted] =
+                first_with_fp.emplace(fp, futures.size());
+            if (!inserted) {
+                future_of[i] = it->second;
+                ++dedups;
+                continue;
+            }
         }
-
-        const uint64_t fp = request.fingerprint();
-        auto [it, inserted] = first_with_fp.emplace(fp, futures.size());
-        if (!inserted) {
-            future_of[i] = it->second;
-            ++dedups;
-            continue;
-        }
+        future_of[i] = futures.size();
 
         SimulationResult cached;
-        if (cache_.get(fp, &cached)) {
+        if (cacheable && cache_.get(fp, &cached)) {
             std::promise<SimulationResult> ready;
             ready.set_value(std::move(cached));
-            future_of[i] = futures.size();
             futures.push_back(ready.get_future().share());
             continue;
         }
 
-        auto promise = std::make_shared<std::promise<SimulationResult>>();
-        std::shared_future<SimulationResult> future;
-        const Claim claim = claimInflight(fp, promise, &future);
-        future_of[i] = futures.size();
-        futures.push_back(std::move(future));
-        if (claim == Claim::Joined) {
+        Claimed claimed;
+        futures.emplace_back();
+        const Claim outcome = claim(request, fp, &claimed, &futures.back());
+        if (outcome == Claim::Joined) {
             util::MutexLock lock(stats_mutex_);
             ++inflight_joins_;
         }
-        if (claim != Claim::Owner)
+        if (outcome != Claim::Owner)
             continue;
 
-        Claimed claimed{request, fp, std::move(promise)};
         // A pluggable evaluator is a black box: only the real
-        // simulator can share work across a group.
+        // simulator can share work across a group.  batchGroupKey is
+        // 0 for a perturbed (non-cacheable) request.
         const uint64_t key =
             options_.evaluator
                 ? 0

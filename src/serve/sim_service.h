@@ -213,34 +213,31 @@ class SimService
     SimulationResult compute(const SimRequest &request,
                              std::vector<Interval> *record = nullptr) const;
 
-    /** How claimInflight() resolved a fingerprint. */
+    /** How claim() resolved a request. */
     enum class Claim {
-        Owner,  //!< `promise` is registered; the caller must compute
+        Owner,  //!< *claimed holds the request; the caller must compute
         Joined, //!< another thread is computing it
         Cached, //!< published since the caller's cache miss
     };
 
     /**
-     * Claims `fp` in the in-flight table after a result-cache miss.
+     * Claims `request` (fingerprint `fp`) after a result-cache miss.
      * Sets *future to the existing computation's future (Joined), to
      * a ready future when the result was published in the meantime
-     * (Cached), or registers `promise`'s future (Owner).  The cache is
-     * re-checked under inflight_mutex_: publish() caches before it
-     * erases the in-flight entry, so a fingerprint is always found in
-     * one of the two and is never computed twice.
+     * (Cached), or to the future of a new promise, which it registers
+     * in the in-flight table and hands over in *claimed (Owner).  The
+     * cache is re-checked under inflight_mutex_: publish() caches
+     * before it erases the in-flight entry, so a fingerprint is always
+     * found in one of the two and is never computed twice.  A
+     * non-cacheable request is always Owner and never registered.
      */
-    Claim claimInflight(uint64_t fp,
-                        const std::shared_ptr<
-                            std::promise<SimulationResult>> &promise,
-                        std::shared_future<SimulationResult> *future)
+    Claim claim(const SimRequest &request, uint64_t fp, Claimed *claimed,
+                std::shared_future<SimulationResult> *future)
         EXCLUDES(inflight_mutex_);
 
     /** Publishes a finished computation: cache and table (cacheable
      *  requests only), then the promise. */
-    void publish(const SimRequest &request, uint64_t fp,
-                 const std::shared_ptr<std::promise<SimulationResult>>
-                     &promise,
-                 const SimulationResult &result)
+    void publish(const Claimed &claimed, const SimulationResult &result)
         EXCLUDES(inflight_mutex_);
 
     /**
@@ -248,23 +245,15 @@ class SimService
      * drops the in-flight entry so the fingerprint stays servable and
      * forwards the current exception through the shared future.
      */
-    void publishFailure(
-        const SimRequest &request, uint64_t fp,
-        const std::shared_ptr<std::promise<SimulationResult>> &promise)
-        EXCLUDES(inflight_mutex_);
-
-    /** Fails a claimed promise with DeadlineExceeded. */
-    void failDeadline(
-        const SimRequest &request, uint64_t fp,
-        const std::shared_ptr<std::promise<SimulationResult>> &promise)
-        EXCLUDES(inflight_mutex_);
+    void publishFailure(const Claimed &claimed) EXCLUDES(inflight_mutex_);
 
     /** Claims and runs units of `work` until none are left; a helper
      *  records its simulator calls in the work list. */
     void drain(BatchWork &work, bool helper);
 
-    /** Computes and publishes one unit (a group slice or a single);
-     *  a non-null `record` receives the interval of each simulator
+    /** Computes and publishes one unit (a group slice or a single;
+     *  evaluate() runs its one claimed request as a unit too); a
+     *  non-null `record` receives the interval of each simulator
      *  call, written before that call's results are published. */
     void runUnit(std::vector<Claimed> &members, uint64_t deadline_ns,
                  std::vector<Interval> *record);

@@ -23,6 +23,9 @@ namespace {
 constexpr uint64_t kRingSeed = 0x76745357726e67ull;     // "vtSWrng"
 constexpr uint64_t kFallbackSeed = 0x76745357666c62ull; // "vtSWflb"
 
+/** Ring positions per shard (more = smoother partitions). */
+constexpr int kVirtualNodes = 64;
+
 } // namespace
 
 SweepCoordinator::Shard::Shard(net::HttpClient::Options options)
@@ -38,12 +41,9 @@ SweepCoordinator::SweepCoordinator(Options options)
                    "endpoint");
     VTRAIN_REQUIRE(options_.max_attempts >= 1,
                    "max_attempts must be at least 1");
-    VTRAIN_REQUIRE(options_.virtual_nodes >= 1,
-                   "virtual_nodes must be at least 1");
     endpoints_ = options_.shards;
     counters_.resize(endpoints_.size());
-    ring_.reserve(endpoints_.size() *
-                  static_cast<size_t>(options_.virtual_nodes));
+    ring_.reserve(endpoints_.size() * kVirtualNodes);
 
     util::MetricRegistry &registry = util::MetricRegistry::global();
     for (size_t s = 0; s < endpoints_.size(); ++s) {
@@ -59,8 +59,7 @@ SweepCoordinator::SweepCoordinator(Options options)
         client.fault_injector = options_.fault_injector;
         shards_.push_back(std::make_unique<Shard>(std::move(client)));
 
-        for (int replica = 0; replica < options_.virtual_nodes;
-             ++replica) {
+        for (int replica = 0; replica < kVirtualNodes; ++replica) {
             const uint64_t position = Hash64(kRingSeed)
                                           .mix(std::string_view(label))
                                           .mix(int64_t{replica})
@@ -136,14 +135,11 @@ SweepCoordinator::sweep(const ModelConfig &model,
     if (plans.empty())
         return results;
 
-    std::vector<SimRequest> requests(plans.size());
+    const std::vector<SimRequest> requests =
+        sweepRequests(model, cluster, options, plans);
     std::vector<uint64_t> keys(plans.size());
     std::unordered_set<uint64_t> distinct_groups;
     for (size_t i = 0; i < plans.size(); ++i) {
-        requests[i].model = model;
-        requests[i].parallel = plans[i];
-        requests[i].cluster = cluster;
-        requests[i].options = options;
         keys[i] = routingKey(requests[i]);
         distinct_groups.insert(keys[i]);
     }
@@ -293,7 +289,7 @@ SweepCoordinator::runSlice(size_t shard_index,
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(
                         static_cast<int64_t>(sleep_ms)));
-            backoff_ms *= options_.backoff_multiplier;
+            backoff_ms *= 2.0;
         }
 
         int request_timeout_ms = -1; // -1 = client default

@@ -91,9 +91,8 @@ class SweepCoordinator
         /** Total tries per slice against one shard (first + retries). */
         int max_attempts = 3;
 
-        /** First backoff delay; doubles (see multiplier) per retry. */
+        /** First backoff delay; doubles per retry. */
         int backoff_initial_ms = 50;
-        double backoff_multiplier = 2.0;
 
         /** TCP connect deadline per dial. */
         int connect_timeout_ms = 5000;
@@ -107,9 +106,6 @@ class SweepCoordinator
 
         /** Total per-request deadline (0 = per-op timeouts only). */
         int request_timeout_ms = 0;
-
-        /** Ring positions per shard (more = smoother partitions). */
-        int virtual_nodes = 64;
 
         net::HttpLimits limits;
 

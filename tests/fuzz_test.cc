@@ -1,7 +1,9 @@
 /**
  * @file
  * Seeded mutational fuzzing of the parsers that read network bytes:
- * net::HttpParser in both directions and json::Value::parse.
+ * net::HttpParser in both directions, json::Value::parse and the
+ * wire::v1 decoders of SimRequest, SimulationResult, the /v1/sweep
+ * request and the sweep response.
  *
  * Each target starts from serialized valid inputs, mutates them with
  * byte flips, insertions, deletions, duplications and truncations
@@ -10,7 +12,7 @@
  * are fixed, so every run sees the same inputs and a failure
  * reproduces exactly; the whole suite takes well under a second in
  * Release and starts no threads or processes.  Under the asan preset
- * it doubles as a memory-safety check of both parsers.
+ * it doubles as a memory-safety check of every target.
  */
 #include <gtest/gtest.h>
 
@@ -20,8 +22,14 @@
 #include <string_view>
 #include <vector>
 
+#include "explore/design_space.h"
+#include "explore/explorer.h"
+#include "model/model_config.h"
 #include "net/http.h"
 #include "serve/json.h"
+#include "serve/sim_request.h"
+#include "serve/wire.h"
+#include "sim/result.h"
 #include "util/rng.h"
 
 namespace vtrain {
@@ -37,6 +45,7 @@ using Status = HttpParser::Status;
 constexpr uint64_t kSeed = 0x5eedf00du;
 constexpr int kHttpIterations = 10000; // per direction
 constexpr int kJsonIterations = 10000;
+constexpr int kWireIterations = 2000; // per wire type
 
 // ------------------------------------------------------------ mutator
 
@@ -179,6 +188,18 @@ responseSeeds()
     return seeds;
 }
 
+/** Whether `name` is a non-empty RFC 9110 token. */
+bool
+isToken(std::string_view name)
+{
+    return !name.empty() &&
+           std::all_of(name.begin(), name.end(), [](char c) {
+               return std::isalnum(static_cast<unsigned char>(c)) ||
+                      std::string_view("!#$%&'*+-.^_`|~").find(c) !=
+                          std::string_view::npos;
+           });
+}
+
 bool
 isNamed(const HttpHeader &h, std::string_view name)
 {
@@ -302,6 +323,10 @@ feed(const std::string &input, const std::vector<size_t> &cuts,
                 EXPECT_LT(buffer.size(), before.size());
                 EXPECT_EQ(before.substr(before.size() - buffer.size()),
                           buffer);
+                for (const HttpHeader &h : message.headers)
+                    EXPECT_TRUE(isToken(h.name))
+                        << "accepted field name "
+                        << testing::PrintToString(h.name);
                 expectRoundTrip(message, input);
                 outcomes.push_back(describe(message));
                 continue;
@@ -425,6 +450,317 @@ TEST(Fuzz, JsonParseDumpIsAFixedPoint)
     }
     // A mutator that only produced rejects would check nothing.
     EXPECT_GT(accepted, kJsonIterations / 10);
+}
+
+// ---------------------------------------------------------------- wire
+
+const std::vector<std::string_view> kWireTokens = {
+    "{", "}", "[", "]", "\"", ":", ",", "-", "0", "\"x\":1,",
+    "\"version\":2,", "\"plans\":[],", "\"spec\":{},",
+};
+
+/** Replacement member values: edge numbers, every JSON type, and the
+ *  enum spellings. */
+const std::vector<std::string_view> kWireValues = {
+    "0",         "-1",        "1",          "2",
+    "-0",        "0.5",       "1.5",        "1e308",
+    "1e-300",    "64",        "2147483647", "2147483648",
+    "-2147483649", "9007199254740993", "18446744073709551616",
+    "true",      "false",     "null",       "\"\"",
+    "\"x\"",     "\"gpipe\"", "\"1f1b\"",   "\"bf16\"",
+    "\"fp32\"",  "\"flash2\"", "[]",        "{}",
+    "[1,2]",     "{\"x\":1}",
+};
+
+/** Replacement member names: an unknown one and known ones that may
+ *  collide with a sibling. */
+const std::vector<std::string_view> kWireKeys = {
+    "\"x\"",       "\"version\"", "\"tensor\"",      "\"plans\"",
+    "\"spec\"",    "\"name\"",    "\"deadline_ms\"", "\"results\"",
+    "\"options\"", "\"plan\"",
+};
+
+/**
+ * The scalar tokens of a JSON text, as [begin, end) spans: member
+ * names (a string followed by ':') in *keys, everything else in
+ * *values.  Tolerates malformed text.
+ */
+void
+scalarSpans(const std::string &text,
+            std::vector<std::pair<size_t, size_t>> *keys,
+            std::vector<std::pair<size_t, size_t>> *values)
+{
+    const std::string_view delimiters("{}[],: \"", 8);
+    size_t i = 0;
+    while (i < text.size()) {
+        if (text[i] == '"') {
+            size_t end = i + 1;
+            while (end < text.size() && text[end] != '"')
+                end += text[end] == '\\' ? 2 : 1;
+            end = std::min(end + 1, text.size());
+            (end < text.size() && text[end] == ':' ? keys : values)
+                ->emplace_back(i, end);
+            i = end;
+        } else if (delimiters.find(text[i]) != std::string_view::npos) {
+            ++i;
+        } else {
+            size_t end = i;
+            while (end < text.size() &&
+                   delimiters.find(text[end]) == std::string_view::npos)
+                ++end;
+            values->emplace_back(i, end);
+            i = end;
+        }
+    }
+}
+
+/** The JSON kind a token's first byte starts. */
+char
+jsonKind(char first)
+{
+    if (first == '"' || first == 't' || first == 'n')
+        return first;
+    if (first == 'f')
+        return 't';
+    return first == '[' || first == '{' ? '[' : '0';
+}
+
+/**
+ * Mostly one or two edits that keep the JSON well formed (a member
+ * value or name swapped for a dictionary one), so that many mutants
+ * get past the parser into the schema checks; a quarter of the time
+ * the byte-level mutator.
+ */
+std::string
+mutateWire(std::string input, Rng &rng)
+{
+    if (rng.uniformInt(0, 3) == 0)
+        return mutate(std::move(input), rng, kWireTokens);
+    const int edits = static_cast<int>(rng.uniformInt(1, 2));
+    for (int e = 0; e < edits; ++e) {
+        std::vector<std::pair<size_t, size_t>> keys, values;
+        scalarSpans(input, &keys, &values);
+        const bool rename = rng.uniformInt(0, 4) == 0 && !keys.empty();
+        const auto &spans = rename ? keys : values;
+        const auto &tokens = rename ? kWireKeys : kWireValues;
+        if (spans.empty())
+            break;
+        const auto [begin, end] =
+            spans[rng.uniformInt(0, spans.size() - 1)];
+        // Mostly a token of the same JSON kind, which the schema may
+        // accept; otherwise any, which exercises the type checks.
+        std::vector<std::string_view> pool;
+        for (const std::string_view token : tokens)
+            if (jsonKind(token.front()) == jsonKind(input[begin]))
+                pool.push_back(token);
+        if (pool.empty() || rng.uniformInt(0, 3) == 0)
+            pool = tokens;
+        input.replace(begin, end - begin,
+                      pool[rng.uniformInt(0, pool.size() - 1)]);
+    }
+    return input;
+}
+
+SimRequest
+wireRequest()
+{
+    SimRequest r;
+    r.model = makeModel(12288, 96, 96); // GPT-3 175B
+    r.parallel.tensor = 8;
+    r.parallel.data = 16;
+    r.parallel.pipeline = 8;
+    r.parallel.micro_batch_size = 1;
+    r.parallel.global_batch_size = 1536;
+    r.cluster = makeCluster(1024);
+    return r;
+}
+
+SimRequest
+wireRequestVariant()
+{
+    SimRequest r = wireRequest();
+    r.model.name = "odd \"7B\"\n";
+    r.parallel.schedule = PipelineSchedule::GPipe;
+    r.parallel.precision = Precision::BF16;
+    r.parallel.bucket_bytes = 0.1 + 0.2;
+    r.parallel.zero_stage = 1;
+    r.cluster.bandwidth_effectiveness = 1.0 / 3.0;
+    r.options.fast_mode = false;
+    r.options.attention = AttentionImpl::FlashAttention2;
+    return r;
+}
+
+SimulationResult
+wireResult(double seconds)
+{
+    SimulationResult r;
+    r.iteration_seconds = seconds;
+    r.utilization = 0.1 + 0.2;
+    r.model_flops = 3.14e18;
+    r.bubble_fraction = 1.0 / 7.0;
+    for (size_t i = 0; i < r.time_by_tag.size(); ++i)
+        r.time_by_tag[i] = seconds / static_cast<double>(i + 2);
+    r.num_operators = 1234;
+    r.num_tasks = size_t{1} << 40;
+    r.extrapolated = true;
+    r.simulated_micro_batches = 2;
+    r.total_micro_batches = 1536;
+    r.sim_wall_seconds = 5e-324;
+    return r;
+}
+
+std::vector<wire::v1::SweepRequest>
+wireSweepRequests()
+{
+    wire::v1::SweepRequest plans;
+    plans.model = wireRequest().model;
+    plans.cluster = wireRequest().cluster;
+    plans.plans = {wireRequest().parallel, wireRequestVariant().parallel};
+    plans.deadline_ms = 2500;
+
+    wire::v1::SweepRequest spec = plans;
+    spec.plans.clear();
+    spec.use_spec = true;
+    spec.spec.micro_batch_sizes = {1, 2, 4};
+    spec.spec.exact_gpus = 1024;
+    spec.deadline_ms = -1;
+    return {plans, spec};
+}
+
+std::vector<ExploreResult>
+wireSweepResults()
+{
+    return {ExploreResult{wireRequest().parallel, wireResult(28.125)},
+            ExploreResult{wireRequestVariant().parallel,
+                          wireResult(1.0 / 3.0)}};
+}
+
+/**
+ * Mutates the encoded seeds and checks that re-encoding any accepted
+ * mutant gives a fixed point: its encoding decodes again and encodes
+ * to the same bytes.  `reencode(text, &out)` decodes `text` and, when
+ * it accepts, sets `out` to the re-encoding.
+ */
+template <typename Reencode>
+void
+fuzzWire(const std::vector<std::string> &seeds, uint64_t seed,
+         Reencode reencode)
+{
+    Rng rng(seed);
+    int accepted = 0;
+    for (int i = 0; i < kWireIterations; ++i) {
+        std::string input = seeds[rng.uniformInt(0, seeds.size() - 1)];
+        if (rng.uniformInt(0, 7) != 0)
+            input = mutateWire(std::move(input), rng);
+        std::string once;
+        if (!reencode(input, &once))
+            continue;
+        ++accepted;
+        std::string twice;
+        ASSERT_TRUE(reencode(once, &twice))
+            << "re-encoding rejected: " << once
+            << "\ninput: " << testing::PrintToString(input);
+        ASSERT_EQ(twice, once)
+            << "input: " << testing::PrintToString(input);
+        // One failing input is enough to reproduce; stop there.
+        ASSERT_FALSE(testing::Test::HasFailure())
+            << "input: " << testing::PrintToString(input);
+    }
+    // A mutator that only produced rejects would check nothing.
+    EXPECT_GT(accepted, kWireIterations / 5);
+}
+
+/**
+ * The re-encoding of a type with operator==; a value it accepts must
+ * also come back equal from decode(encode(x)).
+ */
+template <typename T>
+bool
+reencodeExact(std::string_view text, std::string *out)
+{
+    T decoded;
+    if (!wire::v1::decode(text, &decoded))
+        return false;
+    *out = wire::v1::encode(decoded).dump();
+    T again;
+    EXPECT_TRUE(wire::v1::decode(*out, &again)) << *out;
+    EXPECT_EQ(again, decoded) << *out;
+    return true;
+}
+
+TEST(Fuzz, WireSimRequest)
+{
+    std::vector<std::string> seeds;
+    for (const SimRequest &request : {wireRequest(), wireRequestVariant()}) {
+        const std::string text = wire::v1::encode(request).dump();
+        SimRequest decoded;
+        std::string error;
+        ASSERT_TRUE(wire::v1::decode(text, &decoded, &error)) << error;
+        EXPECT_EQ(decoded, request);
+        seeds.push_back(text);
+    }
+    fuzzWire(seeds, kSeed + 3, reencodeExact<SimRequest>);
+}
+
+TEST(Fuzz, WireSimulationResult)
+{
+    std::vector<std::string> seeds;
+    for (const SimulationResult &result :
+         {wireResult(28.125), wireResult(1.0 / 3.0), SimulationResult{}}) {
+        const std::string text = wire::v1::encode(result).dump();
+        SimulationResult decoded;
+        std::string error;
+        ASSERT_TRUE(wire::v1::decode(text, &decoded, &error)) << error;
+        EXPECT_EQ(decoded, result);
+        seeds.push_back(text);
+    }
+    fuzzWire(seeds, kSeed + 4, reencodeExact<SimulationResult>);
+}
+
+TEST(Fuzz, WireSweepRequest)
+{
+    // SweepRequest has no operator==; its encoding stands in for it
+    // (every field is encoded, numbers in shortest round-trip form).
+    const auto reencode = [](std::string_view text, std::string *out) {
+        wire::v1::SweepRequest decoded;
+        net::HttpResponse rejected;
+        if (!wire::v1::decodeSweepRequest(text, &decoded, &rejected))
+            return false;
+        *out = wire::v1::encode(decoded).dump();
+        return true;
+    };
+    std::vector<std::string> seeds;
+    for (const wire::v1::SweepRequest &request : wireSweepRequests()) {
+        const std::string text = wire::v1::encode(request).dump();
+        std::string again;
+        ASSERT_TRUE(reencode(text, &again)) << text;
+        EXPECT_EQ(again, text);
+        seeds.push_back(text);
+    }
+    fuzzWire(seeds, kSeed + 5, reencode);
+}
+
+TEST(Fuzz, WireSweepResponse)
+{
+    const std::vector<ExploreResult> results = wireSweepResults();
+    const std::string text = wire::v1::encodeSweepResponse(results);
+    std::vector<ExploreResult> decoded;
+    std::string error;
+    ASSERT_TRUE(wire::v1::decodeSweepResponse(text, &decoded, &error))
+        << error;
+    ASSERT_EQ(decoded.size(), results.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(decoded[i].plan, results[i].plan);
+        EXPECT_EQ(decoded[i].sim, results[i].sim);
+    }
+    fuzzWire({text, wire::v1::encodeSweepResponse({})}, kSeed + 6,
+             [](std::string_view body, std::string *out) {
+                 std::vector<ExploreResult> parsed;
+                 if (!wire::v1::decodeSweepResponse(body, &parsed))
+                     return false;
+                 *out = wire::v1::encodeSweepResponse(parsed);
+                 return true;
+             });
 }
 
 } // namespace

@@ -415,6 +415,42 @@ TEST(NetHttpSerialize, RequestRoundTripsThroughRequestParser)
     EXPECT_EQ(parsed.body, "{\"version\": 1}");
 }
 
+TEST(NetHttpSerialize, RejectsFieldNamesThatAreNotTokens)
+{
+    // A bare LF inside a field line must not smuggle a second field
+    // past us: a peer that ends lines at a bare LF would see chunked
+    // framing where we see one field named "X\nTransfer-Encoding".
+    const std::string smuggled[] = {
+        std::string("GET / HTTP/1.1\r\nX\nTransfer-Encoding: chunked"
+                    "\r\n\r\n"),
+        std::string("GET / HTTP/1.1\r\nX-A: 1\rX-B: 2\r\n\r\n"),
+        std::string("GET / HTTP/1.1\r\nX-A: 1\nX-B: 2\r\n\r\n"),
+        std::string("GET / HTTP/1.1\r\nX-A: a") + '\0' + "b\r\n\r\n",
+        std::string("GET / HTTP/1.1\r\nX(A): 1\r\n\r\n"),
+        std::string("GET / HTTP/1.1\r\nX\x80: 1\r\n\r\n"),
+    };
+    for (const std::string &wire : smuggled) {
+        HttpParser parser;
+        std::string buffer = wire;
+        HttpRequest request;
+        EXPECT_EQ(parser.parse(&buffer, &request), Status::Error)
+            << wire;
+        EXPECT_EQ(parser.errorStatus(), 400) << wire;
+        EXPECT_EQ(parser.errorMessage(), "malformed header field")
+            << wire;
+    }
+
+    // Every token character stays a legal field-name character.
+    HttpParser parser;
+    std::string buffer = "GET / HTTP/1.1\r\n"
+                         "!#$%&'*+-.^_`|~09azAZ: v\tw\r\n\r\n";
+    HttpRequest request;
+    ASSERT_EQ(parser.parse(&buffer, &request), Status::Complete);
+    ASSERT_EQ(request.headers.size(), 1u);
+    EXPECT_EQ(request.headers[0].name, "!#$%&'*+-.^_`|~09azAZ");
+    EXPECT_EQ(request.headers[0].value, "v\tw");
+}
+
 // -------------------------------------------------------------- socket
 
 TEST(NetSocket, ListenerHandsOutEphemeralPortAndMovesBytes)

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -324,6 +325,97 @@ TEST(ServeService, ConcurrentSynchronousCallersShareOneComputation)
     first.join();
     second.join();
     EXPECT_EQ(computed.load(), 1);
+}
+
+TEST(ServeService, EvaluateRecordsOneOutcomeSamplePerCall)
+{
+    // Every evaluate() that returns records exactly one
+    // vtrain_service_evaluate_seconds sample, labelled by the fast-path
+    // outcome that answered it; a call that throws records none.
+    util::MetricRegistry &registry = util::MetricRegistry::global();
+    const auto samples = [&registry] {
+        std::array<uint64_t, 3> counts{};
+        const char *const outcomes[] = {"computed", "cache_hit",
+                                        "inflight_join"};
+        for (size_t i = 0; i < counts.size(); ++i)
+            counts[i] = registry
+                            .histogram("vtrain_service_evaluate_seconds",
+                                       {{"outcome", outcomes[i]}})
+                            ->snapshot()
+                            .count;
+        return counts;
+    };
+    using Samples = std::array<uint64_t, 3>; // computed, hit, join
+
+    const SimRequest throwing = requestVariant(7);
+    const SimRequest blocking = requestVariant(8);
+    std::promise<void> started;
+    std::promise<void> gate;
+    std::shared_future<void> gate_open = gate.get_future().share();
+    SimService::Options options;
+    options.n_threads = 2;
+    options.evaluator = [&](const SimRequest &request) {
+        if (request == throwing)
+            throw std::runtime_error("evaluator failure");
+        if (request == blocking) {
+            started.set_value(); // in-flight entry is already registered
+            EXPECT_EQ(gate_open.wait_for(kGateTimeout),
+                      std::future_status::ready);
+        }
+        return syntheticResult(request);
+    };
+    SimService service(std::move(options));
+
+    Samples before = samples();
+    const auto delta = [&] {
+        const Samples now = samples();
+        const Samples d{now[0] - before[0], now[1] - before[1],
+                        now[2] - before[2]};
+        before = now;
+        return d;
+    };
+
+    (void)service.evaluate(tinyRequest());
+    EXPECT_EQ(delta(), (Samples{1, 0, 0})) << "cold call";
+    (void)service.evaluate(tinyRequest());
+    EXPECT_EQ(delta(), (Samples{0, 1, 0})) << "repeat";
+    (void)service.evaluate(tinyRequest(), /*deadline_ns=*/1);
+    EXPECT_EQ(delta(), (Samples{0, 1, 0})) << "hit past its deadline";
+
+    struct IdentityPerturber : Perturber {
+        double perturbCompute(double d, const OpNode &) const override
+        {
+            return d;
+        }
+        double perturbComm(double d, const OpNode &) const override
+        {
+            return d;
+        }
+    } perturber;
+    SimRequest perturbed = tinyRequest();
+    perturbed.options.perturber = &perturber;
+    (void)service.evaluate(perturbed);
+    (void)service.evaluate(perturbed);
+    EXPECT_EQ(delta(), (Samples{2, 0, 0})) << "perturbed calls";
+
+    EXPECT_THROW((void)service.evaluate(throwing), std::runtime_error);
+    EXPECT_EQ(delta(), (Samples{0, 0, 0})) << "throwing evaluator";
+    EXPECT_THROW((void)service.evaluate(requestVariant(3), 1),
+                 DeadlineExceeded);
+    EXPECT_THROW((void)service.evaluate(perturbed, 1), DeadlineExceeded);
+    EXPECT_EQ(delta(), (Samples{0, 0, 0})) << "expired deadlines";
+
+    std::thread owner([&] { (void)service.evaluate(blocking); });
+    EXPECT_EQ(started.get_future().wait_for(kGateTimeout),
+              std::future_status::ready);
+    std::thread joiner([&] { (void)service.evaluate(blocking); });
+    EXPECT_TRUE(waitFor([&service] {
+        return service.stats().inflight_joins == 1;
+    }));
+    gate.set_value();
+    owner.join();
+    joiner.join();
+    EXPECT_EQ(delta(), (Samples{1, 0, 1})) << "join on a blocked call";
 }
 
 TEST(ServeService, BatchDedupesAndPreservesOrder)
