@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint rules for the vtrain tree.
 
-Five rules, each targeting a defect class the compilers cannot (or
+Six rules, each targeting a defect class the compilers cannot (or
 do not) catch:
 
   naked-mutex         std::mutex / std::lock_guard / std::unique_lock /
@@ -47,6 +47,16 @@ do not) catch:
                       a misnamed metric either breaks dashboards or
                       lives forever.
 
+  json-writer         JSON string-escape code (a "\\u%04x" format or an
+                      escaped-quote "\\\"" append) anywhere in src/
+                      outside src/util/json.cc.  json::Value is the one
+                      JSON writer: every document (wire schemas, the
+                      HTTP error envelope, the /tracez export) is built
+                      as a json::Value and dump()ed, so escaping and
+                      number formatting cannot drift between writers.
+                      src/util/metrics.cc is exempt: it escapes
+                      Prometheus label values, a different format.
+
 Usage:
   scripts/lint.py [--root DIR]   lint the tree (exit 1 on findings)
   scripts/lint.py --self-test    run the seeded-violation fixtures
@@ -88,6 +98,18 @@ WIRE_RAW_PATTERNS = [
      "from wire::v1::errorResponse (or wire::healthzResponse) so the "
      "envelope, status, and Retry-After cannot disagree"),
 ]
+
+# The one JSON writer, whose escaping code is the only legal copy, and
+# the Prometheus exposition writer, whose label-value escaping is not
+# JSON.
+JSON_ESCAPE_EXEMPT = [
+    os.path.join("src", "util", "json.cc"),
+    os.path.join("src", "util", "metrics.cc"),
+]
+
+# Source spellings of a JSON string escaper: the \u%04x control-byte
+# format and the C++ literal "\\\"" (an escaped quote being appended).
+JSON_ESCAPE_RE = re.compile(r'\\\\u%0?4[xX]|"\\\\\\""')
 
 NAKED_MUTEX_RE = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
@@ -269,6 +291,22 @@ def check_wire_schema(root, findings):
                     message))
 
 
+def check_json_writer(root, findings):
+    exempt = {os.path.abspath(os.path.join(root, rel))
+              for rel in JSON_ESCAPE_EXEMPT}
+    for path in iter_source_files(root, "src", {".h", ".cc"}):
+        if os.path.abspath(path) in exempt:
+            continue
+        # String literals kept: the escape table IS string literals.
+        code = strip_comments(read_text(path), keep_strings=True)
+        for m in JSON_ESCAPE_RE.finditer(code):
+            findings.append(Finding(
+                relpath(root, path), line_of(code, m.start()),
+                "json-writer",
+                "JSON string escaping outside util/json.cc; build a "
+                "json::Value and dump() it"))
+
+
 def check_file_naming(root, findings):
     tests_dir = os.path.join(root, "tests")
     if os.path.isdir(tests_dir):
@@ -326,6 +364,7 @@ def run_all(root):
     check_wire_schema(root, findings)
     check_file_naming(root, findings)
     check_metric_naming(root, findings)
+    check_json_writer(root, findings)
     return findings
 
 
@@ -391,6 +430,17 @@ net::HttpResponse Frontend::handleRaw() {
 }
 """
 
+FIXTURE_JSON_ESCAPE = r"""
+void appendEscaped(std::string &out, char c) {
+    if (c == '"')
+        out += "\\\"";                               // bad: escaper
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "\\u%04x", c);    // bad: escaper
+    // out += "\\\""; and "\\u%04x" in a comment must NOT fire
+    out += "\\n";                                    // legal
+}
+"""
+
 
 def expect(cond, what, failures):
     if not cond:
@@ -412,6 +462,10 @@ def self_test():
              FIXTURE_WIRE_RAW),
             (os.path.join("src", "foo", "metric_names.cc"),
              FIXTURE_METRIC_NAMES),
+            (os.path.join("src", "foo", "escape.cc"),
+             FIXTURE_JSON_ESCAPE),
+            (os.path.join("src", "util", "json.cc"),
+             FIXTURE_JSON_ESCAPE),
             (os.path.join("tests", "util_test.cc"), "// ok\n"),
             (os.path.join("tests", "BadName.cc"), "// bad\n"),
             (os.path.join("bench", "perf_widget.cc"), "// ok\n"),
@@ -474,6 +528,14 @@ def self_test():
         expect(metric and metric[0].line == 7,
                "metric-naming: wrong line number, got %s"
                % [str(f) for f in metric], failures)
+
+        escape = by_rule.get("json-writer", [])
+        expect([(f.path, f.line) for f in escape] ==
+               [(os.path.join("src", "foo", "escape.cc"), 4),
+                (os.path.join("src", "foo", "escape.cc"), 6)],
+               "json-writer: expected the 2 seeded hits in escape.cc "
+               "(quote append, \\u%%04x) and none in util/json.cc, "
+               "got %s" % [str(f) for f in escape], failures)
 
         naming = by_rule.get("file-naming", [])
         expect(sorted(f.path for f in naming) ==

@@ -53,7 +53,8 @@ Explorer::sweep(const ModelConfig &model,
     // Remote mode: the coordinator partitions the plans across the
     // shard fleet and merges; same results, other boxes' CPUs.
     if (remote_)
-        return remote_->sweep(model, cluster_, options_, plans);
+        return remote_->sweep(
+            sweepRequests(model, cluster_, options_, plans));
 
     // evaluateBatch dedups repeated plans, answers seen points from
     // the cache, and groups structurally identical new points into

@@ -90,8 +90,9 @@ class TaskGraph
     /**
      * The immutable structural part of a task graph: per-task
      * metadata plus the CSR dependency arrays.  Shared (never copied)
-     * between a graph and the template it was captured into, and
-     * between every re-timed instance of that template.
+     * between a graph and every graph fromParts() assembles from it;
+     * only tests pair new durations with a shared topology this way.
+     * Graph templates hold an OpTopology (graph/template.h) instead.
      */
     struct Topology {
         std::vector<TaskMeta> meta;
@@ -130,7 +131,7 @@ class TaskGraph
                             const ExpandOptions &options = {});
 
     /** Assembles a graph from a duration array and a shared topology
-     *  (the template re-timing fast path). */
+     *  (tests re-time one structure this way). */
     static TaskGraph fromParts(std::vector<double> durations,
                                std::shared_ptr<const Topology> topology);
 

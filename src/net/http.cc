@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <functional>
 #include <limits>
+
+#include "util/json.h"
 
 namespace vtrain {
 namespace net {
@@ -113,43 +114,6 @@ keepAliveFor(std::string_view version, const std::string *connection)
     return version == "HTTP/1.1";
 }
 
-/** Minimal JSON string escape for the structured error payloads. */
-void
-appendJsonEscaped(std::string_view s, std::string *out)
-{
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            *out += "\\\"";
-            break;
-          case '\\':
-            *out += "\\\\";
-            break;
-          case '\n':
-            *out += "\\n";
-            break;
-          case '\r':
-            *out += "\\r";
-            break;
-          case '\t':
-            *out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                // %x consumes an unsigned int; a raw char is signed on
-                // most ABIs and would be a format-type mismatch.
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                *out += buf;
-            } else {
-                *out += c;
-            }
-        }
-    }
-}
-
 } // namespace
 
 std::string_view
@@ -242,13 +206,13 @@ serializeRequest(const HttpRequest &request)
 std::string
 jsonErrorBody(int status, std::string_view message)
 {
-    std::string out = "{\"error\":{\"code\":" + std::to_string(status) +
-                      ",\"status\":\"";
-    appendJsonEscaped(statusReason(status), &out);
-    out += "\",\"message\":\"";
-    appendJsonEscaped(message, &out);
-    out += "\"}}";
-    return out;
+    json::Value error = json::Value::object();
+    error.set("code", static_cast<int64_t>(status));
+    error.set("status", std::string(statusReason(status)));
+    error.set("message", std::string(message));
+    json::Value root = json::Value::object();
+    root.set("error", std::move(error));
+    return root.dump();
 }
 
 HttpResponse

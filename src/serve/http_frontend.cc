@@ -314,10 +314,7 @@ HttpFrontend::handleSweep(const HttpRequest &request)
         // can tell infrastructure failure from a bad request; an
         // expired deadline propagates to handle()'s 504 path.
         try {
-            results = coordinator_->sweep(sweep_request.model,
-                                          sweep_request.cluster,
-                                          sweep_request.options, plans,
-                                          deadline_ns);
+            results = coordinator_->sweep(batch, deadline_ns);
         } catch (const DeadlineExceeded &) {
             throw;
         } catch (const std::exception &failure) {

@@ -8,7 +8,7 @@
  * with equal fields always produce the same fingerprint, in any
  * process on any platform, so the fingerprint can key the result
  * cache, dedupe in-flight work, and travel across a process boundary
- * alongside the JSON encoding (src/serve/json.h).
+ * alongside its JSON encoding (serve/wire.h).
  */
 #ifndef VTRAIN_SERVE_SIM_REQUEST_H
 #define VTRAIN_SERVE_SIM_REQUEST_H

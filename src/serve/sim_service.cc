@@ -101,8 +101,9 @@ SimService::Claim
 SimService::claim(const SimRequest &request, uint64_t fp, Claimed *claimed,
                   std::shared_future<SimulationResult> *future)
 {
-    auto promise = std::make_shared<std::promise<SimulationResult>>();
-    *future = promise->get_future().share();
+    // A Joined claim shares the owner's future; only the Owner and
+    // Cached paths make a promise of their own.
+    std::shared_ptr<std::promise<SimulationResult>> promise;
     if (request.cacheable()) {
         util::MutexLock lock(inflight_mutex_);
         auto it = inflight_.find(fp);
@@ -112,10 +113,17 @@ SimService::claim(const SimRequest &request, uint64_t fp, Claimed *claimed,
         }
         SimulationResult cached;
         if (cache_.recheck(fp, &cached)) {
-            promise->set_value(std::move(cached));
+            std::promise<SimulationResult> ready;
+            *future = ready.get_future().share();
+            ready.set_value(std::move(cached));
             return Claim::Cached;
         }
+        promise = std::make_shared<std::promise<SimulationResult>>();
+        *future = promise->get_future().share();
         inflight_.emplace(fp, *future);
+    } else {
+        promise = std::make_shared<std::promise<SimulationResult>>();
+        *future = promise->get_future().share();
     }
     *claimed = Claimed{request, fp, std::move(promise)};
     return Claim::Owner;

@@ -26,6 +26,9 @@ constexpr uint64_t kFallbackSeed = 0x76745357666c62ull; // "vtSWflb"
 /** Ring positions per shard (more = smoother partitions). */
 constexpr int kVirtualNodes = 64;
 
+/** TCP connect deadline per dial. */
+constexpr int kConnectTimeoutMs = 5000;
+
 } // namespace
 
 SweepCoordinator::Shard::Shard(net::HttpClient::Options options)
@@ -53,9 +56,7 @@ SweepCoordinator::SweepCoordinator(Options options)
         client.host = endpoints_[s].host;
         client.port = endpoints_[s].port;
         client.timeout_ms = options_.io_timeout_ms;
-        client.limits = options_.limits;
-        client.connect_timeout_ms = options_.connect_timeout_ms;
-        client.request_timeout_ms = options_.request_timeout_ms;
+        client.connect_timeout_ms = kConnectTimeoutMs;
         client.fault_injector = options_.fault_injector;
         shards_.push_back(std::make_unique<Shard>(std::move(client)));
 
@@ -122,31 +123,33 @@ SweepCoordinator::shardForKey(uint64_t key,
 }
 
 std::vector<ExploreResult>
-SweepCoordinator::sweep(const ModelConfig &model,
-                        const ClusterSpec &cluster,
-                        const SimOptions &options,
-                        const std::vector<ParallelConfig> &plans,
+SweepCoordinator::sweep(const std::vector<SimRequest> &requests,
                         uint64_t deadline_ns)
 {
-    VTRAIN_REQUIRE(options.perturber == nullptr,
+    std::vector<ExploreResult> results(requests.size());
+    if (requests.empty())
+        return results;
+    const SimRequest &first = requests.front();
+    VTRAIN_REQUIRE(first.options.perturber == nullptr,
                    "sweeps carrying a perturber are process-local and "
                    "cannot be distributed");
-    std::vector<ExploreResult> results(plans.size());
-    if (plans.empty())
-        return results;
+    for (const SimRequest &request : requests)
+        VTRAIN_REQUIRE(request.model == first.model &&
+                           request.cluster == first.cluster &&
+                           request.options == first.options,
+                       "a distributed sweep's requests must share one "
+                       "(model, cluster, options)");
 
-    const std::vector<SimRequest> requests =
-        sweepRequests(model, cluster, options, plans);
-    std::vector<uint64_t> keys(plans.size());
+    std::vector<uint64_t> keys(requests.size());
     std::unordered_set<uint64_t> distinct_groups;
-    for (size_t i = 0; i < plans.size(); ++i) {
+    for (size_t i = 0; i < requests.size(); ++i) {
         keys[i] = routingKey(requests[i]);
         distinct_groups.insert(keys[i]);
     }
 
     // Dead marks are per sweep: the next sweep() re-dials everyone.
     std::vector<bool> dead(shards_.size(), false);
-    std::vector<size_t> pending(plans.size());
+    std::vector<size_t> pending(requests.size());
     for (size_t i = 0; i < pending.size(); ++i)
         pending[i] = i;
 
@@ -220,19 +223,9 @@ SweepCoordinator::sweep(const ModelConfig &model,
 
     util::MutexLock lock(stats_mutex_);
     ++sweeps_;
-    plans_ += plans.size();
+    plans_ += requests.size();
     groups_ += distinct_groups.size();
     return results;
-}
-
-std::vector<ExploreResult>
-SweepCoordinator::sweep(const ModelConfig &model,
-                        const ClusterSpec &cluster,
-                        const SimOptions &options,
-                        const SweepSpec &spec, uint64_t deadline_ns)
-{
-    return sweep(model, cluster, options,
-                 enumeratePlans(model, cluster, spec), deadline_ns);
 }
 
 SweepCoordinator::SliceOutcome

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "explore/design_space.h"
 #include "explore/explorer.h"
 #include "net/http_client.h"
 #include "serve/sim_request.h"
@@ -94,20 +93,12 @@ class SweepCoordinator
         /** First backoff delay; doubles per retry. */
         int backoff_initial_ms = 50;
 
-        /** TCP connect deadline per dial. */
-        int connect_timeout_ms = 5000;
-
         /**
          * Per-operation socket timeout while awaiting a slice
          * response.  Slices are whole sub-sweeps, so the default is
          * generous; tests shrink it to provoke failover.
          */
         int io_timeout_ms = 600000;
-
-        /** Total per-request deadline (0 = per-op timeouts only). */
-        int request_timeout_ms = 0;
-
-        net::HttpLimits limits;
 
         /**
          * Optional fault-injection layer forwarded to every shard
@@ -125,10 +116,12 @@ class SweepCoordinator
     SweepCoordinator &operator=(const SweepCoordinator &) = delete;
 
     /**
-     * Evaluates every plan on the shard fleet and returns results in
-     * the plans' order, bit-identical to a local Explorer::sweep
+     * Evaluates every request on the shard fleet and returns results
+     * in request order, bit-identical to a local Explorer::sweep
      * (modulo each result's sim_wall_seconds, which measures whichever
-     * host computed it).  Throws std::runtime_error when every shard
+     * host computed it).  The requests must share one (model,
+     * cluster, options) triple, as sweepRequests() builds them, and
+     * carry no perturber.  Throws std::runtime_error when every shard
      * is dead or a shard answers with a malformed/incompatible
      * payload.
      *
@@ -138,17 +131,7 @@ class SweepCoordinator
      * it; once it passes, sweep() throws DeadlineExceeded instead of
      * dispatching further work.
      */
-    std::vector<ExploreResult>
-    sweep(const ModelConfig &model, const ClusterSpec &cluster,
-          const SimOptions &options,
-          const std::vector<ParallelConfig> &plans,
-          uint64_t deadline_ns = 0);
-
-    /** Convenience: enumerate via explore/design_space, then sweep. */
-    std::vector<ExploreResult> sweep(const ModelConfig &model,
-                                     const ClusterSpec &cluster,
-                                     const SimOptions &options,
-                                     const SweepSpec &spec,
+    std::vector<ExploreResult> sweep(const std::vector<SimRequest> &requests,
                                      uint64_t deadline_ns = 0);
 
     size_t numShards() const { return shards_.size(); }

@@ -5,7 +5,7 @@
  * Every JSON payload that crosses a process boundary — the bodies of
  * POST /v1/evaluate, /v1/evaluate_batch and /v1/sweep, and the
  * responses they return — is encoded and decoded here and nowhere
- * else.  serve/json.h provides only the document type (json::Value);
+ * else.  util/json.h provides only the document type (json::Value);
  * this header owns the schemas.  Bodies are compact JSON.
  *
  * Each wire type (GpuSpec, NodeSpec, ClusterSpec, ModelConfig,
@@ -54,11 +54,11 @@
 #include "net/http.h"
 #include "net/server.h"
 #include "serve/admission.h"
-#include "serve/json.h"
 #include "serve/sim_request.h"
 #include "serve/sim_service.h"
 #include "serve/sweep_coordinator.h"
 #include "sim/result.h"
+#include "util/json.h"
 #include "util/trace.h"
 
 namespace vtrain {

@@ -1,4 +1,4 @@
-#include "serve/json.h"
+#include "util/json.h"
 
 #include <charconv>
 #include <cmath>

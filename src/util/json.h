@@ -2,17 +2,19 @@
  * @file
  * Minimal dependency-free JSON document type.
  *
- * The serve layer needs JSON to cross process boundaries without an
- * external dependency, so this file provides a small, self-contained
- * JSON value type (json::Value) with a strict recursive-descent
- * parser.  Doubles are emitted in shortest round-trip form, so
+ * The one JSON writer (and reader) of the library: the serve layer's
+ * wire schemas (serve/wire.h), the HTTP error envelope
+ * (net::jsonErrorBody) and the /tracez export (util::chromeTraceJson)
+ * all build a json::Value and dump() it, so string escaping and number
+ * formatting live only in json.cc.  The parser is a strict recursive
+ * descent.  Doubles are emitted in shortest round-trip form, so
  * parse(dump(x)) == x holds bit-for-bit — the property the versioned
- * wire schemas built on top of it (serve/wire.h) rely on for
- * bit-identical cross-process results.  This header is only the
- * document type; every wire schema lives in serve/wire.h.
+ * wire schemas rely on for bit-identical cross-process results.  This
+ * header is only the document type; every wire schema lives in
+ * serve/wire.h.
  */
-#ifndef VTRAIN_SERVE_JSON_H
-#define VTRAIN_SERVE_JSON_H
+#ifndef VTRAIN_UTIL_JSON_H
+#define VTRAIN_UTIL_JSON_H
 
 #include <cstdint>
 #include <string>
@@ -91,4 +93,4 @@ class Value
 } // namespace json
 } // namespace vtrain
 
-#endif // VTRAIN_SERVE_JSON_H
+#endif // VTRAIN_UTIL_JSON_H

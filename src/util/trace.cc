@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 
@@ -16,44 +17,6 @@ uint64_t nextTraceId()
 {
     static std::atomic<uint64_t> next_id{1};
     return next_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-void appendEscaped(std::string &out, const std::string &value)
-{
-    for (char c : value) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void appendDouble(std::string &out, double v)
-{
-    char buf[48];
-    snprintf(buf, sizeof(buf), "%.3f", v);
-    out += buf;
 }
 
 } // namespace
@@ -212,46 +175,40 @@ uint64_t TraceRing::totalPushed() const
 
 std::string chromeTraceJson(const std::vector<Trace> &traces)
 {
-    std::string out = "{\"traceEvents\":[";
-    bool first = true;
-    int pid = 0;
+    const auto event = [](const std::string &name, int64_t pid, double ts,
+                          double dur) {
+        json::Value e = json::Value::object();
+        e.set("name", name);
+        e.set("ph", "X");
+        e.set("pid", pid);
+        e.set("tid", int64_t{0});
+        e.set("ts", ts);
+        e.set("dur", dur);
+        return e;
+    };
+    json::Value events = json::Value::array();
+    int64_t pid = 0;
     for (const Trace &trace : traces) {
         ++pid;
-        if (!first) {
-            out += ',';
-        }
-        first = false;
         // Metadata record naming this trace's "process" row.
-        out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-        out += std::to_string(pid);
-        out += ",\"args\":{\"name\":\"";
-        appendEscaped(out, trace.label);
-        out += " #";
-        out += std::to_string(trace.id);
-        out += "\"}}";
+        json::Value args = json::Value::object();
+        args.set("name", trace.label + " #" + std::to_string(trace.id));
+        json::Value meta = json::Value::object();
+        meta.set("name", "process_name");
+        meta.set("ph", "M");
+        meta.set("pid", pid);
+        meta.set("args", std::move(args));
+        events.push(std::move(meta));
         // The request itself as a root span so total time is visible
         // even when no TraceSpan fired inside it.
-        out += ",{\"name\":\"";
-        appendEscaped(out, trace.label);
-        out += "\",\"ph\":\"X\",\"pid\":";
-        out += std::to_string(pid);
-        out += ",\"tid\":0,\"ts\":0,\"dur\":";
-        appendDouble(out, trace.total_us);
-        out += '}';
-        for (const TraceEvent &event : trace.events) {
-            out += ",{\"name\":\"";
-            appendEscaped(out, event.name);
-            out += "\",\"ph\":\"X\",\"pid\":";
-            out += std::to_string(pid);
-            out += ",\"tid\":0,\"ts\":";
-            appendDouble(out, event.start_us);
-            out += ",\"dur\":";
-            appendDouble(out, event.dur_us);
-            out += '}';
+        events.push(event(trace.label, pid, 0.0, trace.total_us));
+        for (const TraceEvent &e : trace.events) {
+            events.push(event(e.name, pid, e.start_us, e.dur_us));
         }
     }
-    out += "]}";
-    return out;
+    json::Value root = json::Value::object();
+    root.set("traceEvents", std::move(events));
+    return root.dump();
 }
 
 } // namespace util

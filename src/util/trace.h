@@ -160,8 +160,10 @@ class TraceRing
 
 /**
  * Renders traces as Chrome `trace_event` JSON ("X" complete events,
- * one pid per trace with a process_name metadata record).  Load the
- * result in Perfetto (ui.perfetto.dev) or chrome://tracing.
+ * one pid per trace with a process_name metadata record).  `ts` and
+ * `dur` are microseconds written in shortest round-trip form (10.25,
+ * not 10.250) by the json::Value writer.  Load the result in Perfetto
+ * (ui.perfetto.dev) or chrome://tracing.
  */
 std::string chromeTraceJson(const std::vector<Trace> &traces);
 

@@ -5,30 +5,18 @@
 
 namespace vtrain {
 
-namespace {
-
-std::string
-formatScaled(double value, const char *const *suffixes, int n_suffixes,
-             double base)
-{
-    int idx = 0;
-    double v = value;
-    while (std::abs(v) >= base && idx < n_suffixes - 1) {
-        v /= base;
-        ++idx;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.2f %s", v, suffixes[idx]);
-    return buf;
-}
-
-} // namespace
-
 std::string
 formatBytes(double bytes)
 {
     static const char *suffixes[] = {"B", "KB", "MB", "GB", "TB", "PB"};
-    return formatScaled(bytes, suffixes, 6, 1e3);
+    int idx = 0;
+    while (std::abs(bytes) >= 1e3 && idx < 5) {
+        bytes /= 1e3;
+        ++idx;
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.2f %s", bytes, suffixes[idx]);
+    return buf;
 }
 
 std::string
@@ -47,14 +35,6 @@ formatSeconds(double sec)
         std::snprintf(buf, sizeof(buf), "%.1f us", sec * 1e6);
     }
     return buf;
-}
-
-std::string
-formatFlops(double flops)
-{
-    static const char *suffixes[] = {"FLOPS", "KFLOPS", "MFLOPS", "GFLOPS",
-                                     "TFLOPS", "PFLOPS", "EFLOPS"};
-    return formatScaled(flops, suffixes, 7, 1e3);
 }
 
 std::string

@@ -64,9 +64,6 @@ std::string formatBytes(double bytes);
 /** Formats a duration given in seconds as "42.59 s" / "12.3 ms" text. */
 std::string formatSeconds(double sec);
 
-/** Formats a FLOP/s figure as "312.0 TFLOPS"-style text. */
-std::string formatFlops(double flops);
-
 /** Formats a dollar amount as "$9.01M" / "$11,200"-style text. */
 std::string formatDollars(double dollars);
 

@@ -63,7 +63,6 @@
 #include "scaling/chinchilla.h"
 #include "serve/admission.h"
 #include "serve/http_frontend.h"
-#include "serve/json.h"
 #include "serve/result_cache.h"
 #include "serve/sim_request.h"
 #include "serve/sim_service.h"
@@ -75,6 +74,7 @@
 #include "testbed/testbed.h"
 #include "util/hash.h"
 #include "util/interp.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"

@@ -24,8 +24,8 @@
 #include "net/http_client.h"
 #include "serve/admission.h"
 #include "serve/http_frontend.h"
-#include "serve/json.h"
 #include "serve/wire.h"
+#include "util/json.h"
 
 namespace vtrain {
 namespace {

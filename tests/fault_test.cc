@@ -22,8 +22,8 @@
 #include "net/fault_injection.h"
 #include "net/http_client.h"
 #include "serve/http_frontend.h"
-#include "serve/json.h"
 #include "serve/wire.h"
+#include "util/json.h"
 
 namespace vtrain {
 namespace {

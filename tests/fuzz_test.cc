@@ -3,7 +3,10 @@
  * Seeded mutational fuzzing of the parsers that read network bytes:
  * net::HttpParser in both directions, json::Value::parse and the
  * wire::v1 decoders of SimRequest, SimulationResult, the /v1/sweep
- * request and the sweep response.
+ * request and the sweep response.  The two documents built on
+ * json::Value outside the wire schemas (the /tracez export and the
+ * HTTP error envelope) are fed every byte value and must parse back
+ * byte-exact.
  *
  * Each target starts from serialized valid inputs, mutates them with
  * byte flips, insertions, deletions, duplications and truncations
@@ -26,11 +29,12 @@
 #include "explore/explorer.h"
 #include "model/model_config.h"
 #include "net/http.h"
-#include "serve/json.h"
 #include "serve/sim_request.h"
 #include "serve/wire.h"
 #include "sim/result.h"
+#include "util/json.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace vtrain {
 namespace {
@@ -450,6 +454,75 @@ TEST(Fuzz, JsonParseDumpIsAFixedPoint)
     }
     // A mutator that only produced rejects would check nothing.
     EXPECT_GT(accepted, kJsonIterations / 10);
+}
+
+/**
+ * Strings that hold every byte 0x00-0xFF: all of them in one string,
+ * each alone, and random byte strings.  `no_nul` drops 0x00 (for
+ * TraceEvent names, which are C strings).
+ */
+std::vector<std::string>
+everyByteStrings(bool no_nul)
+{
+    std::vector<std::string> out(1);
+    for (int b = no_nul ? 1 : 0; b < 256; ++b) {
+        out.front().push_back(static_cast<char>(b));
+        out.push_back(std::string(1, static_cast<char>(b)));
+    }
+    Rng rng(kSeed + 7);
+    for (int i = 0; i < 200; ++i) {
+        std::string s(static_cast<size_t>(rng.uniformInt(0, 24)), '\0');
+        for (char &c : s)
+            c = static_cast<char>(rng.uniformInt(no_nul ? 1 : 0, 255));
+        out.push_back(std::move(s));
+    }
+    return out;
+}
+
+TEST(Fuzz, TraceExportCarriesEveryByte)
+{
+    const std::vector<std::string> labels = everyByteStrings(false);
+    const std::vector<std::string> names = everyByteStrings(true);
+    for (size_t i = 0; i < labels.size(); ++i) {
+        util::Trace trace;
+        trace.label = labels[i];
+        trace.id = i;
+        trace.total_us = 12.5;
+        util::TraceEvent event;
+        event.name = names[i % names.size()].c_str();
+        trace.events.push_back(event);
+
+        const std::string text = util::chromeTraceJson({trace});
+        json::Value doc;
+        std::string error;
+        ASSERT_TRUE(json::Value::parse(text, &doc, &error))
+            << error << "\nlabel: " << testing::PrintToString(labels[i]);
+        const std::vector<json::Value> &events =
+            doc.find("traceEvents")->items();
+        ASSERT_EQ(events.size(), 3u);
+        EXPECT_EQ(events[0].find("args")->find("name")->asString(),
+                  labels[i] + " #" + std::to_string(i));
+        EXPECT_EQ(events[1].find("name")->asString(), labels[i]);
+        EXPECT_EQ(events[2].find("name")->asString(),
+                  names[i % names.size()]);
+    }
+}
+
+TEST(Fuzz, ErrorEnvelopeCarriesEveryByte)
+{
+    for (const std::string &message : everyByteStrings(false)) {
+        const std::string text = net::jsonErrorBody(422, message);
+        json::Value doc;
+        std::string error;
+        ASSERT_TRUE(json::Value::parse(text, &doc, &error))
+            << error << "\nmessage: " << testing::PrintToString(message);
+        const json::Value *body = doc.find("error");
+        ASSERT_NE(body, nullptr);
+        EXPECT_EQ(body->find("code")->asInt64(), 422);
+        EXPECT_EQ(body->find("status")->asString(),
+                  net::statusReason(422));
+        EXPECT_EQ(body->find("message")->asString(), message);
+    }
 }
 
 // ---------------------------------------------------------------- wire

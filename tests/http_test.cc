@@ -23,9 +23,9 @@
 #include "model/zoo.h"
 #include "net/http_client.h"
 #include "serve/http_frontend.h"
-#include "serve/json.h"
 #include "serve/wire.h"
 #include "sim/simulator.h"
+#include "util/json.h"
 
 namespace vtrain {
 namespace {

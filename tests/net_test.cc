@@ -15,7 +15,7 @@
 #include "net/http.h"
 #include "net/http_client.h"
 #include "net/socket.h"
-#include "serve/json.h"
+#include "util/json.h"
 
 namespace vtrain {
 namespace net {

@@ -19,11 +19,11 @@
 
 #include "explore/explorer.h"
 #include "model/zoo.h"
-#include "serve/json.h"
 #include "serve/result_cache.h"
 #include "serve/sim_service.h"
 #include "serve/wire.h"
 #include "sim/simulator.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 

@@ -379,7 +379,8 @@ TEST(SweepDistributed, TwoShardMergeIsBitIdenticalToLocalSweep)
     SweepCoordinator coordinator(
         coordinatorOptions({shard_a.port(), shard_b.port()}));
     const std::vector<ExploreResult> merged = withoutWallTime(
-        coordinator.sweep(model, cluster, SimOptions{}, plans));
+        coordinator.sweep(
+            sweepRequests(model, cluster, SimOptions{}, plans)));
 
     expectSameResults(merged, expected);
 
@@ -584,7 +585,8 @@ TEST(SweepFailover, DeadShardFailsOverWithoutChangingResults)
     SweepCoordinator coordinator(std::move(options));
 
     const std::vector<ExploreResult> merged = withoutWallTime(
-        coordinator.sweep(model, cluster, SimOptions{}, plans));
+        coordinator.sweep(
+            sweepRequests(model, cluster, SimOptions{}, plans)));
     expectSameResults(merged, expected);
 
     const SweepCoordinatorStats stats = coordinator.stats();
@@ -598,7 +600,8 @@ TEST(SweepFailover, DeadShardFailsOverWithoutChangingResults)
     // again rather than erroring out).
     expectSameResults(
         withoutWallTime(
-            coordinator.sweep(model, cluster, SimOptions{}, plans)),
+            coordinator.sweep(
+                sweepRequests(model, cluster, SimOptions{}, plans))),
         expected);
 }
 
@@ -635,7 +638,8 @@ TEST(SweepFailover, HungShardTimesOutAndFailsOver)
     SweepCoordinator coordinator(std::move(options));
 
     const std::vector<ExploreResult> merged = withoutWallTime(
-        coordinator.sweep(model, cluster, SimOptions{}, plans));
+        coordinator.sweep(
+            sweepRequests(model, cluster, SimOptions{}, plans)));
     expectSameResults(merged, expected);
 
     const SweepCoordinatorStats stats = coordinator.stats();
@@ -674,7 +678,8 @@ TEST(SweepFailover, TransientRejectionRetriesHonoringRetryAfter)
 
     const auto start = std::chrono::steady_clock::now();
     const std::vector<ExploreResult> results =
-        coordinator.sweep(model, cluster, SimOptions{}, plans);
+        coordinator.sweep(
+            sweepRequests(model, cluster, SimOptions{}, plans));
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - start);
@@ -704,8 +709,9 @@ TEST(SweepDeadline, ExpiredBudgetThrowsBeforeAnyDispatch)
     // An already-passed deadline: the caller gave up before we even
     // started, so no shard should burn compute on it.
     const uint64_t past = util::monotonicNanos();
-    EXPECT_THROW(coordinator.sweep(model, cluster, SimOptions{}, plans,
-                                   past),
+    EXPECT_THROW(coordinator.sweep(
+                     sweepRequests(model, cluster, SimOptions{}, plans),
+                     past),
                  DeadlineExceeded);
     EXPECT_EQ(coordinator.stats().shards[0].requests, 0u);
     EXPECT_EQ(shard.service.stats().requests, 0u);
@@ -725,8 +731,8 @@ TEST(SweepDeadline, GenerousBudgetDoesNotChangeResults)
     const uint64_t deadline =
         util::monotonicNanos() + 60ull * 1000000000ull;
     const std::vector<ExploreResult> results =
-        coordinator.sweep(model, cluster, SimOptions{}, plans,
-                          deadline);
+        coordinator.sweep(
+            sweepRequests(model, cluster, SimOptions{}, plans), deadline);
     ASSERT_EQ(results.size(), plans.size());
     for (size_t i = 0; i < plans.size(); ++i) {
         EXPECT_EQ(results[i].plan, plans[i]);
@@ -797,7 +803,8 @@ TEST(SweepDrain, MidSweepDrainLosesNothingAndDoubleCountsNothing)
     std::atomic<bool> swept{false};
     std::thread sweeper([&] {
         results =
-            coordinator.sweep(model, cluster, SimOptions{}, plans);
+            coordinator.sweep(
+                sweepRequests(model, cluster, SimOptions{}, plans));
         swept.store(true);
     });
 
@@ -836,7 +843,8 @@ TEST(SweepDrain, MidSweepDrainLosesNothingAndDoubleCountsNothing)
     // The drained shard is gone now: the next sweep fails over to A
     // and still answers every plan correctly.
     const std::vector<ExploreResult> after =
-        coordinator.sweep(model, cluster, SimOptions{}, plans);
+        coordinator.sweep(
+            sweepRequests(model, cluster, SimOptions{}, plans));
     ASSERT_EQ(after.size(), plans.size());
     for (size_t i = 0; i < plans.size(); ++i)
         EXPECT_EQ(after[i].sim.iteration_seconds,
@@ -862,8 +870,8 @@ TEST(SweepFailover, EveryShardDeadThrows)
         coordinatorOptions({port_a, port_b}));
     const std::vector<ParallelConfig> plans =
         tinyPlans(makeCluster(8));
-    EXPECT_THROW(coordinator.sweep(tinyModel(), makeCluster(8),
-                                   SimOptions{}, plans),
+    EXPECT_THROW(coordinator.sweep(sweepRequests(
+                     tinyModel(), makeCluster(8), SimOptions{}, plans)),
                  std::runtime_error);
 }
 

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace vtrain {
@@ -230,15 +233,23 @@ TEST(ChromeTraceJson, EmitsCompleteEventsAndMetadata)
     event.depth = 1;
     trace.events.push_back(event);
 
-    const std::string json = chromeTraceJson({trace});
-    EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
-    EXPECT_NE(json.find("POST /v1/evaluate #42"), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"sim.replay\""), std::string::npos);
-    EXPECT_NE(json.find("\"ts\":10.250"), std::string::npos);
-    EXPECT_NE(json.find("\"dur\":100.750"), std::string::npos);
+    const std::string text = chromeTraceJson({trace});
+    EXPECT_NE(text.find("\"traceEvents\":["), std::string::npos);
+    EXPECT_NE(text.find("\"ph\":\"M\""), std::string::npos);
+    EXPECT_NE(text.find("POST /v1/evaluate #42"), std::string::npos);
+    EXPECT_NE(text.find("\"name\":\"sim.replay\""), std::string::npos);
+    // Numbers are written in shortest round-trip form; compare them
+    // parsed.
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::Value::parse(text, &doc, &error)) << error;
+    const std::vector<json::Value> &events =
+        doc.find("traceEvents")->items();
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[2].find("ts")->asNumber(), 10.25);
+    EXPECT_EQ(events[2].find("dur")->asNumber(), 100.75);
     // The root span covers the whole request.
-    EXPECT_NE(json.find("\"dur\":1234.500"), std::string::npos);
+    EXPECT_EQ(events[1].find("dur")->asNumber(), 1234.5);
 }
 
 TEST(ChromeTraceJson, EscapesLabels)

@@ -30,10 +30,10 @@
 #include "hw/cluster_spec.h"
 #include "model/model_config.h"
 #include "parallel/parallel_config.h"
-#include "serve/json.h"
 #include "serve/sim_request.h"
 #include "serve/wire.h"
 #include "sim/simulator.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
